@@ -2,18 +2,26 @@
 
 Two oracles that share no special-function code with the closed forms:
 
-* ``shoot_radial_eigenvalue`` integrates the radial equation
+* ``shoot_with_nodes`` solves the radial equation
 
       R'' + R'/r + [2 mu E + 2 mu kappa / r - (m+nu)^2 / r^2] R = 0
 
-  outward from the indicial behavior R ~ r^{|m+nu|} and bisects on the
-  interior node count.  The integration runs in the log radial variable
-  x = ln s (s the Coulomb-unit radius), where the equation collapses to
-  R_xx = (w^2 - 2 e^x - 2 e e^{2x}) R with no first-derivative term and no
-  stiffness at the origin.  A Cash-Karp 5(4) embedded pair supplies the
-  per-step error control; the state is renormalized whenever it grows large
-  (the ODE is linear) and integration stops early once the solution has
-  entered irreversible exponential growth past the outer turning point.
+  in the log radial variable x = ln s (s the Coulomb-unit radius), where it
+  collapses to R_xx = (w^2 - 2 e^x - 2 e e^{2x}) R with no first-derivative
+  term and no stiffness at the origin.  A Cash-Karp 5(4) embedded pair
+  supplies the per-step error control; the state is renormalized whenever it
+  grows large (the ODE is linear).
+
+  The eigenvalue is found in two stages.  Interior node counts of the
+  solution shot outward from the indicial behavior R ~ r^{|m+nu|} (stopped
+  once it has entered irreversible exponential growth past the outer turning
+  point) bracket level n_r alone: n_r nodes at the lower end, n_r + 1 at the
+  upper.  Brent's method then finds the root of the normalized Wronskian of
+  that outward solution and one integrated inward from the decaying tail,
+  matched at the outer turning point (the matching method of Pryce,
+  *Numerical Solution of Sturm-Liouville Problems*, 1993).  The reported node
+  count is the one measured at the lower bracket end, so it checks the level
+  assignment independently of the root-find.
 
 * ``quad_norm`` integrates |psi|^2 over the plane with adaptive quadrature on
   the compactified variable u = rho / (1 + rho); the angular integral is
@@ -27,8 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .bound import QuantumNumbers, effective_exponent, energy, eval_bound_wavefunction
 from .errors import NoBoundStates, NoConvergence, QuadratureFailure, StiffnessFailure
@@ -51,6 +57,22 @@ _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
 # ~73 e-folds at which local roundoff could seed a spurious sign flip.
 _GROWTH_STOP_LOG = 60.0
 _RESCALE_AT = 1e100
+# The inward solution starts where the decaying tail has fallen this many
+# e-folds below its value at the turning point; the admixed growing mode is
+# damped by about twice that on the way in.
+_TAIL_EFOLDS = 40.0
+# Relative energy tolerance of the Brent root-find, near the noise floor the
+# ode_tol = 1e-10 integrations leave in the matching Wronskian.
+_ROOT_RTOL = 1e-10
+# When both bracket ends show the same Wronskian sign, the end below this
+# magnitude is the eigenvalue itself; the observed noise there is ~5e-11.
+_ROOT_NOISE = 1e-8
+# Brent starts from a node bracket at most this share of |e_guess| wide.
+# Across the whole initial window the Wronskian is curved enough that Brent
+# needs 8-10 evaluations of two integrations each; a node-count bisection
+# step costs one.
+_BRENT_WINDOW = 0.5
+_MAX_NARROWING = 60
 
 
 @dataclass(frozen=True)
@@ -64,15 +86,14 @@ class ShootingConfig:
     r_start: float = 1e-6
     r_max: float = 60.0
     ode_tol: float = 1e-10
-    bisect_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (self.r_start > 0.0 and self.r_max > 0.0):
             raise ValueError("radii must be positive")
         if self.r_start >= self.r_max:
             raise ValueError("r_start must be below r_max")
-        if not (self.ode_tol > 0.0 and self.bisect_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.ode_tol > 0.0:
+            raise ValueError("ode_tol must be positive")
 
 
 def _outer_turning_point(e: float, w: float) -> float:
@@ -83,21 +104,29 @@ def _outer_turning_point(e: float, w: float) -> float:
     return (1.0 + math.sqrt(disc)) / (-2.0 * e)
 
 
-def _shoot_once(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
-                tol: float) -> tuple[int, float, bool]:
-    """Integrate outward at trial energy e; return (nodes, end sign, diverged)."""
+def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
+               tol: float) -> tuple[int, float, float]:
+    """Integrate from x0 to x1 (either direction) at trial energy e.
+
+    Returns (sign changes of R, R, R_x) with the final pair rescaled by an
+    arbitrary positive factor.  Once past the outer turning point in the
+    direction of travel, integration stops early when log |R| has grown
+    _GROWTH_STOP_LOG beyond its value there.
+    """
     w2 = w * w
     te = 2.0 * e
+    direction = 1.0 if x1 >= x0 else -1.0
     x = x0
     y, dy = y0, dy0
-    h = 1e-4
+    h = 1e-4 * direction
     nodes = 0
     log_scale = 0.0
     x_tp = math.log(_outer_turning_point(e, w))
     log_at_tp = None
-    span = x1 - x0
-    while x < x1:
-        if x + h > x1:
+    span = abs(x1 - x0)
+    while (x1 - x) * direction > 0.0:
+        last = (x + h - x1) * direction >= 0.0
+        if last:
             h = x1 - x
         s1 = math.exp(x)
         k1y = dy
@@ -145,7 +174,7 @@ def _shoot_once(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
         scale = abs(y5) + abs(h * d5) + 1e-300
         err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * tol)
         if err <= 1.0:
-            x += h
+            x = x1 if last else x + h
             prev = y
             y, dy = y5, d5
             if prev != 0.0 and y != 0.0 and (prev < 0.0) != (y < 0.0):
@@ -156,30 +185,33 @@ def _shoot_once(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
                 dy /= m
                 log_scale += math.log(m)
             log_mag = math.log(max(abs(y), abs(dy), 1e-300)) + log_scale
-            if log_at_tp is None and x >= x_tp:
+            if log_at_tp is None and (x - x_tp) * direction >= 0.0:
                 log_at_tp = log_mag
             elif log_at_tp is not None and log_mag > log_at_tp + _GROWTH_STOP_LOG:
-                return nodes, math.copysign(1.0, y), True
+                break
         h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
-        if h < 1e-14 * span:
+        if abs(h) < 1e-14 * span:
             raise StiffnessFailure("step size underflow in radial integration")
-    return nodes, math.copysign(1.0, y), False
+    return nodes, y, dy
 
 
-def _solve_scaled(w: float, n_r: int, cfg: ShootingConfig) -> tuple[float, int]:
+def _solve_scaled(w: float, n_r: int, e_guess: float,
+                  cfg: ShootingConfig) -> tuple[float, int]:
     """Find the Coulomb-unit eigenvalue with n_r interior nodes.
 
-    Returns (e, nodes measured just below the eigenvalue).  The search window
-    is [1.5 e_closed, 0.5 e_closed] around the closed-form prediction; the
-    bisection predicate is "at least n_r + 1 interior nodes", which flips
-    exactly at the eigenvalue.
+    Returns (e, nodes measured at the lower end of the root bracket).  The
+    search window is [1.5 e_guess, 0.5 e_guess] around the predicted energy,
+    narrowed by node count until it holds level n_r alone and is at most
+    _BRENT_WINDOW |e_guess| wide; Brent's method then finds the zero of the
+    matching Wronskian inside it.
     """
-    lam = n_r + w + 0.5
-    e_closed = -1.0 / (2.0 * lam * lam)
-    alpha = math.sqrt(-8.0 * e_closed)
+    from scipy.optimize import brentq
+
+    alpha = math.sqrt(-8.0 * e_guess)
     s0 = cfg.r_start / alpha
     x0 = math.log(s0)
-    x1 = math.log(cfg.r_max * _outer_turning_point(e_closed, w))
+    s_max = cfg.r_max * _outer_turning_point(e_guess, w)
+    x1 = math.log(s_max)
     # Frobenius start R = s^w (1 - 2 s/(2w+1)), normalized at s0; in the log
     # variable the slope is d ln R/dx times R.
     c1 = -2.0 / (2.0 * w + 1.0)
@@ -187,27 +219,53 @@ def _solve_scaled(w: float, n_r: int, cfg: ShootingConfig) -> tuple[float, int]:
     dy0 = w * (1.0 + c1 * s0) + c1 * s0
 
     def nodes_at(e: float) -> int:
-        nodes, _, _ = _shoot_once(w, e, x0, x1, y0, dy0, cfg.ode_tol)
-        return nodes
+        return _integrate(w, e, x0, x1, y0, dy0, cfg.ode_tol)[0]
 
-    lo, hi = 1.5 * e_closed, 0.5 * e_closed
+    def wronskian(e: float) -> float:
+        """Normalized Wronskian of the outward and inward solutions at the
+        outer turning point; zero exactly at an eigenvalue."""
+        s_tp = _outer_turning_point(e, w)
+        x_tp = math.log(s_tp)
+        s_in = min(s_max, s_tp + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
+        # WKB slope of the solution that decays outward (grows inward)
+        q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
+        _, yo, dyo = _integrate(w, e, x0, x_tp, y0, dy0, cfg.ode_tol)
+        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q),
+                                cfg.ode_tol)
+        return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
+
+    lo, hi = 1.5 * e_guess, 0.5 * e_guess
     n_lo, n_hi = nodes_at(lo), nodes_at(hi)
     if n_lo > n_r or n_hi < n_r + 1:
         raise NoConvergence(
             f"no eigenvalue bracket in [{lo}, {hi}]: node counts "
             f"({n_lo}, {n_hi}) vs target {n_r}"
         )
-    for _ in range(300):
-        if hi - lo <= cfg.bisect_tol * abs(lo):
+    # For high states the initial window also holds level n_r + 1.
+    for _ in range(_MAX_NARROWING):
+        if n_lo == n_r and n_hi == n_r + 1 and hi - lo <= _BRENT_WINDOW * abs(e_guess):
             break
         mid = 0.5 * (lo + hi)
-        if nodes_at(mid) >= n_r + 1:
-            hi = mid
+        n_mid = nodes_at(mid)
+        if n_mid <= n_r:
+            lo, n_lo = mid, n_mid
         else:
-            lo = mid
+            hi, n_hi = mid, n_mid
     else:
-        raise NoConvergence("bisection failed to converge")
-    return 0.5 * (lo + hi), nodes_at(lo)
+        raise NoConvergence(f"node counts never isolated level {n_r}")
+
+    known = {lo: wronskian(lo), hi: wronskian(hi)}
+    if (known[lo] < 0.0) == (known[hi] < 0.0):
+        # The first narrowing midpoint is e_guess.  Where that is the
+        # eigenvalue, the Wronskian there is integration noise
+        # (~1e-11) of either sign, and that end is the root.
+        end = min(known, key=lambda e: abs(known[e]))
+        if abs(known[end]) > _ROOT_NOISE:
+            raise NoConvergence(f"no Wronskian sign change in [{lo}, {hi}]")
+        return end, n_lo
+    e = brentq(lambda e: known[e] if e in known else wronskian(e), lo, hi,
+               xtol=_ROOT_RTOL * abs(e_guess), rtol=_ROOT_RTOL)
+    return e, n_lo
 
 
 def shoot_radial_eigenvalue(
@@ -229,7 +287,9 @@ def shoot_with_nodes(
     if n_r < 0:
         raise ValueError("n_r must be non-negative")
     w = effective_exponent(m, problem.nu)
-    e_scaled, nodes = _solve_scaled(w, n_r, cfg)
+    lam = n_r + w + 0.5
+    # the closed-form energy only centres the search window
+    e_scaled, nodes = _solve_scaled(w, n_r, -1.0 / (2.0 * lam * lam), cfg)
     unit = problem.reduced_mass * problem.kappa**2
     return e_scaled * unit, nodes
 
@@ -244,6 +304,8 @@ def quad_norm(
     decaying integrand evaluated through eval_bound_wavefunction.
     amplitude_scale multiplies psi (a hook for scaling checks).
     """
+    from scipy.integrate import quad
+
     e = energy(qn, problem)
     alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
 

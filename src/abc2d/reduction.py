@@ -58,6 +58,8 @@ class RelativeProblem:
     nu: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.reduced_mass, self.kappa, self.alpha_flux))):
+            raise ValueError("mu, kappa and alpha must be finite")
         if not self.reduced_mass > 0.0:
             raise ValueError("reduced mass must be positive")
         if not 0.0 <= self.nu < 1.0:

@@ -75,6 +75,8 @@ class ScatteringParams:
     flux_case: FluxCase
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.k) and math.isfinite(self.beta)):
+            raise ValueError("k and beta must be finite")
         if not self.k > 0.0:
             raise ValueError("k must be positive")
 

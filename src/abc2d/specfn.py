@@ -49,6 +49,10 @@ _STIRLING_C = (
     -174611.0 / 125400.0,
 )
 _STIRLING_RADIUS = 9.0
+# cmath.sin(pi z) overflows once |Im pi z| exceeds ~710; the reflection branch
+# of ln_gamma switches to a log-sin form there.
+_SIN_OVERFLOW_IM = 700.0
+_LN_TWO = 0.6931471805599453
 
 # Taylor regime: series up to this |z|, asymptotic expansion beyond.
 _TAYLOR_RADIUS = 40.0
@@ -137,7 +141,14 @@ def ln_gamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         raise PoleError(f"Gamma pole at z = {z.real}")
     if z.real < 0.5:
-        ls = cmath.log(cmath.sin(cmath.pi * z))
+        if abs(z.imag) * math.pi < _SIN_OVERFLOW_IM:
+            ls = cmath.log(cmath.sin(cmath.pi * z))
+        else:
+            # sin(pi z) = (i sgn/2) e^{-i pi z sgn} (1 - e^{2 pi i sgn z}) with
+            # sgn = sign(Im z); the last factor is 1 to within e^{-1400}, so
+            # its log1p vanishes in double precision.
+            sgn = math.copysign(1.0, z.imag)
+            ls = -1j * sgn * cmath.pi * z - _LN_TWO + 0.5j * sgn * cmath.pi
         re, im = _right_half_terms(1.0 - z)
         # LN_PI - ls - lnGamma(1-z) in one compensated accumulation
         re_terms = (LN_PI, -ls.real) + tuple(-v for v in re)

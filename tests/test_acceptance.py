@@ -37,26 +37,15 @@ def problem(nu):
 
 def test_criterion_1_spectrum_vs_ode_oracle():
     start = time.monotonic()
-    worst = 0.0
-    nodes_ok = True
-    count = 0
-    for nu in (0.0, 0.25, 0.5, 0.75):
-        p = problem(nu)
-        for m in range(-2, 3):
-            for n_r in range(3):
-                qn = bound.QuantumNumbers(n_r, m)
-                if not bound.is_acceptable(qn, p.m0, p.nu):
-                    continue
-                closed = bound.energy(qn, p)
-                shot, nodes = oracle.shoot_with_nodes(p, m, n_r)
-                worst = max(worst, abs(shot - closed) / abs(closed))
-                nodes_ok = nodes_ok and nodes == n_r
-                count += 1
+    rows = verify.shooting_report(small=False)
     elapsed = time.monotonic() - start
-    ok = worst < 1e-6 and nodes_ok and elapsed < 120.0
+    worst = max(r.rel_err for r in rows)
+    rows_ok = all(r.passed for r in rows)
+    ok = worst < 1e-6 and rows_ok and elapsed < 120.0
     _report("criterion 1 (spectrum vs ODE oracle)", ok,
-            f"{count} states, worst rel err {worst:.2e} (< 1e-6), "
-            f"nodes {'exact' if nodes_ok else 'MISMATCH'}, {elapsed:.1f} s (< 120 s)")
+            f"{len(rows)} states, worst rel err {worst:.2e} (< 1e-6), per-state "
+            f"energy, norm and nodes == n_r {'pass' if rows_ok else 'FAIL'}, "
+            f"{elapsed:.1f} s (< 120 s)")
     assert ok
 
 

@@ -118,6 +118,14 @@ class TestXsectionCommand:
         assert min(totals) > 0.0
         assert min(crosses) < 0.0 < max(crosses)
 
+    def test_large_beta_integer_flux(self, tmp_path):
+        code, text = run_csv(tmp_path, ["xsection", "--case", "integer",
+                                        "--beta", "500", "--thetas", "16"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert len(rows) == 16
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
     def test_raw_requires_energy(self, capsys):
         assert main(["xsection", "--raw", "1", "1", "1", "1", "-1", "-1"]) == 2
 
@@ -213,6 +221,26 @@ class TestDeterminismAndUsage:
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kappa", "nan"],
+        ["spectrum", "--mu", "inf"],
+        ["spectrum", "--kappa", "inf"],
+        ["xsection", "--case", "integer", "--beta", "nan"],
+        ["xsection", "--case", "coulomb", "--k", "inf"],
+    ])
+    def test_non_finite_input_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    def test_cli_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, abc2d.cli; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -3,7 +3,8 @@ import inspect
 import pytest
 
 import abc2d.oracle as oracle_mod
-from abc2d.bound import QuantumNumbers
+from abc2d import verify
+from abc2d.bound import QuantumNumbers, energy
 from abc2d.errors import NoBoundStates, NoConvergence
 from abc2d.oracle import ShootingConfig, quad_norm, shoot_radial_eigenvalue, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
@@ -42,6 +43,43 @@ class TestShooting:
         cfg = ShootingConfig(r_max=0.8)
         with pytest.raises(NoConvergence):
             shoot_radial_eigenvalue(problem(0.0), 0, 0, cfg)
+
+    # The first node-count midpoint is the closed-form energy, so one end of
+    # the root bracket sits on the eigenvalue, where the Wronskian is
+    # integration noise of either sign.
+    @pytest.mark.parametrize("nu,m,n_r", [
+        (0.25, 0, 2), (0.25, 2, 1), (0.5, -1, 2), (0.5, 0, 2), (0.5, 2, 1), (0.75, -1, 2),
+    ])
+    def test_bracket_end_on_eigenvalue(self, nu, m, n_r):
+        p = problem(nu)
+        e, nodes = shoot_with_nodes(p, m, n_r)
+        assert nodes == n_r
+        assert e == pytest.approx(energy(QuantumNumbers(n_r, m), p), rel=1e-9)
+
+    @pytest.mark.parametrize("shift", [-0.05, 1e-3, 0.1])
+    def test_window_center_need_not_be_exact(self, shift):
+        # nu = 0.25, m = 1, n_r = 1 with the search window centred off the
+        # eigenvalue, as it would be around a wrong closed form
+        w, n_r = 1.25, 1
+        e_true = -0.5 / (n_r + w + 0.5) ** 2
+        e, nodes = oracle_mod._solve_scaled(w, n_r, e_true * (1.0 + shift), ShootingConfig())
+        assert nodes == n_r
+        assert e == pytest.approx(e_true, rel=1e-9)
+
+    def test_integration_budget(self, monkeypatch):
+        # node-count bisection alone took 37 integrations per state
+        calls = []
+        integrate = oracle_mod._integrate
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(oracle_mod, "_integrate", counting)
+        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
+            before = len(calls)
+            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+            assert len(calls) - before <= 16, (alpha, m, n_r)
 
     def test_nontrivial_units(self):
         p = problem(0.5, mu=2.5, kappa=0.6)

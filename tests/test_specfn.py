@@ -59,6 +59,15 @@ class TestLnGamma:
             worst = max(worst, abs(cmath.exp(ln_gamma(z)) - ref) / abs(ref))
         assert worst < 1e-13
 
+    # cmath.sin(pi z) overflows beyond |Im z| ~ 226; -0.5 - 1000j takes the
+    # reflection branch with Im z < 0
+    @pytest.mark.parametrize("z", [230j, 1000j, 0.5 - 1000j, -0.5 - 1000j, -3.7 + 300j])
+    def test_large_imaginary_part(self, z):
+        ref = mp.loggamma(z)
+        d = ln_gamma(z) - complex(ref)
+        assert abs(d.real) < 1e-14 * abs(ref)
+        assert abs(math.remainder(d.imag, 2.0 * math.pi)) < 1e-14 * abs(ref)
+
     def test_reflection_identity(self):
         rng = random.Random(7)
         for _ in range(100):
