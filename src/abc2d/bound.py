@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import NoBoundStates, Unacceptable
@@ -194,26 +195,37 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
     return math.exp(log_front + log_root)
 
 
-def eval_bound_wavefunction(
-    qn: QuantumNumbers, problem: RelativeProblem, r: float, theta: float
-) -> complex:
-    """Value of the normalized eigenfunction at polar point (r, theta).
+def wavefunction(qn: QuantumNumbers,
+                 problem: RelativeProblem) -> Callable[[float, float], complex]:
+    """The normalized eigenfunction psi(r, theta); energy, C, w and alpha are
+    computed once, here.
 
     rho^w at r = 0 is taken by limit: 1 for w = 0, else 0 (no pow(0, w) NaN).
     theta is accepted but irrelevant at the origin, where only the w = 0
     states are finite anyway.
     """
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
     e = energy(qn, problem)
     c = normalization_constant(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
     alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
-    rho = alpha * r
-    if rho == 0.0:
-        radial_power = 1.0 if w == 0.0 else 0.0
-    else:
-        radial_power = rho**w
-    poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
-    phase = cmath.exp(1j * (qn.m - problem.m0) * theta)
-    return c * math.exp(-0.5 * rho) * radial_power * poly * phase
+
+    def psi(r: float, theta: float) -> complex:
+        if r < 0.0:
+            raise ValueError("r must be non-negative")
+        rho = alpha * r
+        if rho == 0.0:
+            radial_power = 1.0 if w == 0.0 else 0.0
+        else:
+            radial_power = rho**w
+        poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
+        phase = cmath.exp(1j * (qn.m - problem.m0) * theta)
+        return c * math.exp(-0.5 * rho) * radial_power * poly * phase
+
+    return psi
+
+
+def eval_bound_wavefunction(
+    qn: QuantumNumbers, problem: RelativeProblem, r: float, theta: float
+) -> complex:
+    """Value of the normalized eigenfunction at polar point (r, theta)."""
+    return wavefunction(qn, problem)(r, theta)

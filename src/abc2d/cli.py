@@ -1,10 +1,11 @@
 """Command-line front end: spectrum tables, cross-section sweeps, field dumps,
 verification reports.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (e.g. no bound states,
-unsupported flux case), 3 verification failure.  Numeric output uses 17
-significant digits and every artifact embeds the parameters that produced it,
-so identical invocations give byte-identical files.
+Exit codes: 0 success, 1 usage error (a non-finite number in any flag
+included), 2 domain error (e.g. no bound states, unsupported flux case), 3
+verification failure.  Numeric output uses 17 significant digits and every
+artifact embeds the parameters that produced it, so identical invocations give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -123,22 +123,12 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
     return scatter.ScatteringParams(args.k, args.beta, _CASES[args.case])
 
 
-def _xsection_row(work: tuple[float, float, str, float]) -> tuple[float, float, float, float]:
-    k, beta, case, theta = work
-    p = scatter.ScatteringParams(k, beta, scatter.FluxCase(case))
-    s = scatter.sigma_sample(p, theta)
-    return theta, s.sigma_total, s.sigma_coulomb, s.sigma_cross
-
-
 def run_xsection(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.thetas)
-    work = [(p.k, p.beta, p.flux_case.value, float(t)) for t in thetas]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_xsection_row, work))
-    else:
-        rows = [_xsection_row(item) for item in work]
+    rows = []
+    for theta in np.linspace(args.theta_min, args.theta_max, args.thetas).tolist():
+        s = scatter.sigma_sample(p, theta)
+        rows.append((theta, s.sigma_total, s.sigma_coulomb, s.sigma_cross))
     params = {
         "command": "xsection",
         "case": p.flux_case.value,
@@ -172,7 +162,7 @@ def run_xsection(args: argparse.Namespace) -> int:
 def run_field(args: argparse.Namespace) -> int:
     if args.kind == "bound":
         problem = _problem_from_args(args)
-        qn = bound.QuantumNumbers(args.nr, args.m)
+        psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
         axis = np.linspace(-args.extent, args.extent, args.points)
         params = {
             "command": "field", "kind": "bound",
@@ -184,9 +174,7 @@ def run_field(args: argparse.Namespace) -> int:
         rows = []
         for x in axis:
             for y in axis:
-                r = math.hypot(x, y)
-                theta = math.atan2(y, x)
-                v = bound.eval_bound_wavefunction(qn, problem, r, theta)
+                v = psi(math.hypot(x, y), math.atan2(y, x))
                 rows.append((float(x), float(y), v.real, v.imag))
     else:
         p = _params_from_args(args)
@@ -228,7 +216,6 @@ def run_field(args: argparse.Namespace) -> int:
 def run_verify(args: argparse.Namespace) -> int:
     results, rows = verify.run_all_checks(
         small=(args.grid == "small"),
-        jobs=args.jobs,
         perturb_energy=args.perturb_energy,
     )
     params = {"command": "verify", "grid": args.grid,
@@ -303,7 +290,6 @@ def build_parser() -> _Parser:
     xs.add_argument("--alpha", type=float, default=0.0)
     xs.add_argument("--energy", type=float, default=None)
     _add_raw(xs)
-    xs.add_argument("--jobs", type=int, default=1)
     xs.add_argument("--format", choices=("csv", "json"), default="csv")
     xs.add_argument("--out", default=None)
     xs.set_defaults(func=run_xsection)
@@ -334,7 +320,6 @@ def build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="run the cross-validation suite")
     vf.add_argument("--grid", choices=("small", "full"), default="full")
-    vf.add_argument("--jobs", type=int, default=1)
     vf.add_argument("--perturb-energy", type=float, default=0.0,
                     help="test hook: offset applied to the closed-form energy")
     vf.add_argument("--format", choices=("table", "json"), default="table")
@@ -348,6 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except DomainError as exc:
         print(f"abc2d: {exc}", file=sys.stderr)

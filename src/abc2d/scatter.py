@@ -19,6 +19,9 @@ Closed-form fields (incident along +x):
   nu = 1/2:         psi0 = c2 e^{ikx} eta M(i b + 1/2, 3/2, i k eta^2),
                     odd on the double cover
 
+Each Kummer factor depends on one coordinate only: M(., ., i k eta^2) on eta,
+the integer-flux s-wave M(1/2 - i b, 1, -2 i k r) on r = (xi^2 + eta^2)/2.
+
 Differential cross sections (2D, dimension length):
 
     sigma_C = beta tanh(pi beta) / (2 k sin^2 theta/2)
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,14 +251,34 @@ def from_parabolic(xi: float, eta: float) -> tuple[float, float]:
     return 0.5 * (xi * xi - eta * eta), xi * eta
 
 
-def _c1(p: ScatteringParams) -> complex:
-    return cmath.exp(0.5 * math.pi * p.beta + ln_gamma(0.5 - 1j * p.beta)) / SQRT_PI
+def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[list[complex]]:
+    """psi0 at every node of the grid xis x etas, row-major in xi.
 
+    Each separated factor is evaluated once: the prefactor c1 or c2 per call,
+    the Kummer factor per eta and the integer-flux s-wave per distinct r.
+    """
+    k, b = p.k, p.beta
+    if p.flux_case is FluxCase.HALF_INTEGER:
+        c = (2.0 * math.sqrt(k / math.pi)
+             * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
+        ms = [kummer_m(0.5 + 1j * b, 1.5, 1j * k * eta * eta) for eta in etas]
+    else:
+        c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
+        ms = [kummer_m(1j * b, 0.5, 1j * k * eta * eta) for eta in etas]
 
-def _c2(p: ScatteringParams) -> complex:
-    return (2.0 * math.sqrt(p.k / math.pi)
-            * cmath.exp(0.5 * math.pi * p.beta - 0.25j * math.pi
-                        + ln_gamma(1.0 - 1j * p.beta)))
+    def plane(xi: float, eta: float) -> complex:
+        return cmath.exp(1j * k * (0.5 * (xi * xi - eta * eta)))
+
+    @functools.cache
+    def swave(r: float) -> complex:
+        return cmath.exp(1j * k * r) * kummer_m(0.5 - 1j * b, 1.0, -2j * k * r)
+
+    if p.flux_case is FluxCase.HALF_INTEGER:
+        return [[c * plane(xi, eta) * eta * m for eta, m in zip(etas, ms)] for xi in xis]
+    if p.flux_case is FluxCase.INTEGER_FLUX:
+        return [[c * (plane(xi, eta) * m - swave(0.5 * (xi * xi + eta * eta)))
+                 for eta, m in zip(etas, ms)] for xi in xis]
+    return [[c * plane(xi, eta) * m for eta, m in zip(etas, ms)] for xi in xis]
 
 
 def eval_scattering_field(p: ScatteringParams, xi: float, eta: float) -> complex:
@@ -263,19 +287,7 @@ def eval_scattering_field(p: ScatteringParams, xi: float, eta: float) -> complex
     Even under (xi, eta) -> (-xi, -eta) for nu = 0, odd for nu = 1/2; the
     integer-flux and half-integer fields vanish at the origin exactly.
     """
-    k, b = p.k, p.beta
-    x = 0.5 * (xi * xi - eta * eta)
-    if p.flux_case is FluxCase.COULOMB_ONLY:
-        return _c1(p) * cmath.exp(1j * k * x) * kummer_m(1j * b, 0.5, 1j * k * eta * eta)
-    if p.flux_case is FluxCase.INTEGER_FLUX:
-        r = 0.5 * (xi * xi + eta * eta)
-        direct = cmath.exp(1j * k * x) * kummer_m(1j * b, 0.5, 1j * k * eta * eta)
-        swave = cmath.exp(1j * k * r) * kummer_m(0.5 - 1j * b, 1.0, -2j * k * r)
-        return _c1(p) * (direct - swave)
-    if p.flux_case is FluxCase.HALF_INTEGER:
-        return (_c2(p) * cmath.exp(1j * k * x) * eta
-                * kummer_m(0.5 + 1j * b, 1.5, 1j * k * eta * eta))
-    raise UnsupportedFluxCase(str(p.flux_case))
+    return _field(p, [xi], [eta])[0][0]
 
 
 def eval_scattering_field_polar(p: ScatteringParams, r: float, theta: float) -> complex:
@@ -336,10 +348,7 @@ def sample_scattering_field(
         raise ValueError("grid needs at least 2 points per axis")
     xi = np.linspace(xi_range[0], xi_range[1], nx)
     eta = np.linspace(eta_range[0], eta_range[1], ny)
-    values = np.empty((nx, ny), dtype=complex)
-    for i, xv in enumerate(xi):
-        for j, ev in enumerate(eta):
-            values[i, j] = eval_scattering_field(p, float(xv), float(ev))
+    values = np.array(_field(p, xi.tolist(), eta.tolist()), dtype=complex)
     return FieldGrid(xi=xi, eta=eta, values=values)
 
 

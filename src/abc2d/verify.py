@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,8 +136,8 @@ def check_kummer_polynomial(seed: int = 31, points: int = 40) -> CheckResult:
 
 # -- bound states vs oracle ------------------------------------------------------
 
-def _shoot_row(args: tuple[float, float, float, int, int, float]) -> tuple[ShootingRow, bool]:
-    mu, kappa, alpha, m, n_r, perturb = args
+def _shoot_row(mu: float, kappa: float, alpha: float, m: int, n_r: int,
+               perturb: float) -> ShootingRow:
     problem = RelativeProblem.from_parameters(mu, kappa, alpha)
     qn = bound.QuantumNumbers(n_r, m)
     closed = bound.energy(qn, problem) * (1.0 + perturb)
@@ -146,12 +145,11 @@ def _shoot_row(args: tuple[float, float, float, int, int, float]) -> tuple[Shoot
     norm = oracle.quad_norm(qn, problem)
     rel = abs(shot - closed) / abs(closed)
     case = classify_case(problem.m0, problem.nu).value
-    row = ShootingRow(
+    return ShootingRow(
         case=case, n_r=n_r, m=m, closed_energy=closed, shoot_energy=shot,
         rel_err=rel, norm=norm,
         passed=rel < 1e-6 and abs(norm - 1.0) < 1e-6 and nodes == n_r,
     )
-    return row, nodes == n_r
 
 
 def shooting_grid(small: bool) -> list[tuple[float, float, float, int, int]]:
@@ -167,23 +165,15 @@ def shooting_grid(small: bool) -> list[tuple[float, float, float, int, int]]:
     return grid
 
 
-def shooting_report(small: bool = False, jobs: int = 1,
-                    perturb_energy: float = 0.0) -> list[ShootingRow]:
+def shooting_report(small: bool = False, perturb_energy: float = 0.0) -> list[ShootingRow]:
     """Per-state rows (case, n_r, m, closed_E, shoot_E, rel_err, norm, pass)."""
-    work = [(mu, kappa, alpha, m, n_r, perturb_energy)
-            for (mu, kappa, alpha, m, n_r) in shooting_grid(small)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(_shoot_row, work))
-    else:
-        out = [_shoot_row(item) for item in work]
-    return [row for row, _ in out]
+    return [_shoot_row(*state, perturb_energy) for state in shooting_grid(small)]
 
 
-def check_shooting(small: bool = False, jobs: int = 1, perturb_energy: float = 0.0,
+def check_shooting(small: bool = False, perturb_energy: float = 0.0,
                    rows: list[ShootingRow] | None = None) -> CheckResult:
     if rows is None:
-        rows = shooting_report(small, jobs, perturb_energy)
+        rows = shooting_report(small, perturb_energy)
     worst = max(r.rel_err for r in rows)
     all_ok = all(r.passed for r in rows)
     detail = f"{len(rows)} states, per-state checks {'all pass' if all_ok else 'FAIL'}"
@@ -417,13 +407,12 @@ def check_stationary_wave() -> CheckResult:
                    f"fit exponent {slope:.3f} (must be < -1)")
 
 
-def run_all_checks(small: bool = False, jobs: int = 1,
-                   perturb_energy: float = 0.0,
+def run_all_checks(small: bool = False, perturb_energy: float = 0.0,
                    ) -> tuple[list[CheckResult], list[ShootingRow]]:
     """The full verification grid, in a stable order, plus the per-state rows."""
     n_gamma = 50 if small else 200
     n_rand = 40 if small else 100
-    rows = shooting_report(small=small, jobs=jobs, perturb_energy=perturb_energy)
+    rows = shooting_report(small=small, perturb_energy=perturb_energy)
     checks = [
         check_gamma_identities(n_gamma),
         check_gamma_functional(n_rand),

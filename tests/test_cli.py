@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
 from abc2d.cli import main
+from abc2d.reduction import RelativeProblem
 
 TANH_PI_HALF = 0.49813603811037497
 
@@ -168,6 +170,21 @@ class TestFieldCommand:
                 worst = max(worst, abs(v + table[neg]))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("alpha,nr,m", [(0.0, 0, 0), (2.0, 1, -1), (1.3, 2, 1)])
+    def test_bound_dump_matches_pointwise_evaluation(self, tmp_path, alpha, nr, m):
+        out = tmp_path / "b.json"
+        assert main(["field", "--kind", "bound", "--mu", "1.2", "--kappa", "0.8",
+                     "--alpha", str(alpha), "--nr", str(nr), "--m", str(m),
+                     "--extent", "3", "--points", "9", "--format", "json",
+                     "--out", str(out)]) == 0
+        problem = RelativeProblem.from_parameters(1.2, 0.8, alpha)
+        qn = QuantumNumbers(nr, m)
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 81
+        for x, y, re, im in rows:
+            v = eval_bound_wavefunction(qn, problem, math.hypot(x, y), math.atan2(y, x))
+            assert (re, im) == (v.real, v.imag)
+
     def test_json_embeds_params(self, tmp_path):
         out = tmp_path / "f.json"
         assert main(["field", "--kind", "scatter", "--case", "coulomb",
@@ -206,14 +223,6 @@ class TestDeterminismAndUsage:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "parallel.csv"
-        args = ["xsection", "--case", "half", "--beta", "1.3", "--thetas", "40"]
-        assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
-        assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["xsection", "--case", "bogus"])
@@ -228,6 +237,10 @@ class TestDeterminismAndUsage:
         ["spectrum", "--kappa", "inf"],
         ["xsection", "--case", "integer", "--beta", "nan"],
         ["xsection", "--case", "coulomb", "--k", "inf"],
+        ["field", "--kind", "bound", "--extent", "nan"],
+        ["field", "--kind", "scatter", "--case", "coulomb", "--xi-max", "inf"],
+        ["xsection", "--case", "coulomb", "--theta-min", "nan"],
+        ["spectrum", "--raw", "1", "1", "nan", "1", "-1", "1"],
     ])
     def test_non_finite_input_exits_one(self, argv, capsys):
         assert main(argv) == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abc2d import scatter
 from abc2d.errors import ForwardSingularity, GridBoundary, UnsupportedFluxCase, WrongCase
 from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
@@ -30,6 +31,7 @@ from abc2d.scatter import (
     stationary_wave,
     to_parabolic,
 )
+from abc2d.specfn import kummer_m, ln_gamma
 
 TANH_PI_HALF = 0.49813603811037497
 TANH_PI = 0.99627207622074994
@@ -311,6 +313,61 @@ class TestCurrent:
         grid = self._grid_from_function(lambda x, e: 1.0 + 0j, 1.0, 1.0)
         with pytest.raises(GridBoundary):
             current_field(grid, 2.0, 1.0)
+
+
+GRIDS = [
+    ((-2.5, 2.5), (-2.5, 2.5), 7, 7),   # symmetric square
+    ((-0.7, 3.1), (0.4, 2.9), 6, 6),    # asymmetric ranges
+    ((-1.5, 2.5), (-3.0, 1.0), 4, 9),   # nx != ny
+    ((0.0, 1.5), (-1.0, 1.0), 4, 5),    # through the origin
+]
+FIELD_PARAMS = [ScatteringParams(1.3, 0.8, case) for case in FluxCase]
+
+
+def pointwise_field(p, xi, eta):
+    """Reference: the closed forms evaluated node by node, every factor anew."""
+    k, b = p.k, p.beta
+    x = 0.5 * (xi * xi - eta * eta)
+    c1 = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / math.sqrt(math.pi)
+    if p.flux_case is FluxCase.COULOMB_ONLY:
+        return c1 * cmath.exp(1j * k * x) * kummer_m(1j * b, 0.5, 1j * k * eta * eta)
+    if p.flux_case is FluxCase.INTEGER_FLUX:
+        r = 0.5 * (xi * xi + eta * eta)
+        direct = cmath.exp(1j * k * x) * kummer_m(1j * b, 0.5, 1j * k * eta * eta)
+        swave = cmath.exp(1j * k * r) * kummer_m(0.5 - 1j * b, 1.0, -2j * k * r)
+        return c1 * (direct - swave)
+    c2 = (2.0 * math.sqrt(k / math.pi)
+          * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
+    return c2 * cmath.exp(1j * k * x) * eta * kummer_m(0.5 + 1j * b, 1.5, 1j * k * eta * eta)
+
+
+class TestSampleScatteringField:
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
+    def test_matches_pointwise_evaluation_exactly(self, p, grid):
+        g = sample_scattering_field(p, *grid)
+        assert g.values.shape == (grid[2], grid[3])
+        for i, xv in enumerate(g.xi.tolist()):
+            for j, ev in enumerate(g.eta.tolist()):
+                assert g.values[i, j] == eval_scattering_field(p, xv, ev)
+                assert g.values[i, j] == pointwise_field(p, xv, ev)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
+    def test_kummer_once_per_separated_factor(self, p, grid, monkeypatch):
+        calls = []
+
+        def counting(a, b, z):
+            calls.append(z)
+            return kummer_m(a, b, z)
+
+        monkeypatch.setattr(scatter, "kummer_m", counting)
+        g = sample_scattering_field(p, *grid)
+        budget = g.eta.size
+        if p.flux_case is FluxCase.INTEGER_FLUX:
+            budget += len({0.5 * (x * x + e * e)
+                           for x in g.xi.tolist() for e in g.eta.tolist()})
+        assert len(calls) <= budget
 
 
 class TestSampleDispatch:
