@@ -37,7 +37,7 @@ from .errors import (
     WrongCase,
     ZeroFlux,
 )
-from .oracle import ShootingConfig, quad_norm, shoot_radial_eigenvalue
+from .oracle import ShootingConfig, quad_norm, shoot_with_nodes
 from .reduction import (
     ParticlePair,
     RelativeProblem,

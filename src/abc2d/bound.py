@@ -40,13 +40,8 @@ BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
 BRANCH_UNSPLIT = "unsplit"
 
-# Energies closer than this (relatively) are one degenerate level.  The
-# nu = 1/2 coincidence is exact in the formula, so this only absorbs float
-# noise.
-LEVEL_MERGE_RTOL = 1e-14
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumNumbers:
     """Radial node count n_r >= 0 and integer angular label m."""
 
@@ -107,67 +102,56 @@ def energy(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     return -problem.reduced_mass * problem.kappa**2 / (2.0 * lam * lam)
 
 
-def _branch_principal(qn: QuantumNumbers) -> int:
-    """Principal label N within a branch: n_r + m for m >= 0, n_r + |m| for m < 0."""
-    return qn.n_r + abs(qn.m)
-
-
 def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
-    """The n_levels lowest distinct levels with exact member enumeration.
+    """The n_levels lowest distinct levels, walked off the two closed-form ladders.
 
-    Enumerates all acceptable (n_r, m) up to a lambda cap wide enough to
-    contain the requested levels, groups states whose energies agree to
-    LEVEL_MERGE_RTOL, and orders levels by increasing energy.
+    The plus ladder (m >= 0) has lambda = N + nu + 1/2 and members
+    (n_r, m) = (N - m, m), m = 0..N; the minus ladder (m < 0, N >= 1) has
+    lambda = N - nu + 1/2 and members (N - |m|, m), m = -N..-1.  Each step
+    takes the rung with the smaller lambda; equal rungs (same N at nu = 0,
+    plus N with minus N + 1 at nu = 1/2) make one level.  Members that
+    is_acceptable rejects are dropped, and a level left empty (the
+    integer-flux N = 0 level) is skipped.  The energy is taken from the
+    smallest lambda among the members, the principal N from the lower rung.
+    The cost is proportional to the number of members returned.
     """
     if n_levels <= 0:
         raise ValueError("n_levels must be positive")
     if problem.kappa <= 0.0:
         raise NoBoundStates("bound states require attraction (kappa > 0)")
     nu = problem.nu
-    lam_max = n_levels + 2.0
-    m_max = int(math.ceil(lam_max)) + 1
-    states: list[tuple[float, QuantumNumbers]] = []
-    for n_r in range(int(lam_max) + 1):
-        for m in range(-m_max, m_max + 1):
-            qn = QuantumNumbers(n_r, m)
-            if not is_acceptable(qn, problem.m0, nu):
-                continue
-            lam = _lambda(qn, nu)
-            if lam <= lam_max:
-                states.append((lam, qn))
-    states.sort(key=lambda item: (item[0], item[1].n_r, item[1].m))
-
+    unsplit = nu == 0.0 or nu == 0.5
     prefactor = -problem.reduced_mass * problem.kappa**2 / 2.0
     levels: list[SpectrumLevel] = []
-    group: list[QuantumNumbers] = []
-    group_energy = 0.0
-    for lam, qn in states:
-        e = prefactor / (lam * lam)
-        if group and abs(e - group_energy) > LEVEL_MERGE_RTOL * abs(group_energy):
-            levels.append(_make_level(group_energy, group, nu))
-            group = []
-        if not group:
-            group_energy = e
-        group.append(qn)
-    if group:
-        levels.append(_make_level(group_energy, group, nu))
-    return levels[:n_levels]
-
-
-def _make_level(e: float, members: list[QuantumNumbers], nu: float) -> SpectrumLevel:
-    members = sorted(members, key=lambda q: (q.n_r, q.m))
-    if nu == 0.0 or nu == 0.5:
-        branch = BRANCH_UNSPLIT
-    else:
-        branch = BRANCH_PLUS if any(q.m >= 0 for q in members) else BRANCH_MINUS
-    principal = min(_branch_principal(q) for q in members)
-    return SpectrumLevel(
-        energy=e,
-        branch=branch,
-        principal_n=principal,
-        members=tuple(members),
-        degeneracy=len(members),
-    )
+    n_plus, n_minus = 0, 1
+    while len(levels) < n_levels:
+        lam_plus, lam_minus = n_plus + nu + 0.5, n_minus - nu + 0.5
+        take_plus, take_minus = lam_plus <= lam_minus, lam_minus <= lam_plus
+        if unsplit:
+            branch = BRANCH_UNSPLIT
+        else:
+            branch = BRANCH_PLUS if take_plus else BRANCH_MINUS
+        principal = n_plus if take_plus else n_minus
+        rung: list[QuantumNumbers] = []
+        if take_plus:
+            rung += [QuantumNumbers(n_plus - m, m) for m in range(n_plus + 1)]
+            n_plus += 1
+        if take_minus:
+            rung += [QuantumNumbers(n_minus + m, m) for m in range(-n_minus, 0)]
+            n_minus += 1
+        members = sorted((q for q in rung if is_acceptable(q, problem.m0, nu)),
+                         key=lambda q: (q.n_r, q.m))
+        if not members:
+            continue
+        lam = min(_lambda(q, nu) for q in members)
+        levels.append(SpectrumLevel(
+            energy=prefactor / (lam * lam),
+            branch=branch,
+            principal_n=principal,
+            members=tuple(members),
+            degeneracy=len(members),
+        ))
+    return levels
 
 
 def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> float:

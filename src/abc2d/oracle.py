@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bound import QuantumNumbers, effective_exponent, energy, eval_bound_wavefunction
+from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
 from .errors import NoBoundStates, NoConvergence, QuadratureFailure, StiffnessFailure
 from .reduction import RelativeProblem
 
@@ -268,20 +268,12 @@ def _solve_scaled(w: float, n_r: int, e_guess: float,
     return e, n_lo
 
 
-def shoot_radial_eigenvalue(
-    problem: RelativeProblem, m: int, n_r: int,
-    cfg: ShootingConfig = ShootingConfig(),
-) -> float:
-    """ODE eigenvalue with exactly n_r interior nodes, in physical units."""
-    e, _ = shoot_with_nodes(problem, m, n_r, cfg)
-    return e
-
-
 def shoot_with_nodes(
     problem: RelativeProblem, m: int, n_r: int,
     cfg: ShootingConfig = ShootingConfig(),
 ) -> tuple[float, int]:
-    """Like shoot_radial_eigenvalue but also reports the measured node count."""
+    """(ODE eigenvalue with n_r interior nodes in physical units, node count
+    measured at the lower bracket end)."""
     if problem.kappa <= 0.0:
         raise NoBoundStates("shooting requires attraction (kappa > 0)")
     if n_r < 0:
@@ -301,19 +293,20 @@ def quad_norm(
 
     The angular factor has unit modulus so the theta integral is exactly
     2 pi; the radial integral runs over u = rho/(1+rho) in (0, 1) with the
-    decaying integrand evaluated through eval_bound_wavefunction.
+    decaying integrand evaluated through bound.wavefunction, built once.
     amplitude_scale multiplies psi (a hook for scaling checks).
     """
     from scipy.integrate import quad
 
     e = energy(qn, problem)
     alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
+    psi = wavefunction(qn, problem)
 
     def integrand(u: float) -> float:
         rho = u / (1.0 - u)
         r = rho / alpha
-        psi = eval_bound_wavefunction(qn, problem, r, 0.0) * amplitude_scale
-        return abs(psi) ** 2 * r / (alpha * (1.0 - u) ** 2)
+        amp = psi(r, 0.0) * amplitude_scale
+        return abs(amp) ** 2 * r / (alpha * (1.0 - u) ** 2)
 
     value, err_est = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     if err_est > 1e-7:

@@ -12,7 +12,7 @@ The checks:
   kummer_polynomial  terminating series vs exact rational Horner evaluation
   shooting           ODE eigenvalues vs closed-form energies, node counts
   norm_quadrature    numerical norm of every low state = 1
-  degeneracy         brute-force level counting vs the closed formulas
+  degeneracy         spectrum vs brute-force level enumeration and tables
   pde_residual       second-order convergence of the field residual
   limits             flux-only and classical limits of the cross sections
   interference       sign-indefinite sigma_x, sigma_1 positive, ratio bound
@@ -198,87 +198,84 @@ def check_norm_quadrature(small: bool = False) -> CheckResult:
                    f"{count} states with n_r + |m| <= {n_max}")
 
 
-def _enumerate_levels(problem: RelativeProblem, n_cap: int) -> list[tuple[float, int]]:
-    """Brute-force (energy, count) for all acceptable states with n_r+|m| <= n_cap."""
-    groups: list[tuple[float, int]] = []
+def _enumerate_levels(problem: RelativeProblem,
+                      n_cap: int) -> list[tuple[float, list[bound.QuantumNumbers]]]:
+    """Brute-force (energy, members) of every level with lambda <= n_cap - 1/2.
+
+    Every acceptable (n_r, m) in the box n_r <= n_cap, |m| <= n_cap with
+    lambda = n_r + |m + nu| + 1/2 <= n_cap - 1/2 is sorted by energy and
+    grouped where energies agree to 1e-14 relative; members are in (n_r, m)
+    order.  All members of such a level lie inside the box, so each level is
+    complete.
+    """
     states = []
     for n_r in range(n_cap + 1):
         for m in range(-n_cap, n_cap + 1):
-            if n_r + abs(m) > n_cap:
-                continue
             qn = bound.QuantumNumbers(n_r, m)
-            if bound.is_acceptable(qn, problem.m0, problem.nu):
-                states.append(bound.energy(qn, problem))
-    for e in sorted(states):
+            if (n_r + abs(m + problem.nu) + 0.5 <= n_cap - 0.5
+                    and bound.is_acceptable(qn, problem.m0, problem.nu)):
+                states.append((bound.energy(qn, problem), qn))
+    groups: list[tuple[float, list[bound.QuantumNumbers]]] = []
+    for e, qn in sorted(states, key=lambda s: (s[0], s[1].n_r, s[1].m)):
         if groups and abs(e - groups[-1][0]) <= 1e-14 * abs(groups[-1][0]):
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
+            groups[-1][1].append(qn)
         else:
-            groups.append((e, 1))
-    return groups
+            groups.append((e, [qn]))
+    return [(e, sorted(members, key=lambda q: (q.n_r, q.m))) for e, members in groups]
+
+
+# (name, alpha) of the five spectral regimes, and the paper's degeneracy of
+# level N per branch: (first N, d(N)).
+_DEGENERACY_TABLES = (
+    ("coulomb", 0.0, {bound.BRANCH_UNSPLIT: (0, lambda n: 2 * n + 1)}),
+    ("integer", 1.0, {bound.BRANCH_UNSPLIT: (1, lambda n: 2 * n)}),
+    ("nu=0.25", 0.25, {bound.BRANCH_PLUS: (0, lambda n: n + 1),
+                       bound.BRANCH_MINUS: (1, lambda n: n)}),
+    ("nu=0.75", 0.75, {bound.BRANCH_PLUS: (0, lambda n: n + 1),
+                       bound.BRANCH_MINUS: (1, lambda n: n)}),
+    ("half", 0.5, {bound.BRANCH_UNSPLIT: (0, lambda n: 2 * n + 2)}),
+)
 
 
 def check_degeneracy(n_cap: int = 12) -> CheckResult:
-    """Degeneracy tables and level orderings for all five spectral cases."""
+    """bound.spectrum against brute-force level enumeration and the paper's
+    degeneracy tables, for all five spectral cases.
+
+    Levels the enumeration covers completely must agree in energy (1e-14
+    relative) and in their exact member lists.  On 2 n_cap + 2 spectrum
+    levels, each branch must run N = first, first + 1, ... with the tabulated
+    degeneracy, and the split cases must alternate branches in the order
+    their nu dictates, with strictly increasing energies.
+    """
     failures: list[str] = []
-
-    # pure Coulomb: d_N = 2N + 1, complete for N <= n_cap
-    levels = _enumerate_levels(RelativeProblem.from_parameters(1, 1, 0.0), n_cap)
-    for n, (_, d) in enumerate(levels):
-        if d != 2 * n + 1:
-            failures.append(f"coulomb N={n}: {d} != {2 * n + 1}")
-
-    # integer flux: ground level N = 1, d_N = 2N
-    prob = RelativeProblem.from_parameters(1, 1, 1.0)
-    levels = _enumerate_levels(prob, n_cap)
-    e1 = bound.energy(bound.QuantumNumbers(0, 1), prob)
-    if abs(levels[0][0] - e1) > 1e-14 * abs(e1):
-        failures.append("integer flux ground level is not E_1")
-    for n, (_, d) in enumerate(levels, start=1):
-        if d != 2 * n:
-            failures.append(f"integer N={n}: {d} != {2 * n}")
-
-    # split branches: d^+ = N+1 (m >= 0), d^- = N (m < 0); enumeration complete
-    # for branch labels up to n_cap (minus branch) / n_cap (plus branch)
-    for nu in (0.25, 0.75):
-        prob = RelativeProblem.from_parameters(1, 1, nu)
-        plus: dict[int, int] = {}
-        minus: dict[int, int] = {}
-        for n_r in range(n_cap + 1):
-            for m in range(-n_cap, n_cap + 1):
-                if n_r + abs(m) > n_cap:
-                    continue
-                n = n_r + abs(m)
-                if m >= 0:
-                    plus[n] = plus.get(n, 0) + 1
-                else:
-                    minus[n] = minus.get(n, 0) + 1
-        for n in range(n_cap + 1):
-            if plus[n] != n + 1:
-                failures.append(f"nu={nu} plus N={n}: {plus[n]} != {n + 1}")
-        for n in range(1, n_cap + 1):
-            if minus[n] != n:
-                failures.append(f"nu={nu} minus N={n}: {minus[n]} != {n}")
-
-    # interleavings from the spectrum assembler
-    for nu, pattern in ((0.25, "low"), (0.75, "high")):
-        prob = RelativeProblem.from_parameters(1, 1, nu)
-        levels20 = bound.spectrum(prob, 20)
-        energies = [lv.energy for lv in levels20]
-        if any(b >= a for a, b in zip(energies[1:], energies)):
-            failures.append(f"nu={nu}: energies not strictly increasing")
-        branches = [lv.branch for lv in levels20]
-        expect_first = bound.BRANCH_PLUS if pattern == "low" else bound.BRANCH_MINUS
-        if branches[0] != expect_first:
-            failures.append(f"nu={nu}: lowest level branch {branches[0]}")
-        if any(a == b for a, b in zip(branches, branches[1:])):
-            failures.append(f"nu={nu}: branches do not alternate")
-
-    # half integer: merged, d = 2N + 2; level N is complete once the
-    # enumeration reaches n_r + |m| = N + 1, so only N < n_cap is checked
-    levels = _enumerate_levels(RelativeProblem.from_parameters(1, 1, 0.5), n_cap)
-    for n, (_, d) in enumerate(levels[:n_cap]):
-        if d != 2 * n + 2:
-            failures.append(f"half N={n}: {d} != {2 * n + 2}")
+    for name, alpha, tables in _DEGENERACY_TABLES:
+        prob = RelativeProblem.from_parameters(1, 1, alpha)
+        levels = bound.spectrum(prob, 2 * n_cap + 2)
+        groups = _enumerate_levels(prob, n_cap)
+        for i, (e, members) in enumerate(groups):
+            if i >= len(levels) or list(levels[i].members) != members:
+                failures.append(f"{name} level {i}: members differ from enumeration")
+            elif abs(levels[i].energy - e) > 1e-14 * abs(e):
+                failures.append(f"{name} level {i}: energy {levels[i].energy!r} != {e!r}")
+        for branch, (first, degeneracy) in tables.items():
+            on_branch = [lv for lv in levels if lv.branch == branch]
+            for n, lv in enumerate(on_branch, start=first):
+                if (lv.principal_n, lv.degeneracy) != (n, degeneracy(n)):
+                    failures.append(f"{name} {branch} N={n}: (N, d) = "
+                                    f"({lv.principal_n}, {lv.degeneracy}) != "
+                                    f"({n}, {degeneracy(n)})")
+        if any(lv.branch not in tables for lv in levels):
+            failures.append(f"{name}: unexpected branch label")
+        energies = [lv.energy for lv in levels]
+        if any(b <= a for a, b in zip(energies, energies[1:])):
+            failures.append(f"{name}: energies not strictly increasing")
+        if prob.nu not in (0.0, 0.5):
+            branches = [lv.branch for lv in levels]
+            first = bound.BRANCH_PLUS if prob.nu < 0.5 else bound.BRANCH_MINUS
+            if branches[0] != first:
+                failures.append(f"{name}: lowest level branch {branches[0]}")
+            if any(a == b for a, b in zip(branches, branches[1:])):
+                failures.append(f"{name}: branches do not alternate")
 
     worst = float(len(failures))
     return _result("degeneracy", worst, 0.0,

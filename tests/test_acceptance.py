@@ -21,18 +21,12 @@ import time
 import numpy as np
 import pytest
 
-from abc2d import bound, oracle, scatter, verify
-from abc2d.reduction import RelativeProblem
-from abc2d.specfn import kummer_m, ln_gamma
+from abc2d import scatter, verify
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     return ok
-
-
-def problem(nu):
-    return RelativeProblem.from_parameters(1.0, 1.0, nu)
 
 
 def test_criterion_1_spectrum_vs_ode_oracle():
@@ -56,45 +50,21 @@ def test_criterion_2_degeneracy_tables():
 
 
 def test_criterion_3_normalization():
-    worst = 0.0
-    count = 0
-    for nu in (0.0, 0.25, 0.5, 0.75):
-        p = problem(nu)
-        for n_r in range(5):
-            for m in range(-(4 - n_r), 4 - n_r + 1):
-                qn = bound.QuantumNumbers(n_r, m)
-                worst = max(worst, abs(oracle.quad_norm(qn, p) - 1.0))
-                count += 1
-    ok = worst < 1e-6
+    res = verify.check_norm_quadrature(small=False)
+    ok = res.worst < 1e-6
     _report("criterion 3 (normalization)", ok,
-            f"{count} states, worst |norm - 1| = {worst:.2e} (< 1e-6); "
+            f"{res.detail}, worst |norm - 1| = {res.worst:.2e} (< 1e-6); "
             "no systematic deviation from the closed-form constant")
     assert ok
 
 
 def test_criterion_4_gamma_identities_and_kummer_transform():
-    import cmath
-    worst_gamma = 0.0
-    for b in np.geomspace(0.05, 10.0, 200):
-        g0 = abs(cmath.exp(ln_gamma(1j * b))) ** 2
-        g1 = abs(cmath.exp(ln_gamma(0.5 + 1j * b))) ** 2
-        worst_gamma = max(worst_gamma,
-                          abs(g0 * b * math.sinh(b * math.pi) - math.pi),
-                          abs(g1 * math.cosh(b * math.pi) - math.pi))
-    rng = random.Random(23)
-    worst_kummer = 0.0
-    for _ in range(100):
-        a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        bb = complex(rng.uniform(0.3, 5), rng.uniform(-2, 2))
-        z = cmath.rect(rng.uniform(0.1, 20.0), rng.uniform(-math.pi, math.pi))
-        lhs = kummer_m(a, bb, z)
-        rhs = cmath.exp(z) * kummer_m(bb - a, bb, -z)
-        worst_kummer = max(worst_kummer,
-                           abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    ok = worst_gamma < 1e-11 and worst_kummer < 1e-10
+    gamma = verify.check_gamma_identities(200)
+    kummer = verify.check_kummer_transform(100)
+    ok = gamma.worst < 1e-11 and kummer.worst < 1e-10
     _report("criterion 4 (gamma identities, Kummer transform)", ok,
-            f"gamma residual {worst_gamma:.2e} (< 1e-11) over 200 points, "
-            f"transform residual {worst_kummer:.2e} (< 1e-10) over 100 triples")
+            f"gamma residual {gamma.worst:.2e} (< 1e-11) over {gamma.detail}, "
+            f"transform residual {kummer.worst:.2e} (< 1e-10) over {kummer.detail}")
     assert ok
 
 

@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from abc2d import bound, verify
 from abc2d.bound import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -146,6 +149,53 @@ class TestSpectrum:
     def test_no_bound_states(self):
         with pytest.raises(NoBoundStates):
             spectrum(problem(0.0, kappa=-2.0), 3)
+
+
+class TestSpectrumAgainstEnumeration:
+    """bound.spectrum (ladder walk) against verify's brute-force enumeration."""
+
+    @given(st.integers(min_value=-4, max_value=4),
+           st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                     st.sampled_from([0.0, 1e-11, 0.5 - 1e-11, 0.5, 0.5 + 1e-11,
+                                      1.0 - 1e-11])),
+           st.floats(min_value=0.3, max_value=3.0),
+           st.integers(min_value=2, max_value=10))
+    def test_levels_match_brute_force(self, m0, nu, kappa, n_cap):
+        p = RelativeProblem.from_parameters(1.3, kappa, m0 + nu)
+        groups = verify._enumerate_levels(p, n_cap)
+        levels = spectrum(p, len(groups))
+        assert [list(lv.members) for lv in levels] == [members for _, members in groups]
+        for lv, (e, _) in zip(levels, groups):
+            assert lv.energy == pytest.approx(e, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def check_with(monkeypatch, mutate):
+        real = bound.spectrum
+        monkeypatch.setattr(bound, "spectrum", lambda p, n: mutate(real(p, n)))
+        return verify.check_degeneracy(8)
+
+    def test_oracle_passes_unmodified_spectrum(self, monkeypatch):
+        assert self.check_with(monkeypatch, lambda levels: levels).passed
+
+    @pytest.mark.parametrize("index", [0, 5, 17])
+    def test_oracle_rejects_dropped_member(self, monkeypatch, index):
+        def drop(levels):
+            lv = levels[index]
+            levels[index] = dataclasses.replace(
+                lv, members=lv.members[:-1], degeneracy=lv.degeneracy - 1)
+            return levels
+
+        assert not self.check_with(monkeypatch, drop).passed
+
+    @pytest.mark.parametrize("index", [0, 9])
+    def test_oracle_rejects_swapped_branches(self, monkeypatch, index):
+        def swap(levels):
+            a, b = levels[index], levels[index + 1]
+            levels[index] = dataclasses.replace(a, branch=b.branch)
+            levels[index + 1] = dataclasses.replace(b, branch=a.branch)
+            return levels
+
+        assert not self.check_with(monkeypatch, swap).passed
 
 
 class TestNormalization:

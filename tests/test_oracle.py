@@ -6,7 +6,7 @@ import abc2d.oracle as oracle_mod
 from abc2d import verify
 from abc2d.bound import QuantumNumbers, energy
 from abc2d.errors import NoBoundStates, NoConvergence
-from abc2d.oracle import ShootingConfig, quad_norm, shoot_radial_eigenvalue, shoot_with_nodes
+from abc2d.oracle import ShootingConfig, quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
 
 E_NU025_M_MINUS1_NR1 = -0.098765432098765432  # -1/(2 * 2.25^2) = -8/81
@@ -18,15 +18,15 @@ def problem(nu, mu=1.0, kappa=1.0):
 
 class TestShooting:
     def test_coulomb_ground(self):
-        e = shoot_radial_eigenvalue(problem(0.0), 0, 0)
+        e = shoot_with_nodes(problem(0.0), 0, 0)[0]
         assert e == pytest.approx(-2.0, rel=1e-6)
 
     def test_half_flux_ground(self):
-        e = shoot_radial_eigenvalue(problem(0.5), 0, 0)
+        e = shoot_with_nodes(problem(0.5), 0, 0)[0]
         assert e == pytest.approx(-0.5, rel=1e-6)
 
     def test_quarter_flux_excited(self):
-        e = shoot_radial_eigenvalue(problem(0.25), -1, 1)
+        e = shoot_with_nodes(problem(0.25), -1, 1)[0]
         assert e == pytest.approx(E_NU025_M_MINUS1_NR1, rel=1e-6)
 
     @pytest.mark.parametrize("nu,m,n_r", [(0.0, 1, 2), (0.25, -2, 1), (0.75, 0, 2)])
@@ -36,13 +36,13 @@ class TestShooting:
 
     def test_requires_attraction(self):
         with pytest.raises(NoBoundStates):
-            shoot_radial_eigenvalue(problem(0.0, kappa=-1.0), 0, 0)
+            shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
     def test_truncated_domain_fails_to_bracket(self):
         # r_max below the turning point keeps the discriminating node outside
         cfg = ShootingConfig(r_max=0.8)
         with pytest.raises(NoConvergence):
-            shoot_radial_eigenvalue(problem(0.0), 0, 0, cfg)
+            shoot_with_nodes(problem(0.0), 0, 0, cfg)
 
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
@@ -83,7 +83,7 @@ class TestShooting:
 
     def test_nontrivial_units(self):
         p = problem(0.5, mu=2.5, kappa=0.6)
-        e = shoot_radial_eigenvalue(p, 0, 0)
+        e = shoot_with_nodes(p, 0, 0)[0]
         closed = -p.reduced_mass * p.kappa**2 / (2.0 * 1.0**2)
         assert e == pytest.approx(closed, rel=1e-6)
 
