@@ -99,7 +99,7 @@ def energy(qn: QuantumNumbers, problem: RelativeProblem) -> float:
             f"for m0={problem.m0}, nu={problem.nu}"
         )
     lam = _lambda(qn, problem.nu)
-    return -problem.reduced_mass * problem.kappa**2 / (2.0 * lam * lam)
+    return -problem.reduced_mass * (problem.kappa * problem.kappa) / (2.0 * lam * lam)
 
 
 def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
@@ -121,7 +121,7 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
         raise NoBoundStates("bound states require attraction (kappa > 0)")
     nu = problem.nu
     unsplit = nu == 0.0 or nu == 0.5
-    prefactor = -problem.reduced_mass * problem.kappa**2 / 2.0
+    prefactor = -problem.reduced_mass * (problem.kappa * problem.kappa) / 2.0
     levels: list[SpectrumLevel] = []
     n_plus, n_minus = 0, 1
     while len(levels) < n_levels:

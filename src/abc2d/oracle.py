@@ -34,7 +34,6 @@ with the closed-form energies is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
 from .errors import NoBoundStates, NoConvergence, QuadratureFailure, StiffnessFailure
@@ -61,8 +60,14 @@ _RESCALE_AT = 1e100
 # e-folds below its value at the turning point; the admixed growing mode is
 # damped by about twice that on the way in.
 _TAIL_EFOLDS = 40.0
+# Shooting domain: the outward solution starts at _R_START in units of the
+# closed-form inverse decay scale 1/alpha and runs to _R_MAX outer classical
+# turning points; every integration keeps the local error below _ODE_TOL.
+_R_START = 1e-6
+_R_MAX = 60.0
+_ODE_TOL = 1e-10
 # Relative energy tolerance of the Brent root-find, near the noise floor the
-# ode_tol = 1e-10 integrations leave in the matching Wronskian.
+# _ODE_TOL integrations leave in the matching Wronskian.
 _ROOT_RTOL = 1e-10
 # When both bracket ends show the same Wronskian sign, the end below this
 # magnitude is the eigenvalue itself; the observed noise there is ~5e-11.
@@ -73,27 +78,6 @@ _ROOT_NOISE = 1e-8
 # step costs one.
 _BRENT_WINDOW = 0.5
 _MAX_NARROWING = 60
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Discretization knobs for the shooting solver.
-
-    r_start is in units of the closed-form inverse decay scale 1/alpha;
-    r_max in units of the outer classical turning point.
-    """
-
-    r_start: float = 1e-6
-    r_max: float = 60.0
-    ode_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.r_start > 0.0 and self.r_max > 0.0):
-            raise ValueError("radii must be positive")
-        if self.r_start >= self.r_max:
-            raise ValueError("r_start must be below r_max")
-        if not self.ode_tol > 0.0:
-            raise ValueError("ode_tol must be positive")
 
 
 def _outer_turning_point(e: float, w: float) -> float:
@@ -195,8 +179,7 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
     return nodes, y, dy
 
 
-def _solve_scaled(w: float, n_r: int, e_guess: float,
-                  cfg: ShootingConfig) -> tuple[float, int]:
+def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     """Find the Coulomb-unit eigenvalue with n_r interior nodes.
 
     Returns (e, nodes measured at the lower end of the root bracket).  The
@@ -208,9 +191,9 @@ def _solve_scaled(w: float, n_r: int, e_guess: float,
     from scipy.optimize import brentq
 
     alpha = math.sqrt(-8.0 * e_guess)
-    s0 = cfg.r_start / alpha
+    s0 = _R_START / alpha
     x0 = math.log(s0)
-    s_max = cfg.r_max * _outer_turning_point(e_guess, w)
+    s_max = _R_MAX * _outer_turning_point(e_guess, w)
     x1 = math.log(s_max)
     # Frobenius start R = s^w (1 - 2 s/(2w+1)), normalized at s0; in the log
     # variable the slope is d ln R/dx times R.
@@ -219,7 +202,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float,
     dy0 = w * (1.0 + c1 * s0) + c1 * s0
 
     def nodes_at(e: float) -> int:
-        return _integrate(w, e, x0, x1, y0, dy0, cfg.ode_tol)[0]
+        return _integrate(w, e, x0, x1, y0, dy0, _ODE_TOL)[0]
 
     def wronskian(e: float) -> float:
         """Normalized Wronskian of the outward and inward solutions at the
@@ -229,9 +212,9 @@ def _solve_scaled(w: float, n_r: int, e_guess: float,
         s_in = min(s_max, s_tp + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
         # WKB slope of the solution that decays outward (grows inward)
         q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-        _, yo, dyo = _integrate(w, e, x0, x_tp, y0, dy0, cfg.ode_tol)
+        _, yo, dyo = _integrate(w, e, x0, x_tp, y0, dy0, _ODE_TOL)
         _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q),
-                                cfg.ode_tol)
+                                _ODE_TOL)
         return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
 
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
@@ -268,10 +251,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float,
     return e, n_lo
 
 
-def shoot_with_nodes(
-    problem: RelativeProblem, m: int, n_r: int,
-    cfg: ShootingConfig = ShootingConfig(),
-) -> tuple[float, int]:
+def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float, int]:
     """(ODE eigenvalue with n_r interior nodes in physical units, node count
     measured at the lower bracket end)."""
     if problem.kappa <= 0.0:
@@ -281,20 +261,17 @@ def shoot_with_nodes(
     w = effective_exponent(m, problem.nu)
     lam = n_r + w + 0.5
     # the closed-form energy only centres the search window
-    e_scaled, nodes = _solve_scaled(w, n_r, -1.0 / (2.0 * lam * lam), cfg)
+    e_scaled, nodes = _solve_scaled(w, n_r, -1.0 / (2.0 * lam * lam))
     unit = problem.reduced_mass * problem.kappa**2
     return e_scaled * unit, nodes
 
 
-def quad_norm(
-    qn: QuantumNumbers, problem: RelativeProblem, amplitude_scale: float = 1.0
-) -> float:
+def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     """Numerical norm integral |psi|^2 over the plane.
 
     The angular factor has unit modulus so the theta integral is exactly
     2 pi; the radial integral runs over u = rho/(1+rho) in (0, 1) with the
     decaying integrand evaluated through bound.wavefunction, built once.
-    amplitude_scale multiplies psi (a hook for scaling checks).
     """
     from scipy.integrate import quad
 
@@ -305,8 +282,7 @@ def quad_norm(
     def integrand(u: float) -> float:
         rho = u / (1.0 - u)
         r = rho / alpha
-        amp = psi(r, 0.0) * amplitude_scale
-        return abs(amp) ** 2 * r / (alpha * (1.0 - u) ** 2)
+        return abs(psi(r, 0.0)) ** 2 * r / (alpha * (1.0 - u) ** 2)
 
     value, err_est = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     if err_est > 1e-7:

@@ -311,23 +311,17 @@ def stationary_wave(p: ScatteringParams, r: float) -> complex:
             * math.cos(phase) / math.sqrt(r))
 
 
-def incident_asymptotic(p: ScatteringParams, r: float, theta: float,
-                        order: int = 1) -> complex:
-    """Incident term exp[i k x - i beta ln k(r - x)], x = r cos theta.
+def incident_asymptotic(p: ScatteringParams, r: float, theta: float) -> complex:
+    """Incident term exp[i k x - i beta ln k(r - x)], x = r cos theta, times
+    the first 1/(k(r-x)) correction of the incident-channel series.
 
-    order=1 is the leading log-distorted plane wave; order=2 multiplies in
-    the first 1/(k(r-x)) correction of the incident-channel series, which is
-    the only O(1/r) piece of the exact field.  Decomposition checks at order 1
-    are limited to O(1/r) accuracy by that missing term.
+    The correction is the only O(1/r) piece of the exact field; without it a
+    decomposition check could not resolve the O(r^{-3/2}) remainder.
     """
     x = r * math.cos(theta)
     lead = cmath.exp(1j * (p.k * x - p.beta * math.log(p.k * (r - x))))
-    if order == 1:
-        return lead
-    if order == 2:
-        b = p.beta
-        return lead * (1.0 - b * (1j * b + 0.5) / (p.k * (r - x)))
-    raise ValueError("order must be 1 or 2")
+    b = p.beta
+    return lead * (1.0 - b * (1j * b + 0.5) / (p.k * (r - x)))
 
 
 def scattered_asymptotic(p: ScatteringParams, r: float, theta: float) -> complex:

@@ -27,7 +27,7 @@ import cmath
 import math
 from decimal import Decimal, localcontext
 
-from .errors import ParameterPole, PoleError
+from .errors import DomainError, ParameterPole, PoleError
 
 _EPS = 2.220446049250313e-16
 LN_SQRT_TWO_PI = 0.9189385332046727
@@ -245,7 +245,12 @@ def _taylor_decimal(a: complex, b: complex, z: complex, digits: int):
 
 
 def _asymptotic_sum(ratio_fn, z: complex) -> complex:
-    """Sum an asymptotic series with optimal truncation (stop at smallest term)."""
+    """Sum an asymptotic series with optimal truncation (stop at smallest term).
+
+    A NaN term (parameters so large that the ratios overflow) is returned at
+    once as the sum, for the caller's finiteness check to report; the loop
+    would otherwise run on to the cap of about |z| terms.
+    """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     prev = 1.0
@@ -253,6 +258,8 @@ def _asymptotic_sum(ratio_fn, z: complex) -> complex:
     for n in range(cap):
         term = term * ratio_fn(n) / z
         mag = abs(term)
+        if math.isnan(mag):
+            return term
         if mag > prev and n > 2:
             break
         total += term
@@ -294,9 +301,12 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
     Exact degree-n polynomial when a is a non-positive integer -n.  Kummer's
     transformation M(a,b,z) = e^z M(b-a, b, -z) is applied first for
     Re z < 0.  Target accuracy ~1e-12 relative for |z| <= 50 with parameters
-    of moderate size; raises ParameterPole when b is a non-positive integer.
+    of moderate size; raises ParameterPole when b is a non-positive integer
+    and DomainError when z is not finite.
     """
     a, b, z = complex(a), complex(b), complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"M(a, b, z) needs a finite argument, got z = {z}")
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter pole at b = {b.real}")
     if z == 0.0:

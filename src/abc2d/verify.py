@@ -170,10 +170,7 @@ def shooting_report(small: bool = False, perturb_energy: float = 0.0) -> list[Sh
     return [_shoot_row(*state, perturb_energy) for state in shooting_grid(small)]
 
 
-def check_shooting(small: bool = False, perturb_energy: float = 0.0,
-                   rows: list[ShootingRow] | None = None) -> CheckResult:
-    if rows is None:
-        rows = shooting_report(small, perturb_energy)
+def check_shooting(rows: list[ShootingRow]) -> CheckResult:
     worst = max(r.rel_err for r in rows)
     all_ok = all(r.passed for r in rows)
     detail = f"{len(rows)} states, per-state checks {'all pass' if all_ok else 'FAIL'}"
@@ -378,8 +375,8 @@ def stationary_fit_exponent(
 ) -> float:
     """Decay exponent of |psi0 - (incident + scattered + stationary)| vs r.
 
-    The incident term carries its first 1/r correction (order=2): the leading
-    form alone leaves an O(1/r) tail of the incident channel itself, which
+    The incident term carries its first 1/r correction: the leading form
+    alone leaves an O(1/r) tail of the incident channel itself, which
     would mask the O(r^{-3/2}) accuracy of the stationary-wave match.  An
     error in the stationary wave or the scattered amplitude would surface as
     an O(r^{-1/2}) residual and drive the exponent toward -1/2.
@@ -389,7 +386,7 @@ def stationary_fit_exponent(
     for r in radii:
         exact = scatter.eval_scattering_field_polar(p, r, theta)
         approx = (
-            scatter.incident_asymptotic(p, r, theta, order=2)
+            scatter.incident_asymptotic(p, r, theta)
             + scatter.scattered_asymptotic(p, r, theta)
             + scatter.stationary_wave(p, r)
         )
@@ -415,7 +412,7 @@ def run_all_checks(small: bool = False, perturb_energy: float = 0.0,
         check_gamma_functional(n_rand),
         check_kummer_transform(n_rand),
         check_kummer_polynomial(),
-        check_shooting(rows=rows),
+        check_shooting(rows),
         check_norm_quadrature(small=small),
         check_degeneracy(8 if small else 12),
         check_pde_residual(),

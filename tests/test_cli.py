@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import abc2d
 from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
-from abc2d.cli import main
+from abc2d.cli import build_parser, main
 from abc2d.reduction import RelativeProblem
 
 TANH_PI_HALF = 0.49813603811037497
+# Child interpreters import the same abc2d as this process, installed or not.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(abc2d.__file__).parents[1])}
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -252,12 +260,139 @@ class TestDeterminismAndUsage:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, abc2d.cli; assert 'scipy' not in sys.modules"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "abc2d", "spectrum", "--levels", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert "-2" in proc.stdout
+
+
+FLOAT_FLAGS = {
+    "spectrum": ("--mu", "--kappa", "--alpha"),
+    "xsection": ("--k", "--beta", "--energy", "--theta-min", "--theta-max",
+                 "--mu", "--kappa", "--alpha"),
+    "field": ("--mu", "--kappa", "--alpha", "--k", "--beta", "--energy", "--extent",
+              "--xi-min", "--xi-max", "--eta-min", "--eta-max"),
+    "verify": ("--perturb-energy",),
+}
+REQUIRED = {"field": ["--kind", "bound"]}
+NEGATIVE_EXPONENT_FORMS = ("-1e-3", "-2E0", "-3e-12", "-1.5e+300", "-.5e1")
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in FLOAT_FLAGS.items() for flag in flags])
+    @pytest.mark.parametrize("text", NEGATIVE_EXPONENT_FORMS)
+    def test_float_flag_takes_negative_exponent(self, command, flag, text):
+        args = build_parser().parse_args([command, *REQUIRED.get(command, []), flag, text])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(text)
+
+    @pytest.mark.parametrize("command", ["spectrum", "xsection", "field"])
+    def test_raw_takes_negative_exponents(self, command):
+        texts = ["1e0", "-1e-3", "-2E0", "2e0", "-3e-12", "-1.5e+300"]
+        args = build_parser().parse_args([command, *REQUIRED.get(command, []), "--raw", *texts])
+        assert args.raw == [float(t) for t in texts]
+
+    def test_negative_exponent_alpha_runs(self, capsys):
+        assert main(["spectrum", "--alpha", "-1e-3", "--levels", "2"]) == 0
+        assert "# alpha=-0.001" in capsys.readouterr().out
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--mu", "1e300", "--kappa", "1e300"],
+        ["field", "--kind", "scatter", "--case", "coulomb", "--xi-max", "1e300",
+         "--eta-max", "1e300", "--nx", "3", "--ny", "3"],
+        ["xsection", "--case", "coulomb", "--k", "1e-320", "--thetas", "3"],
+        ["xsection", "--case", "coulomb", "--k", "1e-320", "--thetas", "3",
+         "--format", "json"],
+    ])
+    def test_overflow_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("abc2d: ")
+
+
+# -- the CLI input domain ------------------------------------------------------------
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-310, 1e-300, 1e300, -1e300,
+                1.7976931348623157e308)
+_NUMBERS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.floats(-10.0, 10.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+# repr gives -0.001 style text, ".6e" the exponent form argparse used to reject
+_FLOAT_TEXT = st.builds(lambda x, exp: format(x, ".6e") if exp else repr(x),
+                        _NUMBERS, st.booleans())
+_CASE = st.sampled_from(["coulomb", "integer", "half"])
+_FORMAT = st.sampled_from(["csv", "json"])
+_RAW = st.lists(_FLOAT_TEXT, min_size=6, max_size=6)
+_PROBLEM = {"--mu": _FLOAT_TEXT, "--kappa": _FLOAT_TEXT, "--alpha": _FLOAT_TEXT,
+            "--raw": _RAW, "--format": _FORMAT}
+_SCATTERING = {"--case": _CASE, "--k": _FLOAT_TEXT, "--beta": _FLOAT_TEXT,
+               "--energy": _FLOAT_TEXT}
+
+
+def _small_int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _flatten(command, drawn):
+    argv = [command]
+    for flag, value in drawn.items():
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return argv
+
+
+def _argv(command, required, optional):
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda drawn: _flatten(command, drawn))
+
+
+# Size flags are always drawn, so no run falls back to a large default grid.
+_ARGV = st.one_of(
+    _argv("spectrum", {"--levels": _small_int(-1, 50)}, _PROBLEM),
+    _argv("xsection", {"--thetas": _small_int(0, 16)},
+          {**_PROBLEM, **_SCATTERING, "--theta-min": _FLOAT_TEXT,
+           "--theta-max": _FLOAT_TEXT}),
+    _argv("field", {"--kind": st.just("bound"), "--points": _small_int(0, 5)},
+          {**_PROBLEM, "--nr": _small_int(0, 3), "--m": _small_int(-3, 3),
+           "--extent": _FLOAT_TEXT}),
+    _argv("field", {"--kind": st.just("scatter"), "--nx": _small_int(0, 5),
+                    "--ny": _small_int(0, 5)},
+          {**_PROBLEM, **_SCATTERING, "--xi-min": _FLOAT_TEXT, "--xi-max": _FLOAT_TEXT,
+           "--eta-min": _FLOAT_TEXT, "--eta-max": _FLOAT_TEXT}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+@example(["spectrum", "--mu", "1e300", "--kappa", "1e300"])
+@example(["field", "--kind", "scatter", "--case", "coulomb", "--xi-max", "1e300",
+          "--eta-max", "1e300", "--nx", "3", "--ny", "3"])
+@example(["xsection", "--case", "coulomb", "--k", "1e-320", "--thetas", "3"])
+@example(["spectrum", "--alpha", "-1e-3"])
+# found by this test: an endless asymptotic sum, a division by an underflowed
+# k, and an overflowing rho**w
+@example(["field", "--kind", "scatter", "--case", "coulomb", "--k", "6.373226e+16",
+          "--beta", "1e300", "--nx", "3", "--ny", "3"])
+@example(["xsection", "--case", "coulomb", "--k", "5e-324", "--thetas", "3"])
+@example(["field", "--kind", "bound", "--mu", "7.196283e+117", "--kappa", "1.615272e+16",
+          "--m", "-3", "--points", "2"])
+def test_every_input_ends_in_a_result_or_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 0:
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text, argv
+    else:
+        assert out.getvalue() == "", argv

@@ -6,7 +6,7 @@ import abc2d.oracle as oracle_mod
 from abc2d import verify
 from abc2d.bound import QuantumNumbers, energy
 from abc2d.errors import NoBoundStates, NoConvergence
-from abc2d.oracle import ShootingConfig, quad_norm, shoot_with_nodes
+from abc2d.oracle import quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
 
 E_NU025_M_MINUS1_NR1 = -0.098765432098765432  # -1/(2 * 2.25^2) = -8/81
@@ -38,11 +38,11 @@ class TestShooting:
         with pytest.raises(NoBoundStates):
             shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
-    def test_truncated_domain_fails_to_bracket(self):
+    def test_truncated_domain_fails_to_bracket(self, monkeypatch):
         # r_max below the turning point keeps the discriminating node outside
-        cfg = ShootingConfig(r_max=0.8)
+        monkeypatch.setattr(oracle_mod, "_R_MAX", 0.8)
         with pytest.raises(NoConvergence):
-            shoot_with_nodes(problem(0.0), 0, 0, cfg)
+            shoot_with_nodes(problem(0.0), 0, 0)
 
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
@@ -62,7 +62,7 @@ class TestShooting:
         # eigenvalue, as it would be around a wrong closed form
         w, n_r = 1.25, 1
         e_true = -0.5 / (n_r + w + 0.5) ** 2
-        e, nodes = oracle_mod._solve_scaled(w, n_r, e_true * (1.0 + shift), ShootingConfig())
+        e, nodes = oracle_mod._solve_scaled(w, n_r, e_true * (1.0 + shift))
         assert nodes == n_r
         assert e == pytest.approx(e_true, rel=1e-9)
 
@@ -94,10 +94,6 @@ class TestQuadNorm:
 
     def test_half_flux_ground(self):
         assert quad_norm(QuantumNumbers(0, 0), problem(0.5)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_amplitude_scaling_is_quadratic(self):
-        v = quad_norm(QuantumNumbers(0, 0), problem(0.0), amplitude_scale=2.0)
-        assert v == pytest.approx(4.0, abs=4e-6)
 
     def test_excited_states(self):
         p = problem(0.75)
