@@ -54,6 +54,7 @@ from .scatter import (
     ScatteringParams,
     amplitude_coulomb,
     amplitude_half_flux,
+    cross_sections,
     current_field,
     eval_scattering_field,
     eval_scattering_field_polar,
@@ -62,10 +63,6 @@ from .scatter import (
     limit_classical,
     sample_scattering_field,
     scattering_params,
-    sigma_coulomb,
-    sigma_half_flux,
-    sigma_integer_flux,
-    sigma_interference,
     sigma_sample,
     stationary_wave,
     to_parabolic,

@@ -31,7 +31,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import NoBoundStates, Unacceptable
+from .errors import DomainError, NoBoundStates, Unacceptable
 from .reduction import RelativeProblem
 from .specfn import kummer_m
 
@@ -165,8 +165,12 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
     w = effective_exponent(qn.m, problem.nu)
     n_r = qn.n_r
     two_lam = 2.0 * n_r + 2.0 * w + 1.0
+    front = 4.0 * problem.reduced_mass * problem.kappa
+    if front == 0.0:
+        raise DomainError(f"normalization: 4 mu kappa underflows to 0 at mu = "
+                          f"{problem.reduced_mass}, kappa = {problem.kappa}")
     log_front = (
-        math.log(4.0 * problem.reduced_mass * problem.kappa)
+        math.log(front)
         - math.log(two_lam)
         - math.lgamma(2.0 * w + 1.0)
     )
@@ -202,7 +206,11 @@ def wavefunction(qn: QuantumNumbers,
         else:
             radial_power = rho**w
         poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
-        phase = cmath.exp(1j * (qn.m - problem.m0) * theta)
+        try:
+            phase = cmath.exp(1j * (qn.m - problem.m0) * theta)
+        except ValueError:
+            raise DomainError(f"the angular phase (m - m0) theta overflows at m = {qn.m}, "
+                              f"theta = {theta}") from None
         return c * math.exp(-0.5 * rho) * radial_power * poly * phase
 
     return psi

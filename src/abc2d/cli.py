@@ -1,9 +1,10 @@
 """Command-line front end: spectrum tables, cross-section sweeps, field dumps,
 verification reports.
 
-Exit codes: 0 success, 1 usage error (a non-finite number in any flag
-included), 2 domain error (e.g. no bound states, unsupported flux case, a
-result that overflows to inf or nan), 3 verification failure.  Numeric output
+Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
+axis span that overflows and an unwritable --out included), 2 domain error
+(e.g. no bound states, unsupported flux case, a result that overflows to inf
+or nan), 3 verification failure.  Numeric output
 uses 17 significant digits and every artifact embeds the parameters that
 produced it, so identical invocations give byte-identical files.
 """
@@ -54,9 +55,20 @@ def _problem_from_args(args: argparse.Namespace) -> RelativeProblem:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc.strerror}") from None
+
+
+def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
+    """(lo, hi) of a grid or angle axis; a span hi - lo that overflows is a
+    usage error, raised before np.linspace would warn and return nan."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{flags}: the span {hi!r} - ({lo!r}) overflows")
+    return lo, hi
 
 
 def _cell(value) -> str:
@@ -131,10 +143,8 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
 
 def run_xsection(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    rows = []
-    for theta in np.linspace(args.theta_min, args.theta_max, args.thetas).tolist():
-        s = scatter.sigma_sample(p, theta)
-        rows.append((theta, s.sigma_total, s.sigma_coulomb, s.sigma_cross))
+    span = _span(args.theta_min, args.theta_max, "--theta-min/--theta-max")
+    rows = scatter.cross_sections(p, np.linspace(*span, args.thetas).tolist())
     params = {
         "command": "xsection", "case": p.flux_case.value, "k": p.k, "beta": p.beta,
         "thetas": args.thetas, "theta_min": args.theta_min, "theta_max": args.theta_max,
@@ -149,7 +159,7 @@ def run_field(args: argparse.Namespace) -> int:
     if args.kind == "bound":
         problem = _problem_from_args(args)
         psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
-        axis = np.linspace(-args.extent, args.extent, args.points)
+        axis = np.linspace(*_span(-args.extent, args.extent, "--extent"), args.points)
         params = {
             "command": "field", "kind": "bound",
             "mu": problem.reduced_mass, "kappa": problem.kappa,
@@ -165,8 +175,8 @@ def run_field(args: argparse.Namespace) -> int:
     else:
         p = _params_from_args(args)
         grid = scatter.sample_scattering_field(
-            p, (args.xi_min, args.xi_max), (args.eta_min, args.eta_max),
-            args.nx, args.ny,
+            p, _span(args.xi_min, args.xi_max, "--xi-min/--xi-max"),
+            _span(args.eta_min, args.eta_max, "--eta-min/--eta-max"), args.nx, args.ny,
         )
         params = {
             "command": "field", "kind": "scatter", "case": p.flux_case.value,

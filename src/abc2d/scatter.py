@@ -43,6 +43,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,7 @@ class ScatteringParams:
             raise ValueError("k must be positive")
 
 
-@dataclass(frozen=True)
-class CrossSectionSample:
+class CrossSectionSample(NamedTuple):
     """Differential cross section at one angle, split into components.
 
     sigma_cross is zero except for the integer-flux case, where
@@ -147,40 +147,6 @@ def amplitude_coulomb(p: ScatteringParams, theta: float) -> complex:
     return cmath.exp(log_ratio + phase) / math.sqrt(2.0 * p.k * s2)
 
 
-def sigma_coulomb(p: ScatteringParams, theta: float) -> float:
-    """Pure Coulomb cross section beta tanh(pi beta) / (2 k sin^2 theta/2)."""
-    s2 = _check_angle(theta)
-    return p.beta * math.tanh(math.pi * p.beta) / (2.0 * p.k * s2)
-
-
-def sigma_interference(p: ScatteringParams, theta: float) -> float:
-    """Signed interference term of the integer-flux cross section.
-
-    The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod 2 pi
-    before evaluation to preserve accuracy at large |beta ln sin^2 theta/2|.
-    """
-    if p.flux_case is not FluxCase.INTEGER_FLUX:
-        raise WrongCase("interference term exists only for integer flux")
-    if p.beta == 0.0:
-        raise WrongCase("interference term undefined at beta = 0")
-    s2 = _check_angle(theta)
-    d0 = arg_gamma(0.5 - 1j * p.beta)
-    d1 = arg_gamma(1j * p.beta)
-    arg = math.remainder(d0 + d1 - p.beta * math.log(s2), 2.0 * math.pi)
-    amp = math.sqrt(p.beta * math.tanh(math.pi * p.beta)) / (SQRT_PI * p.k)
-    return -amp * math.cos(arg) / math.sqrt(s2)
-
-
-def sigma_integer_flux(p: ScatteringParams, theta: float) -> CrossSectionSample:
-    """Integer-flux cross section sigma_1 = sigma_C + sigma_x (may be negative)."""
-    if p.flux_case is not FluxCase.INTEGER_FLUX:
-        raise WrongCase("sigma_1 applies to the integer-flux case")
-    sc = sigma_coulomb(p, theta)
-    sx = sigma_interference(p, theta)
-    return CrossSectionSample(theta=theta, sigma_total=sc + sx,
-                              sigma_coulomb=sc, sigma_cross=sx)
-
-
 def amplitude_half_flux(p: ScatteringParams, theta: float) -> complex:
     """Half-integer-flux amplitude beta Gamma(-ib)/Gamma(1/2+ib)
     e^{i b ln sin^2(t/2) + 3 i pi/4} / sqrt(2 k sin^2 t/2)."""
@@ -195,27 +161,45 @@ def amplitude_half_flux(p: ScatteringParams, theta: float) -> complex:
     return ratio * cmath.exp(phase) / math.sqrt(2.0 * p.k * s2)
 
 
-def sigma_half_flux(p: ScatteringParams, theta: float) -> CrossSectionSample:
-    """Half-integer-flux cross section beta coth(pi beta) / (2 k sin^2 theta/2)."""
-    if p.flux_case is not FluxCase.HALF_INTEGER:
-        raise WrongCase("sigma_2 applies to the half-integer case")
-    s2 = _check_angle(theta)
-    bcoth = 1.0 / math.pi if p.beta == 0.0 else p.beta / math.tanh(math.pi * p.beta)
-    total = bcoth / (2.0 * p.k * s2)
-    sc = p.beta * math.tanh(math.pi * p.beta) / (2.0 * p.k * s2)
-    return CrossSectionSample(theta=theta, sigma_total=total,
-                              sigma_coulomb=sc, sigma_cross=0.0)
+def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectionSample]:
+    """Differential cross section at every angle of thetas, for the case p carries.
+
+    The factors that depend on beta alone (beta tanh(pi beta), d0 + d1, the
+    interference amplitude, beta coth(pi beta)) are evaluated once per call;
+    each angle then costs a sine, plus a log and a cosine for integer flux.
+    The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod 2 pi
+    before evaluation to preserve accuracy at large |beta ln sin^2 theta/2|.
+    """
+    integer = p.flux_case is FluxCase.INTEGER_FLUX
+    half = p.flux_case is FluxCase.HALF_INTEGER
+    b = p.beta
+    two_k = 2.0 * p.k
+    btanh = b * math.tanh(math.pi * b)
+    if integer:
+        if b == 0.0:
+            raise WrongCase("interference term undefined at beta = 0")
+        d = arg_gamma(0.5 - 1j * b) + arg_gamma(1j * b)
+        neg_amp = -math.sqrt(btanh) / (SQRT_PI * p.k)
+    if half:
+        bcoth = 1.0 / math.pi if b == 0.0 else b / math.tanh(math.pi * b)
+    samples = []
+    for theta in thetas:
+        s2 = _check_angle(theta)
+        sc = btanh / (two_k * s2)
+        if integer:
+            arg = math.remainder(d - b * math.log(s2), 2.0 * math.pi)
+            sx = neg_amp * math.cos(arg) / math.sqrt(s2)
+            samples.append(CrossSectionSample(theta, sc + sx, sc, sx))
+        elif half:
+            samples.append(CrossSectionSample(theta, bcoth / (two_k * s2), sc, 0.0))
+        else:
+            samples.append(CrossSectionSample(theta, sc, sc, 0.0))
+    return samples
 
 
 def sigma_sample(p: ScatteringParams, theta: float) -> CrossSectionSample:
-    """Cross-section sample for whichever case p carries."""
-    if p.flux_case is FluxCase.INTEGER_FLUX:
-        return sigma_integer_flux(p, theta)
-    if p.flux_case is FluxCase.HALF_INTEGER:
-        return sigma_half_flux(p, theta)
-    sc = sigma_coulomb(p, theta)
-    return CrossSectionSample(theta=theta, sigma_total=sc, sigma_coulomb=sc,
-                              sigma_cross=0.0)
+    """Cross-section sample at one angle for whichever case p carries."""
+    return cross_sections(p, [theta])[0]
 
 
 def limit_ab(flux_case: FluxCase, k: float, theta: float) -> float:

@@ -316,7 +316,7 @@ def check_limits() -> CheckResult:
     worst = 0.0
     p_half = scatter.ScatteringParams(1.0, 1e-8, scatter.FluxCase.HALF_INTEGER)
     ab = scatter.limit_ab(scatter.FluxCase.HALF_INTEGER, 1.0, theta)
-    worst = max(worst, abs(scatter.sigma_half_flux(p_half, theta).sigma_total - ab) / ab)
+    worst = max(worst, abs(scatter.sigma_sample(p_half, theta).sigma_total - ab) / ab)
 
     # classical limit: mu = 1, v_c = k, beta = kappa/v_c^2
     mu, k, beta = 1.0, 1.0, 20.0
@@ -326,8 +326,8 @@ def check_limits() -> CheckResult:
     p_2 = scatter.ScatteringParams(k, beta, scatter.FluxCase.HALF_INTEGER)
     worst = max(
         worst,
-        abs(scatter.sigma_coulomb(p_c, theta) - cl) / cl * 1e2,
-        abs(scatter.sigma_half_flux(p_2, theta).sigma_total - cl) / cl * 1e2,
+        abs(scatter.sigma_sample(p_c, theta).sigma_total - cl) / cl * 1e2,
+        abs(scatter.sigma_sample(p_2, theta).sigma_total - cl) / cl * 1e2,
     )
     # the factor 1e2 maps the 1e-8 classical tolerance onto the 1e-6 bound
     return _result("limits", worst, 1e-6,
@@ -348,13 +348,12 @@ def check_interference(points: int = 4096) -> CheckResult:
     supremum 8/(pi e) ~ 0.9368.
     """
     p = scatter.ScatteringParams(1.0, 0.3, scatter.FluxCase.INTEGER_FLUX)
-    thetas = np.linspace(0.01, 2.0 * math.pi - 0.01, points)
+    thetas = np.linspace(0.01, 2.0 * math.pi - 0.01, points).tolist()
     cross_min = math.inf
     cross_max = -math.inf
     total_min = math.inf
     ratio_max = 0.0
-    for t in thetas:
-        s = scatter.sigma_integer_flux(p, float(t))
+    for s in scatter.cross_sections(p, thetas):
         cross_min = min(cross_min, s.sigma_cross)
         cross_max = max(cross_max, s.sigma_cross)
         total_min = min(total_min, s.sigma_total)

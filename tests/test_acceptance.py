@@ -77,8 +77,8 @@ def test_criterion_5_cross_section_consistency():
         k = rng.uniform(0.3, 3.0)
         pc = scatter.ScatteringParams(k, beta, scatter.FluxCase.COULOMB_ONLY)
         ph = scatter.ScatteringParams(k, beta, scatter.FluxCase.HALF_INTEGER)
-        sc = scatter.sigma_coulomb(pc, theta)
-        s2 = scatter.sigma_half_flux(ph, theta).sigma_total
+        sc = scatter.sigma_sample(pc, theta).sigma_total
+        s2 = scatter.sigma_sample(ph, theta).sigma_total
         worst_c = max(worst_c, abs(abs(scatter.amplitude_coulomb(pc, theta)) ** 2 - sc) / sc)
         worst_h = max(worst_h, abs(abs(scatter.amplitude_half_flux(ph, theta)) ** 2 - s2) / s2)
         expected = 1.0 / math.tanh(beta * math.pi) ** 2
@@ -94,7 +94,7 @@ def test_criterion_6_limits():
     theta = math.pi
     p_ab = scatter.ScatteringParams(1.0, 1e-8, scatter.FluxCase.HALF_INTEGER)
     ab = scatter.limit_ab(scatter.FluxCase.HALF_INTEGER, 1.0, theta)
-    dev_ab = abs(scatter.sigma_half_flux(p_ab, theta).sigma_total - ab) / ab
+    dev_ab = abs(scatter.sigma_sample(p_ab, theta).sigma_total - ab) / ab
 
     # beta = 20 with mu = 1, k = 1, so v_c = k and kappa = beta
     beta = 20.0
@@ -102,9 +102,9 @@ def test_criterion_6_limits():
     pc = scatter.ScatteringParams(1.0, beta, scatter.FluxCase.COULOMB_ONLY)
     pi_ = scatter.ScatteringParams(1.0, beta, scatter.FluxCase.INTEGER_FLUX)
     ph = scatter.ScatteringParams(1.0, beta, scatter.FluxCase.HALF_INTEGER)
-    dev_c = abs(scatter.sigma_coulomb(pc, theta) - cl) / cl
-    dev_2 = abs(scatter.sigma_half_flux(ph, theta).sigma_total - cl) / cl
-    s1 = scatter.sigma_integer_flux(pi_, theta)
+    dev_c = abs(scatter.sigma_sample(pc, theta).sigma_total - cl) / cl
+    dev_2 = abs(scatter.sigma_sample(ph, theta).sigma_total - cl) / cl
+    s1 = scatter.sigma_sample(pi_, theta)
     dev_1 = abs(s1.sigma_total - cl) / cl
     ratio = abs(s1.sigma_cross) / s1.sigma_coulomb
 
@@ -173,8 +173,7 @@ def test_criterion_9_negativity_phenomenon():
     thetas = np.linspace(0.002, 2.0 * math.pi - 0.002, 4096)
     totals = []
     coulombs = []
-    for t in thetas:
-        s = scatter.sigma_integer_flux(p, float(t))
+    for s in scatter.cross_sections(p, thetas.tolist()):
         totals.append(s.sigma_total)
         coulombs.append(s.sigma_coulomb)
     coulomb_positive = min(coulombs) > 0.0

@@ -256,6 +256,37 @@ class TestDeterminismAndUsage:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--levels", "2"],
+        ["xsection", "--case", "coulomb", "--thetas", "3"],
+        ["field", "--kind", "bound", "--points", "3"],
+        ["verify", "--grid", "small"],
+    ])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unopenable_out_exits_one(self, tmp_path, capsys, argv, target):
+        path = tmp_path / "missing" / "x.out" if target == "missing" else tmp_path
+        assert main(argv + ["--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"--out {path}" in captured.err
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["field", "--kind", "scatter", "--case", "half", "--xi-min", "-1e300",
+          "--xi-max", "1.7976931348623157e308", "--nx", "3", "--ny", "3"], "--xi-min/--xi-max"),
+        (["field", "--kind", "scatter", "--case", "half", "--eta-min", "-1e300",
+          "--eta-max", "1.7976931348623157e308", "--nx", "3", "--ny", "3"],
+         "--eta-min/--eta-max"),
+        (["xsection", "--case", "coulomb", "--theta-min", "-1e300",
+          "--theta-max", "1.7976931348623157e308"], "--theta-min/--theta-max"),
+        (["field", "--kind", "bound", "--extent", "1.7976931348623157e308", "--points", "3"],
+         "--extent"),
+    ])
+    def test_overflowing_span_exits_one_naming_flags(self, argv, flags, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flags in captured.err
+
     def test_cli_import_does_not_load_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -316,6 +347,17 @@ class TestNonFiniteResults:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("abc2d: ")
+
+    @pytest.mark.parametrize("argv,quantity", [
+        (["field", "--kind", "bound", "--mu", "1e-300", "--kappa", "1e-300"], "4 mu kappa"),
+        (["field", "--kind", "bound", "--alpha", "1.7976931348623157e308", "--extent", "2",
+          "--points", "3", "--nr", "2", "--m", "1"], "(m - m0) theta"),
+    ])
+    def test_bound_domain_error_names_the_quantity(self, argv, quantity, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and quantity in captured.err
 
 
 # -- the CLI input domain ------------------------------------------------------------
@@ -383,6 +425,15 @@ _ARGV = st.one_of(
 @example(["xsection", "--case", "coulomb", "--k", "5e-324", "--thetas", "3"])
 @example(["field", "--kind", "bound", "--mu", "7.196283e+117", "--kappa", "1.615272e+16",
           "--m", "-3", "--points", "2"])
+# spans that overflow, and bound dumps whose normalisation or phase is not finite
+@example(["field", "--kind", "scatter", "--case", "half", "--xi-min", "-1e300",
+          "--xi-max", "1.7976931348623157e308", "--nx", "3", "--ny", "3"])
+@example(["xsection", "--case", "coulomb", "--theta-min", "-1e300",
+          "--theta-max", "1.7976931348623157e308"])
+@example(["field", "--kind", "bound", "--extent", "1.7976931348623157e308", "--points", "3"])
+@example(["field", "--kind", "bound", "--mu", "1e-300", "--kappa", "1e-300"])
+@example(["field", "--kind", "bound", "--alpha", "1.7976931348623157e308", "--extent", "2",
+          "--points", "3", "--nr", "2", "--m", "1"])
 def test_every_input_ends_in_a_result_or_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

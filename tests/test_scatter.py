@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abc2d import scatter
+from abc2d import scatter, specfn
 from abc2d.errors import ForwardSingularity, GridBoundary, UnsupportedFluxCase, WrongCase
 from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
@@ -15,6 +15,7 @@ from abc2d.scatter import (
     ScatteringParams,
     amplitude_coulomb,
     amplitude_half_flux,
+    cross_sections,
     current_field,
     eval_scattering_field,
     eval_scattering_field_polar,
@@ -23,15 +24,11 @@ from abc2d.scatter import (
     limit_classical,
     sample_scattering_field,
     scattering_params,
-    sigma_coulomb,
-    sigma_half_flux,
-    sigma_integer_flux,
-    sigma_interference,
     sigma_sample,
     stationary_wave,
     to_parabolic,
 )
-from abc2d.specfn import kummer_m, ln_gamma
+from abc2d.specfn import arg_gamma, kummer_m, ln_gamma
 
 TANH_PI_HALF = 0.49813603811037497
 TANH_PI = 0.99627207622074994
@@ -70,17 +67,17 @@ class TestScatteringParams:
 
 class TestCoulombCrossSection:
     def test_backscattering_value(self):
-        assert sigma_coulomb(P_C, math.pi) == pytest.approx(TANH_PI_HALF, rel=1e-14)
+        assert sigma_sample(P_C, math.pi).sigma_total == pytest.approx(TANH_PI_HALF, rel=1e-14)
 
     def test_right_angle_is_tanh_pi(self):
-        assert sigma_coulomb(P_C, math.pi / 2) == pytest.approx(TANH_PI, rel=1e-14)
+        assert sigma_sample(P_C, math.pi / 2).sigma_total == pytest.approx(TANH_PI, rel=1e-14)
 
     def test_amplitude_squared_matches(self):
         for beta in (0.2, 1.0, 3.7, -1.4):
             p = ScatteringParams(1.3, beta, FluxCase.COULOMB_ONLY)
             for theta in (0.4, 1.9, math.pi, 5.1):
                 assert abs(amplitude_coulomb(p, theta)) ** 2 == pytest.approx(
-                    sigma_coulomb(p, theta), rel=1e-12)
+                    sigma_sample(p, theta).sigma_total, rel=1e-12)
 
     def test_even_around_backscattering(self):
         for d in (0.3, 1.1):
@@ -93,42 +90,40 @@ class TestCoulombCrossSection:
                                  math.pi) == 0.0
         p = ScatteringParams(1.0, 1e-10, FluxCase.COULOMB_ONLY)
         assert abs(amplitude_coulomb(p, math.pi)) < 1e-8
-        assert sigma_coulomb(p, math.pi) < 1e-18
+        assert sigma_sample(p, math.pi).sigma_total < 1e-18
 
     def test_forward_cone_rejected(self):
         for theta in (0.0, FORWARD_CONE / 2, 2.0 * math.pi - 1e-4):
             with pytest.raises(ForwardSingularity):
-                sigma_coulomb(P_C, theta)
+                sigma_sample(P_C, theta)
 
 
 class TestInterference:
     def test_backscattering_value(self):
-        assert sigma_interference(P_I, math.pi) == pytest.approx(
+        assert sigma_sample(P_I, math.pi).sigma_cross == pytest.approx(
             SIGMA_X_PI_BETA1, rel=1e-12)
 
     def test_total_is_exact_sum(self):
-        s = sigma_integer_flux(P_I, 2.2)
+        s = sigma_sample(P_I, 2.2)
         assert s.sigma_total == s.sigma_coulomb + s.sigma_cross
 
     def test_reflection_parity(self):
         for theta in (0.7, 2.0, 3.0):
-            a = sigma_interference(P_I, theta)
-            b = sigma_interference(P_I, 2.0 * math.pi - theta)
+            a = sigma_sample(P_I, theta).sigma_cross
+            b = sigma_sample(P_I, 2.0 * math.pi - theta).sigma_cross
             assert a == pytest.approx(b, rel=1e-11)
 
     def test_vanishes_with_coulomb_strength(self):
         p = ScatteringParams(1.0, 1e-8, FluxCase.INTEGER_FLUX)
-        assert abs(sigma_interference(p, math.pi)) < 1e-3
+        assert abs(sigma_sample(p, math.pi).sigma_cross) < 1e-3
 
     def test_wrong_case_rejected(self):
         with pytest.raises(WrongCase):
-            sigma_interference(P_C, math.pi)
-        with pytest.raises(WrongCase):
-            sigma_interference(ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX), 2.0)
+            sigma_sample(ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX), 2.0)
 
     def test_ratio_at_beta_five(self):
         p = ScatteringParams(1.0, 5.0, FluxCase.INTEGER_FLUX)
-        s = sigma_integer_flux(p, math.pi)
+        s = sigma_sample(p, math.pi)
         assert abs(s.sigma_cross) / s.sigma_coulomb == pytest.approx(
             RATIO_PI_BETA5, rel=1e-10)
 
@@ -138,8 +133,7 @@ class TestInterference:
         p = ScatteringParams(1.0, 0.3, FluxCase.INTEGER_FLUX)
         ratios = []
         totals = []
-        for theta in np.linspace(0.01, 2.0 * math.pi - 0.01, 4096):
-            s = sigma_integer_flux(p, float(theta))
+        for s in cross_sections(p, np.linspace(0.01, 2.0 * math.pi - 0.01, 4096).tolist()):
             ratios.append(abs(s.sigma_cross) / s.sigma_coulomb)
             totals.append(s.sigma_total)
         assert min(totals) > 0.0
@@ -148,7 +142,7 @@ class TestInterference:
 
 class TestHalfFluxCrossSection:
     def test_backscattering_value(self):
-        assert sigma_half_flux(P_H, math.pi).sigma_total == pytest.approx(
+        assert sigma_sample(P_H, math.pi).sigma_total == pytest.approx(
             COTH_PI_HALF, rel=1e-14)
 
     def test_amplitude_squared_matches(self):
@@ -156,25 +150,85 @@ class TestHalfFluxCrossSection:
             p = ScatteringParams(1.3, beta, FluxCase.HALF_INTEGER)
             for theta in (0.4, 1.9, math.pi, 5.1):
                 assert abs(amplitude_half_flux(p, theta)) ** 2 == pytest.approx(
-                    sigma_half_flux(p, theta).sigma_total, rel=1e-12)
+                    sigma_sample(p, theta).sigma_total, rel=1e-12)
 
     def test_flux_only_limit(self):
         p = ScatteringParams(1.0, 1e-8, FluxCase.HALF_INTEGER)
-        assert sigma_half_flux(p, math.pi).sigma_total == pytest.approx(
+        assert sigma_sample(p, math.pi).sigma_total == pytest.approx(
             INV_TWO_PI, rel=1e-6)
 
     def test_ratio_to_coulomb_is_angle_free(self):
         p = ScatteringParams(1.0, 0.8, FluxCase.HALF_INTEGER)
         expected = 1.0 / math.tanh(0.8 * math.pi) ** 2
         for theta in (0.5, 1.7, math.pi, 4.4):
-            s = sigma_half_flux(p, theta)
+            s = sigma_sample(p, theta)
             assert s.sigma_total / s.sigma_coulomb == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_coulomb(self):
         for beta in (0.1, 1.0, 5.0):
             p = ScatteringParams(1.0, beta, FluxCase.HALF_INTEGER)
-            s = sigma_half_flux(p, 2.5)
+            s = sigma_sample(p, 2.5)
             assert s.sigma_total >= s.sigma_coulomb
+
+
+def pointwise_sample(p, theta):
+    """(theta, sigma_total, sigma_coulomb, sigma_cross) at one angle, every
+    factor recomputed at that angle in the order the per-angle formulas used;
+    the reference that cross_sections must match bit for bit."""
+    s2 = math.sin(0.5 * theta) ** 2
+    sc = p.beta * math.tanh(math.pi * p.beta) / (2.0 * p.k * s2)
+    if p.flux_case is FluxCase.INTEGER_FLUX:
+        d0 = arg_gamma(0.5 - 1j * p.beta)
+        d1 = arg_gamma(1j * p.beta)
+        arg = math.remainder(d0 + d1 - p.beta * math.log(s2), 2.0 * math.pi)
+        amp = math.sqrt(p.beta * math.tanh(math.pi * p.beta)) / (math.sqrt(math.pi) * p.k)
+        sx = -amp * math.cos(arg) / math.sqrt(s2)
+        return (theta, sc + sx, sc, sx)
+    if p.flux_case is FluxCase.HALF_INTEGER:
+        bcoth = 1.0 / math.pi if p.beta == 0.0 else p.beta / math.tanh(math.pi * p.beta)
+        return (theta, bcoth / (2.0 * p.k * s2), sc, 0.0)
+    return (theta, sc, sc, 0.0)
+
+
+_EDGE = FORWARD_CONE * (1.0 + 1e-9)
+SWEEP_THETAS = [_EDGE, -_EDGE, 2.0 * math.pi - _EDGE, 2.0 * math.pi + _EDGE, 0.4, math.pi,
+                5.9, 2.0 * math.pi + 1.0, 4.0 * math.pi - 0.3, 13.5, 101.0]
+SWEEP_PARAMS = [ScatteringParams(k, beta, case)
+                for case in FluxCase for k in (1.0, 0.37)
+                for beta in (0.0, 1e-8, 0.3, -3.0, 20.0, 500.0)
+                if not (beta == 0.0 and case is FluxCase.INTEGER_FLUX)]
+
+
+class TestCrossSections:
+    @pytest.mark.parametrize("p", SWEEP_PARAMS, ids=repr)
+    def test_matches_pointwise_formulas_exactly(self, p):
+        samples = cross_sections(p, SWEEP_THETAS)
+        assert all(isinstance(s, CrossSectionSample) for s in samples)
+        assert [tuple(s) for s in samples] == [pointwise_sample(p, t) for t in SWEEP_THETAS]
+        assert [sigma_sample(p, t) for t in SWEEP_THETAS] == samples
+
+    @pytest.mark.parametrize("n", [1, 17, 1024])
+    def test_integer_sweep_makes_two_ln_gamma_calls(self, monkeypatch, n):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return ln_gamma(z)
+
+        monkeypatch.setattr(specfn, "ln_gamma", counting)
+        cross_sections(P_I, np.linspace(0.1, 6.0, n).tolist())
+        assert len(calls) == 2
+
+    def test_integer_flux_at_zero_beta_rejected(self):
+        p = ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX)
+        for thetas in ([2.0], [1.0, 4.0], [FORWARD_CONE / 2]):
+            with pytest.raises(WrongCase):
+                cross_sections(p, thetas)
+
+    def test_forward_cone_rejected_mid_sweep(self):
+        for p in (P_C, P_I, P_H):
+            with pytest.raises(ForwardSingularity):
+                cross_sections(p, [1.0, 2.0 * math.pi - FORWARD_CONE / 2, 3.0])
 
 
 class TestLimits:
@@ -196,14 +250,14 @@ class TestLimits:
         p_c = ScatteringParams(1.0, beta, FluxCase.COULOMB_ONLY)
         p_h = ScatteringParams(1.0, beta, FluxCase.HALF_INTEGER)
         bound = 2.0 * math.exp(-2.0 * math.pi * beta)
-        assert abs(sigma_coulomb(p_c, math.pi) / cl - 1.0) <= bound + 1e-15
-        assert abs(sigma_half_flux(p_h, math.pi).sigma_total / cl - 1.0) <= bound + 1e-15
+        assert abs(sigma_sample(p_c, math.pi).sigma_total / cl - 1.0) <= bound + 1e-15
+        assert abs(sigma_sample(p_h, math.pi).sigma_total / cl - 1.0) <= bound + 1e-15
 
     def test_interference_fades_classically(self):
         ratios = []
         for beta in (5.0, 10.0, 20.0):
             p = ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX)
-            s = sigma_integer_flux(p, math.pi)
+            s = sigma_sample(p, math.pi)
             ratios.append(abs(s.sigma_cross) / s.sigma_coulomb)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 0.2
