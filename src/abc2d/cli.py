@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -61,6 +62,24 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"--out {path}: {exc.strerror}") from None
+
+
+def _check_out(path: str) -> None:
+    """An --out path that is a directory or an unwritable file, or a new file
+    whose directory is missing or not writable, is a usage error raised before
+    the command does its work; _write still reports a path that fails when it
+    is opened."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise ValueError(f"--out {path}: file is not writable")
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"--out {path}: directory {folder} is not writable")
 
 
 def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
@@ -307,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except DomainError as exc:
         print(f"abc2d: {exc}", file=sys.stderr)

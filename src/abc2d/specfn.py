@@ -16,16 +16,18 @@ multiplication and compensated accumulation, keeping exp(ln_gamma) within
 1e-13 of Gamma over the |z| <= 50 disk.  ``kummer_m`` sums the Taylor series for
 |z| <= 40 and switches to the two-sector large-|z| expansion beyond.  The
 Taylor sum monitors its own cancellation (sum of |terms| vs |result|); when
-double precision cannot deliver ~1e-13, the series is re-summed in decimal
-arithmetic with enough guard digits.  That keeps purely imaginary arguments
-of moderate size (the oscillatory scattering regime) at full accuracy.
+double precision cannot deliver ~1e-13, the series is re-summed in binary
+fixed point: Python integers scaled by 2**bits, with the bits the
+cancellation costs plus 84 guard bits, and one correctly rounded conversion
+back to a complex double.  That keeps purely imaginary arguments of moderate
+size (the oscillatory scattering regime) at full accuracy.  The regime split
+follows Pearson, Olver & Porter, Numer. Algorithms 74 (2017), section 3.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from decimal import Decimal, localcontext
 
 from .errors import DomainError, ParameterPole, PoleError
 
@@ -58,8 +60,22 @@ _LN_TWO = 0.6931471805599453
 _TAYLOR_RADIUS = 40.0
 _TAYLOR_MAX_TERMS = 500
 _TAYLOR_RTOL = 1e-16
-# Re-sum in decimal arithmetic when the float series has lost more than this.
+# Re-sum in fixed point when the float series has lost more than this.
 _CONDITION_LIMIT = 1e-13
+# Bits the fixed-point re-sum keeps beyond those the cancellation costs:
+# 84 > 25 log2(10), so the result keeps 25 significant digits.  The result
+# then holds at least 2**_GUARD_BITS units of 2**-bits; the sum stops at a
+# term of at most _TAIL_UNITS units, past the peak, where the terms left
+# decay and add up to about 2**-75 of the result.
+_GUARD_BITS = 84
+_TAIL_UNITS = 1 << 8
+# The re-sum runs past the float pass's _TAYLOR_MAX_TERMS, so a polynomial of
+# degree up to this is summed to its last term where the float pass stopped
+# short and returned a partial sum.  Its error stays a few units per term
+# however much the series cancels: a floor changes a term by under one unit,
+# so by under 1/|term| relative, and that relative change carries over to the
+# tail from that term on, which is about as large as the term or the result.
+_RESUM_MAX_TERMS = 1000
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -207,41 +223,58 @@ def _taylor(a: complex, b: complex, z: complex):
     return total, abs_sum, n
 
 
-def _taylor_decimal(a: complex, b: complex, z: complex, digits: int):
-    """Taylor sum in decimal arithmetic with `digits` working digits.
+def _exact(*xs: float) -> tuple[list[int], int]:
+    """Floats as integers over one common power of two: x_i = n_i / 2**e."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (e + 1 - den.bit_length()) for num, den in ratios], e
 
-    Used when the float series has cancelled too much.  Complex values are
-    carried as (Decimal, Decimal) pairs; floats convert exactly, so the only
-    error is the final rounding back to a complex double.
+
+def _rescale(n: int, shift: int) -> int:
+    """floor(n * 2**shift)."""
+    return n << shift if shift >= 0 else n >> -shift
+
+
+def _taylor_fixed(a: complex, b: complex, z: complex, bits: int) -> complex:
+    """Taylor sum of M(a,b,z) in binary fixed point, on integers scaled by 2**bits.
+
+    Used when the float series has cancelled too much.  The inputs convert
+    exactly (a z is formed exactly, then floored), each term is floored to
+    2**-bits, and the one rounding to a complex double is the final
+    correctly rounded integer division.  w = (a+n) z grows by z per term, so
+    a term costs one complex multiply and a division by (b+n)(n+1); a complex
+    b+n divides as its conjugate over its squared modulus.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ar, ai = Decimal(a.real), Decimal(a.imag)
-        br, bi = Decimal(b.real), Decimal(b.imag)
-        zr, zi = Decimal(z.real), Decimal(z.imag)
-        tr, ti = Decimal(1), Decimal(0)
-        sr, si = Decimal(1), Decimal(0)
-        stop = Decimal(10) ** (-(digits - 2))
-        n = 0
-        terms = 0
-        while n < 1000:
-            dn = Decimal(n)
-            pr, pi_ = ar + dn, ai
-            tr, ti = tr * pr - ti * pi_, tr * pi_ + ti * pr
-            tr, ti = tr * zr - ti * zi, tr * zi + ti * zr
-            qr, qi = br + dn, bi
-            den = qr * qr + qi * qi
-            tr, ti = (tr * qr + ti * qi) / den, (ti * qr - tr * qi) / den
-            n += 1
-            dn1 = Decimal(n)
-            tr, ti = tr / dn1, ti / dn1
-            if tr == 0 and ti == 0:
-                break
-            terms += 1
-            sr, si = sr + tr, si + ti
-            if abs(tr) + abs(ti) < stop * (abs(sr) + abs(si) + 1):
-                break
-        return complex(float(sr), float(si)), terms
+    (ar, ai, zr, zi), e = _exact(a.real, a.imag, z.real, z.imag)
+    (cr, ci), eb = _exact(b.real, b.imag)  # b + n = (cr + i ci) / 2**eb
+    bits = max(bits, eb)
+    one = 1 << bits
+    wr = _rescale(ar * zr - ai * zi, bits - 2 * e)
+    wi = _rescale(ar * zi + ai * zr, bits - 2 * e)
+    zr, zi = _rescale(zr, bits - e), _rescale(zi, bits - e)
+    step = 1 << eb
+    shift = bits - eb
+    modulus = cr * cr + ci * ci
+    tr, ti = one, 0
+    sr, si = one, 0
+    for n in range(1, _RESUM_MAX_TERMS + 1):
+        xr, xi = tr * wr - ti * wi, tr * wi + ti * wr
+        if ci:
+            xr, xi = xr * cr + xi * ci, xi * cr - xr * ci
+            den = modulus * n
+            modulus += (2 * cr + step) * step
+        else:
+            den = cr * n
+        # floor(x / 2**shift) // den == floor(x / (den 2**shift)) for den > 0
+        tr, ti = (xr >> shift) // den, (xi >> shift) // den
+        sr += tr
+        si += ti
+        if -_TAIL_UNITS <= tr <= _TAIL_UNITS and -_TAIL_UNITS <= ti <= _TAIL_UNITS:
+            break
+        wr += zr
+        wi += zi
+        cr += step
+    return complex(sr / one, si / one)
 
 
 def _asymptotic_sum(ratio_fn, z: complex) -> complex:
@@ -321,10 +354,14 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
 
 
 def _taylor_checked(a: complex, b: complex, z: complex) -> complex:
-    """Taylor sum with a cancellation check and decimal re-summation fallback."""
+    """Taylor sum with a cancellation check and a fixed-point re-sum fallback.
+
+    The float pass's condition estimate, sum |terms| / |result|, sets the
+    fallback's working bits: its binary logarithm plus _GUARD_BITS.
+    """
     value, abs_sum, _ = _taylor(a, b, z)
     scale = max(abs(value), 1e-300)
     if _EPS * abs_sum / scale > _CONDITION_LIMIT:
-        digits = 25 + max(0, int(math.log10(abs_sum / scale)))
-        value, _ = _taylor_decimal(a, b, z, digits)
+        lost = math.frexp(abs_sum)[1] - math.frexp(scale)[1] + 1
+        value = _taylor_fixed(a, b, z, _GUARD_BITS + max(0, lost))
     return value

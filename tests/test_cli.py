@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import abc2d
+from abc2d import verify
 from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
 from abc2d.cli import build_parser, main
 from abc2d.reduction import RelativeProblem
@@ -266,6 +267,37 @@ class TestDeterminismAndUsage:
     def test_unopenable_out_exits_one(self, tmp_path, capsys, argv, target):
         path = tmp_path / "missing" / "x.out" if target == "missing" else tmp_path
         assert main(argv + ["--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"--out {path}" in captured.err
+
+    def test_unwritable_out_exits_before_the_work(self, tmp_path, capsys, monkeypatch):
+        def no_checks(**kwargs):
+            raise AssertionError("verify ran its checks before --out was checked")
+
+        monkeypatch.setattr(verify, "run_all_checks", no_checks)
+        path = tmp_path / "missing" / "v.txt"
+        assert main(["verify", "--grid", "full", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"--out {path}" in captured.err
+
+    def test_out_overwrites_a_file_in_a_read_only_directory(self, tmp_path, capsys, monkeypatch):
+        # an existing file needs write access to itself only; the directory
+        # is denied through os.access, since a test run as root passes it
+        path = tmp_path / "levels.txt"
+        path.write_text("old")
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != tmp_path)
+        assert main(["spectrum", "--levels", "2", "--out", str(path)]) == 0
+        assert main(["spectrum", "--levels", "2", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+        main(["spectrum", "--levels", "2"])
+        assert path.read_text() == capsys.readouterr().out
+
+    def test_out_failing_at_open_exits_one(self, tmp_path, capsys):
+        # the directory is there and writable, so only open() finds the fault
+        path = tmp_path / ("x" * 300)
+        assert main(["spectrum", "--levels", "2", "--out", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and f"--out {path}" in captured.err

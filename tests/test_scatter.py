@@ -127,6 +127,24 @@ class TestInterference:
         assert abs(s.sigma_cross) / s.sigma_coulomb == pytest.approx(
             RATIO_PI_BETA5, rel=1e-10)
 
+    @pytest.mark.parametrize("beta,theta", [
+        (1.0, 2.0 * math.pi / 3.0),
+        (0.3, 1.0),
+        (0.3, 2.0 * math.asin(2.0 / math.e)),
+        (2.0, math.pi),
+        (20.0, math.pi),
+    ])
+    def test_cross_term_is_coulomb_times_outgoing_wave(self, beta, theta):
+        # sigma_x = 2 Re(f_C conj(s_out)), where s_out = -e^{2 i d0 - i pi/4}
+        # / sqrt(2 pi k) is the stationary wave's outgoing coefficient and
+        # d0 = arg Gamma(1/2 - i beta)
+        p = ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX)
+        d0 = arg_gamma(0.5 - 1j * beta)
+        s_out = -cmath.exp(2j * d0 - 0.25j * math.pi) / math.sqrt(2.0 * math.pi * p.k)
+        expected = 2.0 * (amplitude_coulomb(p, theta) * s_out.conjugate()).real
+        got = cross_sections(p, [theta])[0].sigma_cross
+        assert abs(got - expected) <= 1e-13 * abs(expected)
+
     def test_sigma_one_never_negative(self):
         # the opposing interference reaches 92% of sigma_C at beta = 0.3 but
         # the ratio is capped at 8/(pi e) < 1 for every beta and angle

@@ -12,6 +12,7 @@ import mpmath as mp
 import pytest
 
 from abc2d.errors import ParameterPole, PoleError
+from abc2d import specfn
 from abc2d.specfn import _taylor, arg_gamma, gamma_moduli, kummer_m, ln_gamma
 
 mp.mp.dps = 40
@@ -177,7 +178,7 @@ class TestKummer:
 
     def test_against_reference_oscillatory(self):
         # purely imaginary argument in the heavy-cancellation window; the
-        # decimal re-summation path must hold 1e-12
+        # fixed-point re-sum must hold 1e-12
         rng = random.Random(302)
         for _ in range(40):
             beta = rng.uniform(0.05, 4.0)
@@ -213,3 +214,103 @@ class TestKummer:
         got = kummer_m(float(-n), float(b), float(z))
         assert got.real == pytest.approx(float(acc), rel=1e-14)
         assert got.imag == 0.0
+
+
+@pytest.fixture
+def resums(monkeypatch):
+    """The argument tuples of every fixed-point re-sum made during a test."""
+    calls = []
+    resum = specfn._taylor_fixed
+
+    def counting(*args):
+        calls.append(args)
+        return resum(*args)
+
+    monkeypatch.setattr(specfn, "_taylor_fixed", counting)
+    return calls
+
+
+class TestFixedPointResum:
+    """The re-sum that takes over when the float Taylor series cancels."""
+
+    def test_random_triples(self, resums):
+        rng = random.Random(311)
+        for i in range(120):
+            a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            b = complex(rng.uniform(0.3, 6), rng.uniform(-3, 3) if i % 2 else 0.0)
+            z = cmath.rect(rng.uniform(8.0, 40.0), rng.uniform(-math.pi, math.pi))
+            ref = complex(mp.hyp1f1(a, b, z))
+            assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref), (a, b, z)
+        assert len(resums) >= 40
+        assert any(args[1].imag for args in resums)
+        assert any(not args[1].imag for args in resums)
+
+    def test_scattering_arguments(self, resums):
+        rng = random.Random(312)
+        for _ in range(60):
+            beta = rng.uniform(0.05, 4.0)
+            a, b = rng.choice(((1j * beta, 0.5), (0.5 + 1j * beta, 1.5), (0.5 - 1j * beta, 1.0)))
+            z = 1j * rng.uniform(8.0, 40.0) * rng.choice((1, -1))
+            ref = complex(mp.hyp1f1(a, mp.mpf(b), z))
+            assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref), (a, b, z)
+        assert len(resums) >= 30
+
+    def test_terminating_polynomials(self, resums):
+        rng = random.Random(313)
+        for _ in range(60):
+            n = rng.randrange(4, 40)
+            b = rng.choice((1.0, 3.0, 5.0, 2.2, 3.6))
+            rho = rng.uniform(20.0, 120.0)
+            ref = float(mp.hyp1f1(-n, b, rho))
+            got = kummer_m(float(-n), b, rho)
+            assert got.imag == 0.0
+            assert abs(got.real - ref) <= 1e-12 * abs(ref), (n, b, rho)
+        assert len(resums) >= 30
+
+    @pytest.mark.parametrize("n,b,rho", [
+        (600, 1.0, 30.0), (800, 2.5, 40.0), (1000, 1.0, 50.0), (700, 3.0, 150.0)])
+    def test_polynomials_beyond_the_float_pass(self, n, b, rho, resums):
+        # degree above the float pass's 500 terms: its result is a partial
+        # sum, so the re-sum runs to the last term and fixes its own bits;
+        # the reference sums the coefficients exactly
+        from fractions import Fraction
+        fb, fz = Fraction(b), Fraction(rho)
+        term = acc = Fraction(1)
+        for j in range(n):
+            term *= (j - n) * fz / ((fb + j) * (j + 1))
+            acc += term
+        got = kummer_m(float(-n), b, rho)
+        assert got.imag == 0.0
+        assert abs(got.real - float(acc)) <= 1e-12 * abs(float(acc))
+        assert resums
+
+    def test_huge_parameter_converts_exactly(self, resums):
+        # M(a, b, z/a) -> 0F1(; b; z) as a -> oo; here a z = -40 and the
+        # terms alternate, so the sum cancels and the re-sum runs with
+        # a = 1e300, far beyond what round(a * 2**bits) could convert
+        for a, b, z in ((1e300, 1.0, -4e-299), (-1e300, 2.5, 3.3e-299)):
+            ref = float(mp.hyp0f1(b, mp.mpf(a) * mp.mpf(z)))
+            got = kummer_m(a, b, z)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        assert len(resums) == 2
+
+
+# repr(kummer_m(a, b, z)) recorded from the decimal re-sum this one replaced;
+# each argument takes the re-sum, so any change to its arithmetic shows here.
+GOLDEN_RESUMS = [
+    ((0.5 + 1.3j, 1.5, 25.0j), "(-0.06380747287945618+0.02821828913607356j)"),
+    ((0.7j, 0.5, 30.0j), "(-0.744314825837762+0.18867298757435438j)"),
+    ((0.5 - 2.0j, 1.0, -24.0j), "(0.10973007050824819+0.06977295480540492j)"),
+    ((2.5j, 0.5, -18.0j), "(616.215062000993-1469.0241698659006j)"),
+    ((-12.0, 3.0, 35.0), "(-25440.805505953183+0j)"),
+    ((-7.0, 1.6, 22.5), "(-2009.592862840859+0j)"),
+    ((1.5 - 0.5j, 2.0 + 1.0j, 20.0j), "(-1.9217025583437481+0.7892633195350116j)"),
+    ((-2.3 + 1.1j, 3.5 - 2.0j, complex(-12.484405096414273, 27.278922804770453)),
+     "(-53.330271480539906+10.566949493350787j)"),
+]
+
+
+@pytest.mark.parametrize("args,expected", GOLDEN_RESUMS)
+def test_resum_golden_bits(args, expected, resums):
+    assert repr(kummer_m(*args)) == expected
+    assert len(resums) == 1
