@@ -13,15 +13,19 @@ Two oracles that share no special-function code with the closed forms:
   grows large (the ODE is linear).
 
   The eigenvalue is found in two stages.  Interior node counts of the
-  solution shot outward from the indicial behavior R ~ r^{|m+nu|} (stopped
-  once it has entered irreversible exponential growth past the outer turning
-  point) bracket level n_r alone: n_r nodes at the lower end, n_r + 1 at the
-  upper.  Brent's method then finds the root of the normalized Wronskian of
-  that outward solution and one integrated inward from the decaying tail,
-  matched at the outer turning point (the matching method of Pryce,
-  *Numerical Solution of Sturm-Liouville Problems*, 1993).  The reported node
-  count is the one measured at the lower bracket end, so it checks the level
-  assignment independently of the root-find.
+  solution shot outward from the indicial behavior R ~ r^{|m+nu|} bracket
+  level n_r alone: n_r nodes at the lower end, n_r + 1 at the upper.  A
+  node count stops at the first step past the outer turning point where R
+  and R_x share a sign: R_xx has the sign of R there, so the solution then
+  grows monotonically and no further node can occur.  Brent's method then
+  finds the root of the normalized Wronskian of that outward solution and
+  one integrated inward from the decaying tail, matched at the outer
+  turning point (the matching method of Pryce, *Numerical Solution of
+  Sturm-Liouville Problems*, 1993).  Each trial energy's outward leg, from
+  the origin to the turning point, is integrated once and serves both its
+  node count and its Wronskian.  The reported node count is the one
+  measured at the lower bracket end, so it checks the level assignment
+  independently of the root-find.
 
 * ``quad_norm`` integrates |psi|^2 over the plane with adaptive quadrature on
   the compactified variable u = rho / (1 + rho); the angular integral is
@@ -34,27 +38,13 @@ with the closed-form energies is a genuine cross-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
 from .errors import NoBoundStates, NoConvergence, QuadratureFailure, StiffnessFailure
 from .reduction import RelativeProblem
 
-# Cash-Karp 5(4) tableau.
-_A2 = (0.2,)
-_A3 = (3.0 / 40.0, 9.0 / 40.0)
-_A4 = (0.3, -0.9, 1.2)
-_A5 = (-11.0 / 54.0, 2.5, -70.0 / 27.0, 35.0 / 27.0)
-_A6 = (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0,
-       44275.0 / 110592.0, 253.0 / 4096.0)
-_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
-       277.0 / 14336.0, 0.25)
-
-# Stop integrating once log |R| has climbed this far above its value at the
-# outer turning point: the growing mode then dominates irreversibly, no
-# further node can occur, and the tail would only overflow.  Kept below the
-# ~73 e-folds at which local roundoff could seed a spurious sign flip.
-_GROWTH_STOP_LOG = 60.0
+# The state (R, R_x) is renormalized once it exceeds this magnitude.
 _RESCALE_AT = 1e100
 # The inward solution starts where the decaying tail has fallen this many
 # e-folds below its value at the turning point; the admixed growing mode is
@@ -75,7 +65,7 @@ _ROOT_NOISE = 1e-8
 # Brent starts from a node bracket at most this share of |e_guess| wide.
 # Across the whole initial window the Wronskian is curved enough that Brent
 # needs 8-10 evaluations of two integrations each; a node-count bisection
-# step costs one.
+# step costs about one.
 _BRENT_WINDOW = 0.5
 _MAX_NARROWING = 60
 
@@ -89,14 +79,21 @@ def _outer_turning_point(e: float, w: float) -> float:
 
 
 def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
-               tol: float) -> tuple[int, float, float]:
-    """Integrate from x0 to x1 (either direction) at trial energy e.
+               tol: float, sign_lock: bool = False) -> tuple[int, float, float]:
+    """Integrate R_xx = q R, q = w^2 - 2 e^x - 2 e e^{2x}, from x0 to x1
+    (either direction) at trial energy e, with the Cash-Karp 5(4) pair.
 
     Returns (sign changes of R, R, R_x) with the final pair rescaled by an
-    arbitrary positive factor.  Once past the outer turning point in the
-    direction of travel, integration stops early when log |R| has grown
-    _GROWTH_STOP_LOG beyond its value there.
+    arbitrary positive factor.  With sign_lock, integration stops at the
+    first accepted step where R and R_x share a sign.  Callers set it only
+    for a leg that runs outward from the outer turning point: q > 0 there,
+    so once R R_x > 0 the solution grows monotonically and no further node
+    can occur.
+
+    Stage 5 is evaluated at x + h, the start of the next step, so an
+    accepted step hands its q on as the next step's stage 1.
     """
+    exp = math.exp
     w2 = w * w
     te = 2.0 * e
     direction = 1.0 if x1 >= x0 else -1.0
@@ -104,61 +101,67 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
     y, dy = y0, dy0
     h = 1e-4 * direction
     nodes = 0
-    log_scale = 0.0
-    x_tp = math.log(_outer_turning_point(e, w))
-    log_at_tp = None
     span = abs(x1 - x0)
+    s = exp(x)
+    q1 = w2 - 2.0 * s - te * s * s
     while (x1 - x) * direction > 0.0:
         last = (x + h - x1) * direction >= 0.0
         if last:
             h = x1 - x
-        s1 = math.exp(x)
         k1y = dy
-        k1d = (w2 - 2.0 * s1 - te * s1 * s1) * y
+        k1d = q1 * y
 
-        yy = y + h * _A2[0] * k1y
-        dd = dy + h * _A2[0] * k1d
-        s = math.exp(x + 0.2 * h)
+        yy = y + h * 0.2 * k1y
+        dd = dy + h * 0.2 * k1d
+        s = exp(x + 0.2 * h)
         k2y = dd
         k2d = (w2 - 2.0 * s - te * s * s) * yy
 
-        yy = y + h * (_A3[0] * k1y + _A3[1] * k2y)
-        dd = dy + h * (_A3[0] * k1d + _A3[1] * k2d)
-        s = math.exp(x + 0.3 * h)
+        yy = y + h * (3.0 / 40.0 * k1y + 9.0 / 40.0 * k2y)
+        dd = dy + h * (3.0 / 40.0 * k1d + 9.0 / 40.0 * k2d)
+        s = exp(x + 0.3 * h)
         k3y = dd
         k3d = (w2 - 2.0 * s - te * s * s) * yy
 
-        yy = y + h * (_A4[0] * k1y + _A4[1] * k2y + _A4[2] * k3y)
-        dd = dy + h * (_A4[0] * k1d + _A4[1] * k2d + _A4[2] * k3d)
-        s = math.exp(x + 0.6 * h)
+        yy = y + h * (0.3 * k1y - 0.9 * k2y + 1.2 * k3y)
+        dd = dy + h * (0.3 * k1d - 0.9 * k2d + 1.2 * k3d)
+        s = exp(x + 0.6 * h)
         k4y = dd
         k4d = (w2 - 2.0 * s - te * s * s) * yy
 
-        yy = y + h * (_A5[0] * k1y + _A5[1] * k2y + _A5[2] * k3y + _A5[3] * k4y)
-        dd = dy + h * (_A5[0] * k1d + _A5[1] * k2d + _A5[2] * k3d + _A5[3] * k4d)
-        s = math.exp(x + h)
+        yy = y + h * (-11.0 / 54.0 * k1y + 2.5 * k2y - 70.0 / 27.0 * k3y
+                      + 35.0 / 27.0 * k4y)
+        dd = dy + h * (-11.0 / 54.0 * k1d + 2.5 * k2d - 70.0 / 27.0 * k3d
+                       + 35.0 / 27.0 * k4d)
+        s = exp(x + h)
+        q5 = w2 - 2.0 * s - te * s * s
         k5y = dd
-        k5d = (w2 - 2.0 * s - te * s * s) * yy
+        k5d = q5 * yy
 
-        yy = y + h * (_A6[0] * k1y + _A6[1] * k2y + _A6[2] * k3y
-                      + _A6[3] * k4y + _A6[4] * k5y)
-        dd = dy + h * (_A6[0] * k1d + _A6[1] * k2d + _A6[2] * k3d
-                       + _A6[3] * k4d + _A6[4] * k5d)
-        s = math.exp(x + 0.875 * h)
+        yy = y + h * (1631.0 / 55296.0 * k1y + 175.0 / 512.0 * k2y
+                      + 575.0 / 13824.0 * k3y + 44275.0 / 110592.0 * k4y
+                      + 253.0 / 4096.0 * k5y)
+        dd = dy + h * (1631.0 / 55296.0 * k1d + 175.0 / 512.0 * k2d
+                       + 575.0 / 13824.0 * k3d + 44275.0 / 110592.0 * k4d
+                       + 253.0 / 4096.0 * k5d)
+        s = exp(x + 0.875 * h)
         k6y = dd
         k6d = (w2 - 2.0 * s - te * s * s) * yy
 
-        y5 = y + h * (_B5[0] * k1y + _B5[2] * k3y + _B5[3] * k4y + _B5[5] * k6y)
-        d5 = dy + h * (_B5[0] * k1d + _B5[2] * k3d + _B5[3] * k4d + _B5[5] * k6d)
-        y4 = y + h * (_B4[0] * k1y + _B4[2] * k3y + _B4[3] * k4y
-                      + _B4[4] * k5y + _B4[5] * k6y)
-        d4 = dy + h * (_B4[0] * k1d + _B4[2] * k3d + _B4[3] * k4d
-                       + _B4[4] * k5d + _B4[5] * k6d)
+        y5 = y + h * (37.0 / 378.0 * k1y + 250.0 / 621.0 * k3y
+                      + 125.0 / 594.0 * k4y + 512.0 / 1771.0 * k6y)
+        d5 = dy + h * (37.0 / 378.0 * k1d + 250.0 / 621.0 * k3d
+                       + 125.0 / 594.0 * k4d + 512.0 / 1771.0 * k6d)
+        y4 = y + h * (2825.0 / 27648.0 * k1y + 18575.0 / 48384.0 * k3y
+                      + 13525.0 / 55296.0 * k4y + 277.0 / 14336.0 * k5y + 0.25 * k6y)
+        d4 = dy + h * (2825.0 / 27648.0 * k1d + 18575.0 / 48384.0 * k3d
+                       + 13525.0 / 55296.0 * k4d + 277.0 / 14336.0 * k5d + 0.25 * k6d)
 
         scale = abs(y5) + abs(h * d5) + 1e-300
         err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * tol)
         if err <= 1.0:
             x = x1 if last else x + h
+            q1 = q5
             prev = y
             y, dy = y5, d5
             if prev != 0.0 and y != 0.0 and (prev < 0.0) != (y < 0.0):
@@ -167,16 +170,62 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
             if m > _RESCALE_AT:
                 y /= m
                 dy /= m
-                log_scale += math.log(m)
-            log_mag = math.log(max(abs(y), abs(dy), 1e-300)) + log_scale
-            if log_at_tp is None and (x - x_tp) * direction >= 0.0:
-                log_at_tp = log_mag
-            elif log_at_tp is not None and log_mag > log_at_tp + _GROWTH_STOP_LOG:
+            if sign_lock and y * dy > 0.0:
                 break
         h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
         if abs(h) < 1e-14 * span:
             raise StiffnessFailure("step size underflow in radial integration")
     return nodes, y, dy
+
+
+def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
+                                               Callable[[float], float]]:
+    """(node count, matching Wronskian) as functions of the trial energy, on
+    the shooting domain set by the predicted energy e_guess.
+
+    Both start from one outward leg per trial energy, integrated once from
+    the Frobenius start to the outer turning point and kept: the node count
+    continues it outward until growth is sign-locked, the Wronskian matches
+    it against a leg integrated inward from the decaying tail.
+    """
+    alpha = math.sqrt(-8.0 * e_guess)
+    s0 = _R_START / alpha
+    x0 = math.log(s0)
+    s_max = _R_MAX * _outer_turning_point(e_guess, w)
+    x1 = math.log(s_max)
+    # Frobenius start R = s^w (1 - 2 s/(2w+1)), normalized at s0; in the log
+    # variable the slope is d ln R/dx times R.
+    c1 = -2.0 / (2.0 * w + 1.0)
+    y0 = 1.0 + c1 * s0
+    dy0 = w * (1.0 + c1 * s0) + c1 * s0
+    legs: dict[float, tuple[float, int, float, float]] = {}
+
+    def outward(e: float) -> tuple[float, int, float, float]:
+        """(x_tp, nodes, R, R_x) of the outward leg, x0 to the turning point x_tp."""
+        if e not in legs:
+            x_tp = math.log(_outer_turning_point(e, w))
+            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, y0, dy0, _ODE_TOL))
+        return legs[e]
+
+    def nodes_at(e: float) -> int:
+        x_tp, nodes, y, dy = outward(e)
+        if x_tp < x1:
+            return nodes + _integrate(w, e, x_tp, x1, y, dy, _ODE_TOL, True)[0]
+        # the domain ends short of the turning point (only when _R_MAX <= 4)
+        return _integrate(w, e, x0, x1, y0, dy0, _ODE_TOL)[0]
+
+    def wronskian(e: float) -> float:
+        """Normalized Wronskian of the outward and inward solutions at the
+        outer turning point; zero exactly at an eigenvalue."""
+        x_tp, _, yo, dyo = outward(e)
+        s_in = min(s_max, _outer_turning_point(e, w) + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
+        # WKB slope of the solution that decays outward (grows inward)
+        q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
+        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q),
+                                _ODE_TOL)
+        return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
+
+    return nodes_at, wronskian
 
 
 def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
@@ -190,33 +239,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     """
     from scipy.optimize import brentq
 
-    alpha = math.sqrt(-8.0 * e_guess)
-    s0 = _R_START / alpha
-    x0 = math.log(s0)
-    s_max = _R_MAX * _outer_turning_point(e_guess, w)
-    x1 = math.log(s_max)
-    # Frobenius start R = s^w (1 - 2 s/(2w+1)), normalized at s0; in the log
-    # variable the slope is d ln R/dx times R.
-    c1 = -2.0 / (2.0 * w + 1.0)
-    y0 = 1.0 + c1 * s0
-    dy0 = w * (1.0 + c1 * s0) + c1 * s0
-
-    def nodes_at(e: float) -> int:
-        return _integrate(w, e, x0, x1, y0, dy0, _ODE_TOL)[0]
-
-    def wronskian(e: float) -> float:
-        """Normalized Wronskian of the outward and inward solutions at the
-        outer turning point; zero exactly at an eigenvalue."""
-        s_tp = _outer_turning_point(e, w)
-        x_tp = math.log(s_tp)
-        s_in = min(s_max, s_tp + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
-        # WKB slope of the solution that decays outward (grows inward)
-        q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-        _, yo, dyo = _integrate(w, e, x0, x_tp, y0, dy0, _ODE_TOL)
-        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q),
-                                _ODE_TOL)
-        return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
-
+    nodes_at, wronskian = _shots(w, e_guess)
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
     n_lo, n_hi = nodes_at(lo), nodes_at(hi)
     if n_lo > n_r or n_hi < n_r + 1:

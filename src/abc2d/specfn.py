@@ -200,7 +200,9 @@ def _taylor(a: complex, b: complex, z: complex):
     """Direct Taylor sum of M(a,b,z).
 
     Returns (value, sum of |terms|, number of terms after the leading 1).
-    Terminates exactly when a is a non-positive integer.
+    Terminates exactly when a is a non-positive integer.  A term counts as
+    small only once the terms shrink, |a+n| |z| < |b+n| (n+1): a tiny a
+    makes the first terms tiny even where the later ones grow.
     """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
@@ -214,7 +216,8 @@ def _taylor(a: complex, b: complex, z: complex):
             break
         total += term
         abs_sum += abs(term)
-        if abs(term) <= _TAYLOR_RTOL * abs(total):
+        if (abs(term) <= _TAYLOR_RTOL * abs(total)
+                and abs(a + n) * abs(z) < abs(b + n) * (n + 1)):
             small += 1
             if small >= 2:
                 break

@@ -1,4 +1,6 @@
+import collections
 import inspect
+import math
 
 import pytest
 
@@ -81,6 +83,23 @@ class TestShooting:
             shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
             assert len(calls) - before <= 16, (alpha, m, n_r)
 
+    def test_each_outward_leg_is_integrated_once(self, monkeypatch):
+        # a trial energy's node count and Wronskian share one leg from x0
+        calls = []
+        integrate = oracle_mod._integrate
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(oracle_mod, "_integrate", counting)
+        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
+            calls.clear()
+            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+            x0 = min(args[2] for args in calls)
+            starts = collections.Counter(args[1] for args in calls if args[2] == x0)
+            assert max(starts.values()) == 1, (alpha, m, n_r, starts)
+
     def test_nontrivial_units(self):
         p = problem(0.5, mu=2.5, kappa=0.6)
         e = shoot_with_nodes(p, 0, 0)[0]
@@ -107,3 +126,126 @@ def test_ode_path_is_independent_of_hypergeometric_code():
     src = inspect.getsource(oracle_mod)
     assert "kummer" not in src
     assert "specfn" not in src
+
+
+# repr(shoot_with_nodes(...)) recorded before the node counts stopped at the
+# sign lock and the outward legs were shared: the small verify grid, then the
+# states of test_bracket_end_on_eigenvalue.
+GOLDEN_SHOTS = [
+    ((0.0, -1, 0), "(-0.22222222226515864, 0)"),
+    ((0.0, -1, 1), "(-0.08, 1)"),
+    ((0.0, 0, 0), "(-2.0, 0)"),
+    ((0.0, 0, 1), "(-0.2222222222222222, 1)"),
+    ((0.0, 1, 0), "(-0.22222222226515864, 0)"),
+    ((0.0, 1, 1), "(-0.08, 1)"),
+    ((0.5, -1, 0), "(-0.5000000000561182, 0)"),
+    ((0.5, -1, 1), "(-0.125, 1)"),
+    ((0.5, 0, 0), "(-0.5000000000561182, 0)"),
+    ((0.5, 0, 1), "(-0.125, 1)"),
+    ((0.5, 1, 0), "(-0.12500000001521985, 0)"),
+    ((0.5, 1, 1), "(-0.05555555555555555, 1)"),
+    ((0.25, 0, 2), "(-0.06611570247933884, 2)"),
+    ((0.25, 2, 1), "(-0.035555555555555556, 1)"),
+    ((0.5, -1, 2), "(-0.05555555555555555, 2)"),
+    ((0.5, 0, 2), "(-0.05555555555555555, 2)"),
+    ((0.5, 2, 1), "(-0.03125, 1)"),
+    ((0.75, -1, 2), "(-0.06611570247933884, 2)"),
+]
+
+
+@pytest.mark.parametrize("state,expected", GOLDEN_SHOTS)
+def test_shooting_golden_bits(state, expected):
+    nu, m, n_r = state
+    assert repr(shoot_with_nodes(problem(nu), m, n_r)) == expected
+
+
+def _growth_stop_nodes(w, e, x0, x1, y0, dy0, tol=1e-10):
+    """Node count of the outward shot under the earlier stop rule, as the
+    reference: the shot runs until log |R| has grown 60 e-folds past its
+    value at the outer turning point, with the same Cash-Karp steps."""
+    w2 = w * w
+    te = 2.0 * e
+    x, y, dy = x0, y0, dy0
+    h = 1e-4
+    nodes = 0
+    log_scale = 0.0
+    x_tp = math.log(oracle_mod._outer_turning_point(e, w))
+    log_at_tp = None
+
+    def q(s):
+        return w2 - 2.0 * s - te * s * s
+
+    while x1 - x > 0.0:
+        last = x + h - x1 >= 0.0
+        if last:
+            h = x1 - x
+        k1y, k1d = dy, q(math.exp(x)) * y
+        yy, dd = y + h * 0.2 * k1y, dy + h * 0.2 * k1d
+        k2y, k2d = dd, q(math.exp(x + 0.2 * h)) * yy
+        yy = y + h * (3.0 / 40.0 * k1y + 9.0 / 40.0 * k2y)
+        dd = dy + h * (3.0 / 40.0 * k1d + 9.0 / 40.0 * k2d)
+        k3y, k3d = dd, q(math.exp(x + 0.3 * h)) * yy
+        yy = y + h * (0.3 * k1y + -0.9 * k2y + 1.2 * k3y)
+        dd = dy + h * (0.3 * k1d + -0.9 * k2d + 1.2 * k3d)
+        k4y, k4d = dd, q(math.exp(x + 0.6 * h)) * yy
+        yy = y + h * (-11.0 / 54.0 * k1y + 2.5 * k2y + -70.0 / 27.0 * k3y
+                      + 35.0 / 27.0 * k4y)
+        dd = dy + h * (-11.0 / 54.0 * k1d + 2.5 * k2d + -70.0 / 27.0 * k3d
+                       + 35.0 / 27.0 * k4d)
+        k5y, k5d = dd, q(math.exp(x + h)) * yy
+        yy = y + h * (1631.0 / 55296.0 * k1y + 175.0 / 512.0 * k2y
+                      + 575.0 / 13824.0 * k3y + 44275.0 / 110592.0 * k4y
+                      + 253.0 / 4096.0 * k5y)
+        dd = dy + h * (1631.0 / 55296.0 * k1d + 175.0 / 512.0 * k2d
+                       + 575.0 / 13824.0 * k3d + 44275.0 / 110592.0 * k4d
+                       + 253.0 / 4096.0 * k5d)
+        k6y, k6d = dd, q(math.exp(x + 0.875 * h)) * yy
+        y5 = y + h * (37.0 / 378.0 * k1y + 250.0 / 621.0 * k3y
+                      + 125.0 / 594.0 * k4y + 512.0 / 1771.0 * k6y)
+        d5 = dy + h * (37.0 / 378.0 * k1d + 250.0 / 621.0 * k3d
+                       + 125.0 / 594.0 * k4d + 512.0 / 1771.0 * k6d)
+        y4 = y + h * (2825.0 / 27648.0 * k1y + 18575.0 / 48384.0 * k3y
+                      + 13525.0 / 55296.0 * k4y + 277.0 / 14336.0 * k5y + 0.25 * k6y)
+        d4 = dy + h * (2825.0 / 27648.0 * k1d + 18575.0 / 48384.0 * k3d
+                       + 13525.0 / 55296.0 * k4d + 277.0 / 14336.0 * k5d + 0.25 * k6d)
+        scale = abs(y5) + abs(h * d5) + 1e-300
+        err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * tol)
+        if err <= 1.0:
+            x = x1 if last else x + h
+            prev = y
+            y, dy = y5, d5
+            if prev != 0.0 and y != 0.0 and (prev < 0.0) != (y < 0.0):
+                nodes += 1
+            big = max(abs(y), abs(dy))
+            if big > 1e100:
+                y /= big
+                dy /= big
+                log_scale += math.log(big)
+            log_mag = math.log(max(abs(y), abs(dy), 1e-300)) + log_scale
+            if log_at_tp is None and x >= x_tp:
+                log_at_tp = log_mag
+            elif log_at_tp is not None and log_mag > log_at_tp + 60.0:
+                break
+        h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
+    return nodes
+
+
+@pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.25, 2.75])
+@pytest.mark.parametrize("n_r", [0, 1, 2, 3])
+def test_sign_lock_stop_keeps_node_counts(w, n_r):
+    # the node count may stop once R and R_x share a sign past the turning
+    # point; it must agree with running on to 60 e-folds of growth, also on
+    # the eigenvalue (the first narrowing midpoint) and 1e-10 from it.  Still
+    # closer, within about 1e-11, the count is roundoff under either rule.
+    e_guess = -0.5 / (n_r + w + 0.5) ** 2
+    alpha = math.sqrt(-8.0 * e_guess)
+    s0 = oracle_mod._R_START / alpha
+    x1 = math.log(oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w))
+    c1 = -2.0 / (2.0 * w + 1.0)
+    start = (math.log(s0), x1, 1.0 + c1 * s0, w * (1.0 + c1 * s0) + c1 * s0)
+    nodes_at = oracle_mod._shots(w, e_guess)[0]
+    factors = [1.5, 1.3, 1.1, 1.0, 0.9, 0.7, 0.5,
+               1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-10, 1.0 - 1e-10]
+    for f in factors:
+        e = f * e_guess
+        assert nodes_at(e) == _growth_stop_nodes(w, e, *start), f

@@ -202,6 +202,14 @@ class TestKummer:
             ref = complex(mp.hyp1f1(a, mp.mpf(b), 1j * y))
             assert abs(kummer_m(a, b, 1j * y) - ref) <= 5e-12 * abs(ref)
 
+    @pytest.mark.parametrize("a", [1e-20, -1e-20, 1e-18, 1e-20j])
+    @pytest.mark.parametrize("z", [30.0, 40.0])
+    def test_tiny_upper_parameter_keeps_growing_terms(self, a, z):
+        # the first terms are below 1e-16 of the sum, but the terms grow
+        # until n ~ z and add up to ~1e-20 e^z / z
+        ref = complex(mp.hyp1f1(a, 1, z))
+        assert abs(kummer_m(a, 1.0, z) - ref) <= 1e-13 * abs(ref)
+
     def test_polynomial_matches_explicit_horner(self):
         # explicit coefficients (-n)_j / ((b)_j j!) summed exactly
         from fractions import Fraction
