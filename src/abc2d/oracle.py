@@ -53,6 +53,9 @@ _TAIL_EFOLDS = 40.0
 # Shooting domain: the outward solution starts at _R_START in units of the
 # closed-form inverse decay scale 1/alpha and runs to _R_MAX outer classical
 # turning points; every integration keeps the local error below _ODE_TOL.
+# _R_MAX must exceed 4: a trial energy in [1.5, 0.5] e_guess has its turning
+# point at most 4 times that of e_guess, so every node count and Wronskian
+# finds its turning point inside the domain.
 _R_START = 1e-6
 _R_MAX = 60.0
 _ODE_TOL = 1e-10
@@ -209,10 +212,7 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
 
     def nodes_at(e: float) -> int:
         x_tp, nodes, y, dy = outward(e)
-        if x_tp < x1:
-            return nodes + _integrate(w, e, x_tp, x1, y, dy, _ODE_TOL, True)[0]
-        # the domain ends short of the turning point (only when _R_MAX <= 4)
-        return _integrate(w, e, x0, x1, y0, dy0, _ODE_TOL)[0]
+        return nodes + _integrate(w, e, x_tp, x1, y, dy, _ODE_TOL, True)[0]
 
     def wronskian(e: float) -> float:
         """Normalized Wronskian of the outward and inward solutions at the
