@@ -60,7 +60,7 @@ class SpectrumLevel:
     energy: float
     branch: str
     principal_n: int
-    members: tuple[QuantumNumbers, ...]
+    members: tuple[tuple[int, int], ...]  # (n_r, m) pairs in (n_r, m) order
     degeneracy: int
 
     def __post_init__(self) -> None:
@@ -109,11 +109,14 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
     (n_r, m) = (N - m, m), m = 0..N; the minus ladder (m < 0, N >= 1) has
     lambda = N - nu + 1/2 and members (N - |m|, m), m = -N..-1.  Each step
     takes the rung with the smaller lambda; equal rungs (same N at nu = 0,
-    plus N with minus N + 1 at nu = 1/2) make one level.  Members that
-    is_acceptable rejects are dropped, and a level left empty (the
+    plus N with minus N + 1 at nu = 1/2) make one level.  Members are
+    (n_r, m) int pairs, built in (n_r, m) order: for n_r = 0, 1, ... the
+    minus member (n_r, n_r - N-) while n_r < N-, then the plus member
+    (n_r, N+ - n_r) while n_r <= N+.  The m = 0 member is left out where
+    is_acceptable rejects it (nu = 0, m0 != 0), and a level left empty (the
     integer-flux N = 0 level) is skipped.  The energy is taken from the
-    smallest lambda among the members, the principal N from the lower rung.
-    The cost is proportional to the number of members returned.
+    smallest n_r + |m + nu| among the members, the principal N from the
+    lower rung.  The cost is proportional to the number of members returned.
     """
     if n_levels <= 0:
         raise ValueError("n_levels must be positive")
@@ -121,9 +124,14 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
         raise NoBoundStates("bound states require attraction (kappa > 0)")
     nu = problem.nu
     unsplit = nu == 0.0 or nu == 0.5
+    drop_m0 = nu == 0.0 and problem.m0 != 0
     prefactor = -problem.reduced_mass * (problem.kappa * problem.kappa) / 2.0
     levels: list[SpectrumLevel] = []
     n_plus, n_minus = 0, 1
+    # ints[k] == k, negs[k] == -k, up to k = n_minus >= n_plus: members take
+    # their ints from these, so a value past CPython's small-int cache is one
+    # object shared by every member, not one object per member.
+    ints, negs = [0], [0]
     while len(levels) < n_levels:
         lam_plus, lam_minus = n_plus + nu + 0.5, n_minus - nu + 0.5
         take_plus, take_minus = lam_plus <= lam_minus, lam_minus <= lam_plus
@@ -132,18 +140,23 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
         else:
             branch = BRANCH_PLUS if take_plus else BRANCH_MINUS
         principal = n_plus if take_plus else n_minus
-        rung: list[QuantumNumbers] = []
-        if take_plus:
-            rung += [QuantumNumbers(n_plus - m, m) for m in range(n_plus + 1)]
-            n_plus += 1
-        if take_minus:
-            rung += [QuantumNumbers(n_minus + m, m) for m in range(-n_minus, 0)]
-            n_minus += 1
-        members = sorted((q for q in rung if is_acceptable(q, problem.m0, nu)),
-                         key=lambda q: (q.n_r, q.m))
+        # Members have n_r < minus_end on the minus rung, n_r < plus_end on the plus.
+        minus_end = n_minus if take_minus else 0
+        plus_end = n_plus + (not drop_m0) if take_plus else 0
+        if len(ints) == n_minus:  # n_minus grows by at most one per step
+            ints.append(n_minus)
+            negs.append(-n_minus)
+        members: list[tuple[int, int]] = []
+        for n_r in ints[:max(minus_end, plus_end)]:
+            if n_r < minus_end:
+                members.append((n_r, negs[n_minus - n_r]))
+            if n_r < plus_end:
+                members.append((n_r, ints[n_plus - n_r]))
+        n_plus += take_plus
+        n_minus += take_minus
         if not members:
             continue
-        lam = min(_lambda(q, nu) for q in members)
+        lam = min(n_r + abs(m + nu) for n_r, m in members) + 0.5
         levels.append(SpectrumLevel(
             energy=prefactor / (lam * lam),
             branch=branch,

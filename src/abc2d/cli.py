@@ -96,7 +96,7 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):
-        return ";".join(f"{qn.n_r}:{qn.m}" for qn in value)
+        return ";".join(f"{n_r}:{m}" for n_r, m in value)
     return str(value)
 
 
@@ -106,7 +106,8 @@ def _emit(args: argparse.Namespace, params: dict, columns: tuple[str, ...],
 
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
     JSON: ``{"params": ..., key: rows}``, each row an object keyed by column
-    if ``records``, else an array; a level's members become [n_r, m] pairs.
+    if ``records``, else an array; a level's (n_r, m) members become [n_r, m]
+    arrays.
     A non-finite float anywhere in the rows is a domain error, raised before
     anything is written.
     """
@@ -117,8 +118,7 @@ def _emit(args: argparse.Namespace, params: dict, columns: tuple[str, ...],
                 raise DomainError(f"non-finite result {name} = {value}")
     if args.format == "json":
         body = [dict(zip(columns, row)) for row in rows] if records else rows
-        text = json.dumps({"params": params, key: body}, sort_keys=True, indent=2,
-                          default=lambda qn: (qn.n_r, qn.m))
+        text = json.dumps({"params": params, key: body}, sort_keys=True, indent=2)
     else:
         lines = [f"# {name}={_cell(value)}" for name, value in params.items()]
         lines.append(",".join(columns))

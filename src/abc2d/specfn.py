@@ -76,6 +76,11 @@ _TAIL_UNITS = 1 << 8
 # so by under 1/|term| relative, and that relative change carries over to the
 # tail from that term on, which is about as large as the term or the result.
 _RESUM_MAX_TERMS = 1000
+# Where the float pass overflowed, the re-sum's bits come from a bound on the
+# largest term; past this many bits it is refused, since its integers would
+# make each term cost milliseconds.  A degree-1000 polynomial near the top of
+# the double range, M(-1000, 1/2, 1418) = -4.1e307, needs about 2,700.
+_RESUM_MAX_BITS = 1 << 14
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -277,6 +282,12 @@ def _taylor_fixed(a: complex, b: complex, z: complex, bits: int) -> complex:
         wr += zr
         wi += zi
         cr += step
+    else:
+        # Only a polynomial of degree _RESUM_MAX_TERMS ends here summed in full;
+        # lower degrees reach a zero term and stop above.
+        if a != -_RESUM_MAX_TERMS:
+            raise DomainError(f"M({a}, {b}, {z}): the Taylor series has not converged "
+                              f"after {_RESUM_MAX_TERMS} terms")
     return complex(sr / one, si / one)
 
 
@@ -356,13 +367,36 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
     return _asymptotic(a, b, z)
 
 
+def _log2_term_sum_bound(a: complex, b: complex, z: complex) -> int:
+    """An upper bound on log2 of sum |terms| over the terms _taylor_fixed can
+    sum: log2 of the term count plus the largest |term|, which is tracked
+    through the term ratios in log space and so cannot overflow."""
+    log_z = math.log2(abs(z))
+    log_term = peak = 0.0
+    for n in range(_RESUM_MAX_TERMS):
+        if a + n == 0.0:
+            break
+        log_term += math.log2(abs(a + n)) + log_z - math.log2(abs(b + n) * (n + 1))
+        peak = max(peak, log_term)
+    return math.ceil(peak + math.log2(_RESUM_MAX_TERMS + 1))
+
+
 def _taylor_checked(a: complex, b: complex, z: complex) -> complex:
     """Taylor sum with a cancellation check and a fixed-point re-sum fallback.
 
     The float pass's condition estimate, sum |terms| / |result|, sets the
-    fallback's working bits: its binary logarithm plus _GUARD_BITS.
+    fallback's working bits: its binary logarithm plus _GUARD_BITS.  A float
+    pass that overflowed (a polynomial of high degree at large rho) has no
+    estimate; the bits are then _GUARD_BITS over a bound on sum |terms|,
+    which serves any result of magnitude 1 or more.
     """
     value, abs_sum, _ = _taylor(a, b, z)
+    if not cmath.isfinite(value):
+        bits = _GUARD_BITS + _log2_term_sum_bound(a, b, z)
+        if bits > _RESUM_MAX_BITS:
+            raise DomainError(f"M({a}, {b}, {z}): its Taylor terms reach "
+                              f"2**{bits - _GUARD_BITS}, past the re-sum's range")
+        return _taylor_fixed(a, b, z, bits)
     scale = max(abs(value), 1e-300)
     if _EPS * abs_sum / scale > _CONDITION_LIMIT:
         lost = math.frexp(abs_sum)[1] - math.frexp(scale)[1] + 1

@@ -196,14 +196,14 @@ def check_norm_quadrature(small: bool = False) -> CheckResult:
 
 
 def _enumerate_levels(problem: RelativeProblem,
-                      n_cap: int) -> list[tuple[float, list[bound.QuantumNumbers]]]:
+                      n_cap: int) -> list[tuple[float, list[tuple[int, int]]]]:
     """Brute-force (energy, members) of every level with lambda <= n_cap - 1/2.
 
     Every acceptable (n_r, m) in the box n_r <= n_cap, |m| <= n_cap with
     lambda = n_r + |m + nu| + 1/2 <= n_cap - 1/2 is sorted by energy and
-    grouped where energies agree to 1e-14 relative; members are in (n_r, m)
-    order.  All members of such a level lie inside the box, so each level is
-    complete.
+    grouped where energies agree to 1e-14 relative; members are (n_r, m)
+    pairs in (n_r, m) order, as bound.spectrum gives them.  All members of
+    such a level lie inside the box, so each level is complete.
     """
     states = []
     for n_r in range(n_cap + 1):
@@ -211,14 +211,14 @@ def _enumerate_levels(problem: RelativeProblem,
             qn = bound.QuantumNumbers(n_r, m)
             if (n_r + abs(m + problem.nu) + 0.5 <= n_cap - 0.5
                     and bound.is_acceptable(qn, problem.m0, problem.nu)):
-                states.append((bound.energy(qn, problem), qn))
-    groups: list[tuple[float, list[bound.QuantumNumbers]]] = []
-    for e, qn in sorted(states, key=lambda s: (s[0], s[1].n_r, s[1].m)):
+                states.append((bound.energy(qn, problem), (n_r, m)))
+    groups: list[tuple[float, list[tuple[int, int]]]] = []
+    for e, pair in sorted(states):
         if groups and abs(e - groups[-1][0]) <= 1e-14 * abs(groups[-1][0]):
-            groups[-1][1].append(qn)
+            groups[-1][1].append(pair)
         else:
-            groups.append((e, [qn]))
-    return [(e, sorted(members, key=lambda q: (q.n_r, q.m))) for e, members in groups]
+            groups.append((e, [pair]))
+    return [(e, sorted(members)) for e, members in groups]
 
 
 # (name, alpha) of the five spectral regimes, and the paper's degeneracy of

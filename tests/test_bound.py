@@ -101,10 +101,10 @@ class TestSpectrum:
         levels = spectrum(problem(0.25), 2)
         assert levels[0].energy == pytest.approx(-0.888888888888888888)
         assert levels[0].branch == BRANCH_PLUS
-        assert [(q.n_r, q.m) for q in levels[0].members] == [(0, 0)]
+        assert levels[0].members == ((0, 0),)
         assert levels[1].energy == pytest.approx(-0.32)
         assert levels[1].branch == BRANCH_MINUS
-        assert [(q.n_r, q.m) for q in levels[1].members] == [(0, -1)]
+        assert levels[1].members == ((0, -1),)
 
     def test_generic_high_swaps_order(self):
         levels = spectrum(problem(0.75), 2)
@@ -115,7 +115,7 @@ class TestSpectrum:
 
     def test_half_integer_merged(self):
         levels = spectrum(problem(0.5), 3)
-        assert [(q.n_r, q.m) for q in levels[0].members] == [(0, -1), (0, 0)]
+        assert levels[0].members == ((0, -1), (0, 0))
         assert [lv.degeneracy for lv in levels] == [2, 4, 6]
         assert [lv.principal_n for lv in levels] == [0, 1, 2]
         assert all(lv.branch == BRANCH_UNSPLIT for lv in levels)
@@ -149,6 +149,25 @@ class TestSpectrum:
     def test_no_bound_states(self):
         with pytest.raises(NoBoundStates):
             spectrum(problem(0.0, kappa=-2.0), 3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, 0.3, 0.7, 2.5])
+    def test_builds_no_member_objects(self, monkeypatch, alpha):
+        # members come out as (n_r, m) int pairs in closed form: no
+        # QuantumNumbers per member and no is_acceptable call per member
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bound, "QuantumNumbers", counting(bound.QuantumNumbers))
+        monkeypatch.setattr(bound, "is_acceptable", counting(bound.is_acceptable))
+        levels = spectrum(RelativeProblem.from_parameters(1.0, 1.0, alpha), 200)
+        assert calls == []
+        assert all(type(n_r) is int and type(m) is int
+                   for lv in levels for n_r, m in lv.members)
 
 
 class TestSpectrumAgainstEnumeration:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -81,6 +82,32 @@ class TestSpectrumCommand:
         doc = json.loads(out.read_text())
         assert doc["params"]["levels"] == 2
         assert doc["levels"][0]["members"] == [[0, 0]]
+
+
+# sha256 of `spectrum` stdout in the five regimes (coulomb, integer, split low
+# and high, half), recorded from the ladder walk that built its members as
+# sorted QuantumNumbers objects; any change to member order or to an energy's
+# last bit shows here.
+SPECTRUM_DIGESTS = [
+    ("0", "300", "csv", "7b1ae7add16b7076b2c00dbf81482dbc512fe718625b9130b9abcb7900de0a4d"),
+    ("0", "300", "json", "b5c5bfc59c4af6cb1c64767c91910212d7cd13cef20b720b09caf4a22a557867"),
+    ("-2", "300", "csv", "d6493d74e47538fb0d464fb424a97ba709c2ae588a55dafdd3bf7ef88a6ccbcf"),
+    ("-2", "300", "json", "d049c00dd1b53a5e53904c7b7a2e5960e8f8edfcd1582a8e540456526283d9e3"),
+    ("0.3", "300", "csv", "4d3cc1d7e4ad69cd96e93991bb43743d68202fa5bf0973e00ec7eef898b31c71"),
+    ("0.3", "300", "json", "39bfc679797bf37b5eaedf85d65d0c937b06236196e2dd6b04c96f6321057d78"),
+    ("0.7", "300", "csv", "fa5d43f91114a2da489434b1835a062436f8ff8a0e8baaf03c89448c39da1c1a"),
+    ("0.7", "300", "json", "aec4325080be8c975dde488cdf65493f38bc1605ebf572a8710beaf2b05d8997"),
+    ("2.5", "300", "csv", "d4c1ebdae6c3ab77bcf7339d745e1b4693fee1bf7721a0c2da84d9bd1208aad7"),
+    ("2.5", "300", "json", "86ef42ff54467f1417ccc92f6e330321819e7b51f67b4bf94fe10a1ff485fe55"),
+    ("0.5", "1000", "csv", "a5ab66d08485cdc6285d00ff34e64264808581ac2abf9728e77bb404219b803d"),
+]
+
+
+@pytest.mark.parametrize("alpha,levels,fmt,digest", SPECTRUM_DIGESTS)
+def test_spectrum_golden_digests(alpha, levels, fmt, digest, capsys):
+    assert main(["spectrum", "--alpha", alpha, "--levels", levels, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestXsectionCommand:

@@ -11,7 +11,7 @@ import random
 import mpmath as mp
 import pytest
 
-from abc2d.errors import ParameterPole, PoleError
+from abc2d.errors import DomainError, ParameterPole, PoleError
 from abc2d import specfn
 from abc2d.specfn import _taylor, arg_gamma, gamma_moduli, kummer_m, ln_gamma
 
@@ -291,6 +291,35 @@ class TestFixedPointResum:
         assert got.imag == 0.0
         assert abs(got.real - float(acc)) <= 1e-12 * abs(float(acc))
         assert resums
+
+    @pytest.mark.parametrize("n,b,rho", [
+        (1000, 1.0, 300.0), (700, 2.5, 400.0), (900, 3.0, 250.0), (800, 1.0, 1000.0),
+        (1000, 0.5, 1418.0)])
+    def test_overflowing_float_pass(self, n, b, rho, resums):
+        # the float pass overflows to nan, so it gives no condition estimate;
+        # the re-sum takes its bits from a bound on the terms instead
+        assert not cmath.isfinite(_taylor(complex(-n), complex(b), complex(rho))[0])
+        ref = mp.hyp1f1(-n, b, rho)
+        got = kummer_m(float(-n), b, rho)
+        assert got.imag == 0.0
+        assert abs(got.real - ref) <= 1e-12 * abs(ref), (n, b, rho)
+        assert len(resums) == 1
+
+    @pytest.mark.parametrize("n,b,rho", [(2000, 3.0, 150.0), (3000, 1.0, 3000.0)])
+    def test_series_past_the_term_cap_raises(self, n, b, rho):
+        # the re-sum's last term, the 1,000th, is still larger than M itself,
+        # so no sum it could return is right
+        cap = specfn._RESUM_MAX_TERMS
+        term = mp.rf(-n, cap) * mp.mpf(rho) ** cap / (mp.rf(b, cap) * mp.factorial(cap))
+        assert abs(term) > abs(mp.hyp1f1(-n, b, rho))
+        with pytest.raises(DomainError):
+            kummer_m(float(-n), b, rho)
+
+    def test_overflowing_terms_past_the_bit_limit_raise(self, resums):
+        # terms near 2**(1000 log2 1e300): refused before any re-sum runs
+        with pytest.raises(DomainError):
+            kummer_m(-1000.0, 1.0, 1e300)
+        assert resums == []
 
     def test_huge_parameter_converts_exactly(self, resums):
         # M(a, b, z/a) -> 0F1(; b; z) as a -> oo; here a z = -40 and the
