@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError, NoBoundStates, Unacceptable
 from .reduction import RelativeProblem
@@ -103,7 +104,20 @@ def energy(qn: QuantumNumbers, problem: RelativeProblem) -> float:
 
 
 def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
-    """The n_levels lowest distinct levels, walked off the two closed-form ladders.
+    """The n_levels lowest distinct levels, as a list: ``list(iter_levels(...))``.
+
+    It holds every level's members at once, so its memory grows with their
+    number, which is quadratic in n_levels; iter_levels holds one level.
+    """
+    return list(iter_levels(problem, n_levels))
+
+
+def iter_levels(problem: RelativeProblem, n_levels: int) -> Iterator[SpectrumLevel]:
+    """The n_levels lowest distinct levels, walked off the two closed-form ladders
+    and yielded one at a time.
+
+    The arguments are checked here, at the call: n_levels <= 0 raises
+    ValueError and kappa <= 0 NoBoundStates before the first level is asked for.
 
     The plus ladder (m >= 0) has lambda = N + nu + 1/2 and members
     (n_r, m) = (N - m, m), m = 0..N; the minus ladder (m < 0, N >= 1) has
@@ -116,23 +130,30 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
     is_acceptable rejects it (nu = 0, m0 != 0), and a level left empty (the
     integer-flux N = 0 level) is skipped.  The energy is taken from the
     smallest n_r + |m + nu| among the members, the principal N from the
-    lower rung.  The cost is proportional to the number of members returned.
+    lower rung.  The cost is proportional to the number of members yielded.
+    The walk keeps only the level it is building and O(N) ints, so a caller
+    that drops each level once used holds memory bounded by what it keeps
+    from the levels plus one level.
     """
     if n_levels <= 0:
         raise ValueError("n_levels must be positive")
     if problem.kappa <= 0.0:
         raise NoBoundStates("bound states require attraction (kappa > 0)")
+    return islice(_walk_ladders(problem), n_levels)
+
+
+def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
+    """Every level in turn, without end; see iter_levels."""
     nu = problem.nu
     unsplit = nu == 0.0 or nu == 0.5
     drop_m0 = nu == 0.0 and problem.m0 != 0
     prefactor = -problem.reduced_mass * (problem.kappa * problem.kappa) / 2.0
-    levels: list[SpectrumLevel] = []
     n_plus, n_minus = 0, 1
     # ints[k] == k, negs[k] == -k, up to k = n_minus >= n_plus: members take
     # their ints from these, so a value past CPython's small-int cache is one
     # object shared by every member, not one object per member.
     ints, negs = [0], [0]
-    while len(levels) < n_levels:
+    while True:
         lam_plus, lam_minus = n_plus + nu + 0.5, n_minus - nu + 0.5
         take_plus, take_minus = lam_plus <= lam_minus, lam_minus <= lam_plus
         if unsplit:
@@ -157,14 +178,13 @@ def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
         if not members:
             continue
         lam = min(n_r + abs(m + nu) for n_r, m in members) + 0.5
-        levels.append(SpectrumLevel(
+        yield SpectrumLevel(
             energy=prefactor / (lam * lam),
             branch=branch,
             principal_n=principal,
             members=tuple(members),
             degeneracy=len(members),
-        ))
-    return levels
+        )
 
 
 def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> float:

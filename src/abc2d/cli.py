@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -53,13 +54,15 @@ def _problem_from_args(args: argparse.Namespace) -> RelativeProblem:
     return RelativeProblem.from_parameters(args.mu, args.kappa, args.alpha)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, lines: list[str]) -> None:
+    """Write the rendered text, given as its pieces in order (lines that end in
+    their newline), with ``writelines``: no joined copy of the text is made."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValueError(f"--out {path}: {exc.strerror}") from None
 
@@ -100,46 +103,57 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _checked(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[tuple]:
+    """The rows as they pass; a non-finite float in one is a domain error."""
+    for row in rows:
+        for value in row:
+            if isinstance(value, float) and not math.isfinite(value):
+                name = columns[row.index(value)]
+                raise DomainError(f"non-finite result {name} = {value}")
+        yield row
+
+
 def _emit(args: argparse.Namespace, params: dict, columns: tuple[str, ...],
-          rows: list[tuple], key: str = "rows", records: bool = True) -> int:
+          rows: Iterable[tuple], key: str = "rows", records: bool = True) -> int:
     """Write one artifact in ``args.format`` to ``args.out`` (stdout if None).
 
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
     JSON: ``{"params": ..., key: rows}``, each row an object keyed by column
     if ``records``, else an array; a level's (n_r, m) members become [n_r, m]
     arrays.
-    A non-finite float anywhere in the rows is a domain error, raised before
-    anything is written.
+    ``rows`` may be any iterable, a generator included, and is read once:
+    each row is checked and, for CSV, rendered to its line and dropped, so
+    memory is bounded by the text plus one row; JSON keeps every row until it
+    is dumped.  Every row is rendered before anything is written, so a
+    non-finite float anywhere in the rows is a domain error raised before
+    anything is written, and ``--out`` is left as it was.
     """
-    for row in rows:
-        for value in row:
-            if isinstance(value, float) and not math.isfinite(value):
-                name = columns[row.index(value)]
-                raise DomainError(f"non-finite result {name} = {value}")
+    rows = _checked(columns, rows)
     if args.format == "json":
-        body = [dict(zip(columns, row)) for row in rows] if records else rows
-        text = json.dumps({"params": params, key: body}, sort_keys=True, indent=2)
+        body = [dict(zip(columns, row)) for row in rows] if records else list(rows)
+        lines = [json.dumps({"params": params, key: body}, sort_keys=True, indent=2), "\n"]
     else:
-        lines = [f"# {name}={_cell(value)}" for name, value in params.items()]
-        lines.append(",".join(columns))
-        lines += [",".join(map(_cell, row)) for row in rows]
-        text = "\n".join(lines)
-    _write(args.out, text + "\n")
+        lines = [f"# {name}={_cell(value)}\n" for name, value in params.items()]
+        lines.append(",".join(columns) + "\n")
+        lines += [",".join(map(_cell, row)) + "\n" for row in rows]
+    _write(args.out, lines)
     return EXIT_OK
 
 
 # -- spectrum --------------------------------------------------------------------
 
 def run_spectrum(args: argparse.Namespace) -> int:
+    """The level table.  Levels stream from bound.iter_levels through _emit,
+    so a CSV table's memory is bounded by its text plus one level."""
     problem = _problem_from_args(args)
-    levels = bound.spectrum(problem, args.levels)
+    levels = bound.iter_levels(problem, args.levels)
     params = {
         "command": "spectrum", "mu": problem.reduced_mass, "kappa": problem.kappa,
         "alpha": problem.alpha_flux, "m0": problem.m0, "nu": problem.nu,
         "levels": args.levels,
     }
-    rows = [(i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, lv.members)
-            for i, lv in enumerate(levels)]
+    rows = ((i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, lv.members)
+            for i, lv in enumerate(levels))
     return _emit(args, params, ("index", "energy", "branch", "N", "degeneracy", "members"),
                  rows, key="levels")
 
@@ -225,7 +239,7 @@ def run_verify(args: argparse.Namespace) -> int:
                  "shoot_E": r.shoot_energy, "rel_err": r.rel_err, "norm": r.norm,
                  "passed": r.passed} for r in rows],
         }
-        _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write(args.out, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
     else:
         width = max(len(r.name) for r in results)
         lines = [f"# {key}={val}" for key, val in params.items()]
@@ -246,7 +260,7 @@ def run_verify(args: argparse.Namespace) -> int:
         n_fail = sum(not r.passed for r in results)
         lines.append(f"{n_fail} of {len(results)} checks failed"
                      if n_fail else f"all {len(results)} checks passed")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines), "\n"])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

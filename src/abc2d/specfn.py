@@ -20,7 +20,9 @@ double precision cannot deliver ~1e-13, the series is re-summed in binary
 fixed point: Python integers scaled by 2**bits, with the bits the
 cancellation costs plus 84 guard bits, and one correctly rounded conversion
 back to a complex double.  That keeps purely imaginary arguments of moderate
-size (the oscillatory scattering regime) at full accuracy.  The regime split
+size (the oscillatory scattering regime) at full accuracy.  A float sum that
+has not finished within its term cap is re-summed the same way, or refused
+with DomainError; a partial sum is never returned.  The regime split
 follows Pearson, Olver & Porter, Numer. Algorithms 74 (2017), section 3.
 """
 
@@ -69,9 +71,9 @@ _CONDITION_LIMIT = 1e-13
 # decay and add up to about 2**-75 of the result.
 _GUARD_BITS = 84
 _TAIL_UNITS = 1 << 8
-# The re-sum runs past the float pass's _TAYLOR_MAX_TERMS, so a polynomial of
-# degree up to this is summed to its last term where the float pass stopped
-# short and returned a partial sum.  Its error stays a few units per term
+# The re-sum runs past the float pass's _TAYLOR_MAX_TERMS, so a series the
+# float pass stopped short on, a polynomial of degree up to this among them,
+# is finished here.  Its error stays a few units per term
 # however much the series cancels: a floor changes a term by under one unit,
 # so by under 1/|term| relative, and that relative change carries over to the
 # tail from that term on, which is about as large as the term or the result.
@@ -243,15 +245,25 @@ def _rescale(n: int, shift: int) -> int:
     return n << shift if shift >= 0 else n >> -shift
 
 
-def _taylor_fixed(a: complex, b: complex, z: complex, bits: int) -> complex:
+def _taylor_fixed(a: complex, b: complex, z: complex, bits: int,
+                  relative: bool = False) -> complex:
     """Taylor sum of M(a,b,z) in binary fixed point, on integers scaled by 2**bits.
 
-    Used when the float series has cancelled too much.  The inputs convert
+    Used when the float series has cancelled too much, or has not finished
+    within _TAYLOR_MAX_TERMS terms.  The inputs convert
     exactly (a z is formed exactly, then floored), each term is floored to
     2**-bits, and the one rounding to a complex double is the final
     correctly rounded integer division.  w = (a+n) z grows by z per term, so
     a term costs one complex multiply and a division by (b+n)(n+1); a complex
     b+n divides as its conjugate over its squared modulus.
+
+    The sum stops at a term of at most _TAIL_UNITS units.  With ``relative``
+    it also stops at a term of at most 2**-_GUARD_BITS of the sum so far once
+    the terms shrink: the float pass's own rule, carried past its cap.  A
+    series the float pass could not finish may sum to far more than
+    2**_GUARD_BITS units, and then the absolute rule alone would run on until
+    its terms fall below 2**-bits.  A series that meets neither rule within
+    _RESUM_MAX_TERMS terms raises DomainError.
     """
     (ar, ai, zr, zi), e = _exact(a.real, a.imag, z.real, z.imag)
     (cr, ci), eb = _exact(b.real, b.imag)  # b + n = (cr + i ci) / 2**eb
@@ -277,7 +289,9 @@ def _taylor_fixed(a: complex, b: complex, z: complex, bits: int) -> complex:
         tr, ti = (xr >> shift) // den, (xi >> shift) // den
         sr += tr
         si += ti
-        if -_TAIL_UNITS <= tr <= _TAIL_UNITS and -_TAIL_UNITS <= ti <= _TAIL_UNITS:
+        if (-_TAIL_UNITS <= tr <= _TAIL_UNITS and -_TAIL_UNITS <= ti <= _TAIL_UNITS
+                or relative and abs(a + n) * abs(z) < abs(b + n) * (n + 1)
+                and max(abs(tr), abs(ti)) <= max(abs(sr), abs(si)) >> _GUARD_BITS):
             break
         wr += zr
         wi += zi
@@ -388,9 +402,11 @@ def _taylor_checked(a: complex, b: complex, z: complex) -> complex:
     fallback's working bits: its binary logarithm plus _GUARD_BITS.  A float
     pass that overflowed (a polynomial of high degree at large rho) has no
     estimate; the bits are then _GUARD_BITS over a bound on sum |terms|,
-    which serves any result of magnitude 1 or more.
+    which serves any result of magnitude 1 or more.  A float pass that ran
+    all _TAYLOR_MAX_TERMS terms is a partial sum, never returned: it is
+    re-summed with the relative stopping rule, or DomainError is raised.
     """
-    value, abs_sum, _ = _taylor(a, b, z)
+    value, abs_sum, n = _taylor(a, b, z)
     if not cmath.isfinite(value):
         bits = _GUARD_BITS + _log2_term_sum_bound(a, b, z)
         if bits > _RESUM_MAX_BITS:
@@ -398,7 +414,8 @@ def _taylor_checked(a: complex, b: complex, z: complex) -> complex:
                               f"2**{bits - _GUARD_BITS}, past the re-sum's range")
         return _taylor_fixed(a, b, z, bits)
     scale = max(abs(value), 1e-300)
-    if _EPS * abs_sum / scale > _CONDITION_LIMIT:
+    capped = n == _TAYLOR_MAX_TERMS
+    if capped or _EPS * abs_sum / scale > _CONDITION_LIMIT:
         lost = math.frexp(abs_sum)[1] - math.frexp(scale)[1] + 1
-        value = _taylor_fixed(a, b, z, _GUARD_BITS + max(0, lost))
+        value = _taylor_fixed(a, b, z, _GUARD_BITS + max(0, lost), capped)
     return value

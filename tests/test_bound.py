@@ -150,6 +150,24 @@ class TestSpectrum:
         with pytest.raises(NoBoundStates):
             spectrum(problem(0.0, kappa=-2.0), 3)
 
+    @pytest.mark.parametrize("p,n,error", [
+        (problem(0.5), 0, ValueError),
+        (problem(0.3), -2, ValueError),
+        (problem(0.0, kappa=-2.0), 3, NoBoundStates),
+        (problem(0.7, kappa=0.0), 3, NoBoundStates),
+    ])
+    def test_iter_levels_checks_its_arguments_at_the_call(self, p, n, error):
+        # a plain generator function would raise only at the first next()
+        with pytest.raises(error):
+            bound.iter_levels(p, n)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, 0.3, 0.7, 2.5])
+    def test_iter_levels_yields_the_spectrum(self, alpha):
+        p = RelativeProblem.from_parameters(1.3, 0.7, alpha)
+        levels = bound.iter_levels(p, 40)
+        assert iter(levels) is levels
+        assert list(levels) == spectrum(p, 40)
+
     @pytest.mark.parametrize("alpha", [0.0, -2.0, 0.3, 0.7, 2.5])
     def test_builds_no_member_objects(self, monkeypatch, alpha):
         # members come out as (n_r, m) int pairs in closed form: no

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,26 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--kappa", "-1"]) == 2
         assert "bound states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,code,err", [
+        (["spectrum", "--levels", "0"], 1, "abc2d: invalid argument: n_levels must be positive\n"),
+        (["spectrum", "--kappa", "-1"], 2,
+         "abc2d: bound states require attraction (kappa > 0)\n"),
+    ])
+    def test_level_arguments_exit_before_any_output(self, argv, code, err, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_result_leaves_out_unchanged(self, tmp_path, capsys, fmt):
+        # every line is rendered before the file is opened, so not even the
+        # parameter lines reach it
+        path = tmp_path / "levels.out"
+        path.write_bytes(b"old,bytes\n")
+        assert main(["spectrum", "--mu", "1e300", "--kappa", "1e300", "--format", fmt,
+                     "--out", str(path)]) == 2
+        assert path.read_bytes() == b"old,bytes\n"
+        assert capsys.readouterr().out == ""
+
     def test_raw_particle_input(self, tmp_path):
         phi = 2.0 * math.pi * 0.5
         code, text = run_csv(tmp_path, [
@@ -100,6 +121,8 @@ SPECTRUM_DIGESTS = [
     ("2.5", "300", "csv", "d4c1ebdae6c3ab77bcf7339d745e1b4693fee1bf7721a0c2da84d9bd1208aad7"),
     ("2.5", "300", "json", "86ef42ff54467f1417ccc92f6e330321819e7b51f67b4bf94fe10a1ff485fe55"),
     ("0.5", "1000", "csv", "a5ab66d08485cdc6285d00ff34e64264808581ac2abf9728e77bb404219b803d"),
+    # recorded from the writer that built every row and joined the whole text
+    ("0.5", "1000", "json", "a2f8b9d2a95fd9ec91b3f0b552f0440321a7f6316b963d60528f4cb7a8361cfc"),
 ]
 
 
@@ -108,6 +131,29 @@ def test_spectrum_golden_digests(alpha, levels, fmt, digest, capsys):
     assert main(["spectrum", "--alpha", alpha, "--levels", levels, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_out_file_matches_the_golden_digest(tmp_path, capsys):
+    # --out takes the same writelines path as stdout: the same bytes
+    digest = dict(((a, n, f), d) for a, n, f, d in SPECTRUM_DIGESTS)[("0.5", "1000", "csv")]
+    path = tmp_path / "levels.csv"
+    assert main(["spectrum", "--alpha", "0.5", "--levels", "1000", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_spectrum_table_memory_is_bounded_by_its_text(tmp_path):
+    # members grow quadratically with the level count; a writer that keeps
+    # every level, or joins the whole text, peaks at many times the file
+    # size (12.9x here when it did both)
+    path = tmp_path / "levels.csv"
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--alpha", "0.5", "--levels", "300", "--out", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
 
 
 class TestXsectionCommand:

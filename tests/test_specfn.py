@@ -315,6 +315,27 @@ class TestFixedPointResum:
         with pytest.raises(DomainError):
             kummer_m(float(-n), b, rho)
 
+    @pytest.mark.parametrize("a,b,z", [(1e5, 1e4, 40.0), (2e4, 1e3, 20 + 20j),
+                                       (5e4, 5e3, 38 + 3j)])
+    def test_series_past_the_float_cap(self, a, b, z, resums):
+        # the float pass takes all its terms without meeting its stopping rule;
+        # its partial sum was returned (8.2e-9 off at the first point), and the
+        # re-sum's absolute tail test could not finish the second in 1,000 terms
+        assert _taylor(complex(a), complex(b), complex(z))[2] == specfn._TAYLOR_MAX_TERMS
+        ref = complex(mp.hyp1f1(a, b, z))
+        assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref)
+        assert len(resums) == 1
+
+    def test_series_past_both_caps_raises(self):
+        # the 1,000th term is 1.8e105 against |M| = 2.8e57, so no sum of at
+        # most 1,000 terms is right; the float pass's partial sum was returned
+        a, b, z = 3e4 + 2j, 2e3, 5 + 38j
+        cap = specfn._RESUM_MAX_TERMS
+        term = mp.rf(a, cap) * mp.mpc(z) ** cap / (mp.rf(b, cap) * mp.factorial(cap))
+        assert abs(term) > abs(mp.hyp1f1(a, b, z))
+        with pytest.raises(DomainError):
+            kummer_m(a, b, z)
+
     def test_overflowing_terms_past_the_bit_limit_raise(self, resums):
         # terms near 2**(1000 log2 1e300): refused before any re-sum runs
         with pytest.raises(DomainError):
