@@ -24,7 +24,6 @@ from .bound import (
 from .errors import (
     DomainError,
     ForwardSingularity,
-    GridBoundary,
     NoBoundStates,
     NoConvergence,
     ParameterPole,
@@ -49,16 +48,13 @@ from .reduction import (
 )
 from .scatter import (
     CrossSectionSample,
-    FieldGrid,
     FluxCase,
     ScatteringParams,
     amplitude_coulomb,
     amplitude_half_flux,
     cross_sections,
-    current_field,
     eval_scattering_field,
     eval_scattering_field_polar,
-    from_parabolic,
     limit_ab,
     limit_classical,
     sample_scattering_field,
@@ -67,6 +63,6 @@ from .scatter import (
     stationary_wave,
     to_parabolic,
 )
-from .specfn import arg_gamma, gamma_moduli, kummer_m, ln_gamma
+from .specfn import arg_gamma, kummer_m, ln_gamma
 
 __version__ = "0.1.0"

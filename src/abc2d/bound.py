@@ -62,11 +62,11 @@ class SpectrumLevel:
     branch: str
     principal_n: int
     members: tuple[tuple[int, int], ...]  # (n_r, m) pairs in (n_r, m) order
-    degeneracy: int
 
-    def __post_init__(self) -> None:
-        if self.degeneracy != len(self.members):
-            raise ValueError("degeneracy must equal the number of members")
+    @property
+    def degeneracy(self) -> int:
+        """Number of member states."""
+        return len(self.members)
 
 
 def effective_exponent(m: int, nu: float) -> float:
@@ -183,7 +183,6 @@ def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
             branch=branch,
             principal_n=principal,
             members=tuple(members),
-            degeneracy=len(members),
         )
 
 

@@ -2,7 +2,8 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-axis span that overflows and an unwritable --out included), 2 domain error
+axis span that overflows, an unwritable --out and a stdout that its reader
+closed, as in ``abc2d spectrum | head -1``, included), 2 domain error
 (e.g. no bound states, unsupported flux case, a result that overflows to inf
 or nan), 3 verification failure.  Numeric output
 uses 17 significant digits and every artifact embeds the parameters that
@@ -192,7 +193,9 @@ def run_field(args: argparse.Namespace) -> int:
     if args.kind == "bound":
         problem = _problem_from_args(args)
         psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
-        axis = np.linspace(*_span(-args.extent, args.extent, "--extent"), args.points)
+        xs = ys = np.linspace(*_span(-args.extent, args.extent, "--extent"),
+                              args.points).tolist()
+        values = [[psi(math.hypot(x, y), math.atan2(y, x)) for y in ys] for x in xs]
         params = {
             "command": "field", "kind": "bound",
             "mu": problem.reduced_mass, "kappa": problem.kappa,
@@ -200,14 +203,9 @@ def run_field(args: argparse.Namespace) -> int:
             "extent": args.extent, "points": args.points,
         }
         columns = ("x", "y", "re", "im")
-        rows = []
-        for x in axis:
-            for y in axis:
-                v = psi(math.hypot(x, y), math.atan2(y, x))
-                rows.append((float(x), float(y), v.real, v.imag))
     else:
         p = _params_from_args(args)
-        grid = scatter.sample_scattering_field(
+        xs, ys, values = scatter.sample_scattering_field(
             p, _span(args.xi_min, args.xi_max, "--xi-min/--xi-max"),
             _span(args.eta_min, args.eta_max, "--eta-min/--eta-max"), args.nx, args.ny,
         )
@@ -217,8 +215,7 @@ def run_field(args: argparse.Namespace) -> int:
             "eta_min": args.eta_min, "eta_max": args.eta_max, "nx": args.nx, "ny": args.ny,
         }
         columns = ("xi", "eta", "re", "im")
-        rows = [(float(xv), float(ev), v.real, v.imag)
-                for xv, line in zip(grid.xi, grid.values) for ev, v in zip(grid.eta, line)]
+    rows = ((x, y, v.real, v.imag) for x, line in zip(xs, values) for y, v in zip(ys, line))
     return _emit(args, params, columns, rows, records=False)
 
 
@@ -342,7 +339,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if args.out is not None:
             _check_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at devnull so that the
+        # interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except DomainError as exc:
         print(f"abc2d: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -3,8 +3,7 @@
 Everything deriving from :class:`DomainError` is a physics/domain failure
 (invalid input regime, missing bound states, unsupported flux case, ...) and
 maps to exit code 2 in the CLI.  Verification failures use exit code 3 and are
-not exceptions.  ``beta = 0`` in ``gamma_moduli`` raises the built-in
-``ZeroDivisionError``.
+not exceptions.
 """
 
 
@@ -68,7 +67,3 @@ class WrongCase(DomainError):
 
 class UnsupportedFluxCase(DomainError):
     """Scattering is solved in closed form only for nu in {0, 1/2}."""
-
-
-class GridBoundary(DomainError):
-    """Finite-difference stencil would leave the sampled grid."""

@@ -47,12 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ForwardSingularity,
-    GridBoundary,
-    UnsupportedFluxCase,
-    WrongCase,
-)
+from .errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
 from .reduction import RelativeProblem
 from .specfn import arg_gamma, kummer_m, ln_gamma
 
@@ -97,19 +92,6 @@ class CrossSectionSample(NamedTuple):
     sigma_total: float
     sigma_coulomb: float
     sigma_cross: float
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Complex samples on a rectangular (xi, eta) grid, row-major in xi."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.xi.size, self.eta.size):
-            raise ValueError("values shape must be (len(xi), len(eta))")
 
 
 def scattering_params(problem: RelativeProblem, energy: float) -> ScatteringParams:
@@ -230,11 +212,6 @@ def to_parabolic(r: float, theta: float) -> tuple[float, float]:
     return root * math.cos(0.5 * theta), root * math.sin(0.5 * theta)
 
 
-def from_parabolic(xi: float, eta: float) -> tuple[float, float]:
-    """Cartesian point x = (xi^2 - eta^2)/2, y = xi eta; two-to-one map."""
-    return 0.5 * (xi * xi - eta * eta), xi * eta
-
-
 def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[list[complex]]:
     """psi0 at every node of the grid xis x etas, row-major in xi.
 
@@ -320,41 +297,14 @@ def sample_scattering_field(
     eta_range: tuple[float, float],
     nx: int,
     ny: int,
-) -> FieldGrid:
-    """Sample psi0 on a rectangular parabolic-coordinate grid."""
+) -> tuple[list[float], list[float], list[list[complex]]]:
+    """(xis, etas, values): psi0 on a rectangular parabolic-coordinate grid,
+    values[i][j] at (xis[i], etas[j])."""
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    xi = np.linspace(xi_range[0], xi_range[1], nx)
-    eta = np.linspace(eta_range[0], eta_range[1], ny)
-    values = np.array(_field(p, xi.tolist(), eta.tolist()), dtype=complex)
-    return FieldGrid(xi=xi, eta=eta, values=values)
-
-
-def current_field(grid: FieldGrid, xi: float, eta: float, mu: float = 1.0) -> tuple[float, float]:
-    """Cartesian probability current Im(psi* grad psi)/mu at a grid node.
-
-    (xi, eta) is snapped to the nearest node, which must be interior; the
-    parabolic-frame gradient comes from centered differences and is rotated
-    to Cartesian axes via the conformal frame (scale factor xi^2 + eta^2).
-    """
-    i = int(np.argmin(np.abs(grid.xi - xi)))
-    j = int(np.argmin(np.abs(grid.eta - eta)))
-    if not (0 < i < grid.xi.size - 1 and 0 < j < grid.eta.size - 1):
-        raise GridBoundary("stencil point is on the grid boundary")
-    hx = grid.xi[i + 1] - grid.xi[i - 1]
-    he = grid.eta[j + 1] - grid.eta[j - 1]
-    psi = grid.values[i, j]
-    dpsi_dxi = (grid.values[i + 1, j] - grid.values[i - 1, j]) / hx
-    dpsi_deta = (grid.values[i, j + 1] - grid.values[i, j - 1]) / he
-    xv, ev = float(grid.xi[i]), float(grid.eta[j])
-    h2 = xv * xv + ev * ev
-    if h2 == 0.0:
-        raise GridBoundary("parabolic frame degenerate at the origin")
-    grad_x = (dpsi_dxi * xv - dpsi_deta * ev) / h2
-    grad_y = (dpsi_dxi * ev + dpsi_deta * xv) / h2
-    jx = (psi.conjugate() * grad_x).imag / mu
-    jy = (psi.conjugate() * grad_y).imag / mu
-    return jx, jy
+    xis = np.linspace(xi_range[0], xi_range[1], nx).tolist()
+    etas = np.linspace(eta_range[0], eta_range[1], ny).tolist()
+    return xis, etas, _field(p, xis, etas)
 
 
 def pde_residual(p: ScatteringParams, xi: float, eta: float, h: float) -> float:

@@ -192,17 +192,6 @@ def arg_gamma(z: complex) -> float:
     return ln_gamma(z).imag
 
 
-def gamma_moduli(beta: float) -> tuple[float, float]:
-    """Closed-form squared moduli (|Gamma(i beta)|^2, |Gamma(1/2 + i beta)|^2).
-
-    Returns (pi/(beta sinh pi beta), pi/cosh pi beta).  Raises
-    ZeroDivisionError at beta = 0 where the first expression has a pole.
-    """
-    g0 = math.pi / (beta * math.sinh(beta * math.pi))
-    g1 = math.pi / math.cosh(beta * math.pi)
-    return g0, g1
-
-
 def _taylor(a: complex, b: complex, z: complex):
     """Direct Taylor sum of M(a,b,z).
 

@@ -218,8 +218,7 @@ class TestSpectrumAgainstEnumeration:
     def test_oracle_rejects_dropped_member(self, monkeypatch, index):
         def drop(levels):
             lv = levels[index]
-            levels[index] = dataclasses.replace(
-                lv, members=lv.members[:-1], degeneracy=lv.degeneracy - 1)
+            levels[index] = dataclasses.replace(lv, members=lv.members[:-1])
             return levels
 
         assert not self.check_with(monkeypatch, drop).passed

@@ -142,6 +142,37 @@ def test_out_file_matches_the_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `field` stdout: each scattering case on a 21 x 21 grid of extent
+# +-4, where the Kummer factors reach the fixed-point re-sum, and bound states
+# in the integer and split regimes; recorded from the dump that built its rows
+# in one loop per kind.
+FIELD_SCATTER = ["--k", "1.3", "--beta", "0.8", "--xi-min", "-4", "--xi-max", "4",
+                 "--eta-min", "-4", "--eta-max", "4", "--nx", "21", "--ny", "21"]
+FIELD_DIGESTS = [
+    (["--kind", "scatter", "--case", "coulomb"] + FIELD_SCATTER,
+     "846def40ba29d095f1324492490506e09b658c02776033e1cb41116889884839"),
+    (["--kind", "scatter", "--case", "integer"] + FIELD_SCATTER,
+     "fb743053b6b0b318d334703793e3b4b256a691b359414aef63e7918dbd8c4e49"),
+    (["--kind", "scatter", "--case", "half"] + FIELD_SCATTER,
+     "158749fe1a306ca01b0ca3cb474f485f6d73c962c49b3ea6efa98bcba1b48a7b"),
+    (["--kind", "scatter", "--case", "integer", "--format", "json"] + FIELD_SCATTER,
+     "7b6dd057e0a3ba6ca1b304d511db304020efef3e5a1e83a12599f1be92a36226"),
+    (["--kind", "bound", "--alpha", "-2", "--nr", "1", "--m", "1",
+      "--extent", "4", "--points", "21"],
+     "d8a43fd0440bee115952530e659f866ab622053e14516c495853c374c7f017ee"),
+    (["--kind", "bound", "--alpha", "0.3", "--nr", "2", "--m", "-1",
+      "--extent", "4", "--points", "21"],
+     "c7f6336bd9b80104452c39c55be53f15a7cb1789a38c382d29e4b6417553a4a0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FIELD_DIGESTS)
+def test_field_golden_digests(argv, digest, capsys):
+    assert main(["field"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_spectrum_table_memory_is_bounded_by_its_text(tmp_path):
     # members grow quadratically with the level count; a writer that keeps
     # every level, or joins the whole text, peaks at many times the file
@@ -405,6 +436,17 @@ class TestDeterminismAndUsage:
             capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert "-2" in proc.stdout
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # 650 KB of table against a 64 KB pipe: the reader closes it mid-write
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abc2d", "spectrum", "--levels", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=SUBPROCESS_ENV)
+        assert proc.stdout.readline() == "# command=spectrum\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 FLOAT_FLAGS = {

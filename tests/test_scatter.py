@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 
 from abc2d import scatter, specfn
-from abc2d.errors import ForwardSingularity, GridBoundary, UnsupportedFluxCase, WrongCase
+from abc2d.errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
 from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
     FORWARD_CONE,
     CrossSectionSample,
-    FieldGrid,
     FluxCase,
     ScatteringParams,
     amplitude_coulomb,
     amplitude_half_flux,
     cross_sections,
-    current_field,
     eval_scattering_field,
     eval_scattering_field_polar,
-    from_parabolic,
     limit_ab,
     limit_classical,
     sample_scattering_field,
@@ -284,18 +281,21 @@ class TestLimits:
 class TestParabolicMap:
     def test_forward_examples(self):
         assert to_parabolic(2.0, 0.0) == (pytest.approx(2.0), pytest.approx(0.0))
-        assert from_parabolic(1.0, 1.0) == (pytest.approx(0.0), pytest.approx(1.0))
+        assert to_parabolic(1.0, 0.5 * math.pi) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_round_trip(self):
         for r, theta in ((0.3, 0.2), (2.0, 3.9), (7.7, 5.5), (1.0, 9.4)):
             xi, eta = to_parabolic(r, theta)
-            x, y = from_parabolic(xi, eta)
+            x, y = 0.5 * (xi * xi - eta * eta), xi * eta
             assert x == pytest.approx(r * math.cos(theta), abs=1e-13 * max(1, r))
             assert y == pytest.approx(r * math.sin(theta), abs=1e-13 * max(1, r))
 
     def test_double_cover(self):
-        xi, eta = 1.3, -0.4
-        assert from_parabolic(xi, eta) == from_parabolic(-xi, -eta)
+        # theta and theta + 2 pi name one point of the plane: (xi, eta) flips sign
+        for r, theta in ((0.3, 0.2), (2.0, 1.9)):
+            xi, eta = to_parabolic(r, theta)
+            xi2, eta2 = to_parabolic(r, theta + 2.0 * math.pi)
+            assert xi2 == pytest.approx(-xi, abs=1e-14) and eta2 == pytest.approx(-eta, abs=1e-14)
 
 
 class TestScatteringField:
@@ -352,39 +352,21 @@ class TestStationaryWave:
 
 
 class TestCurrent:
-    @staticmethod
-    def _grid_from_function(fn, xi0, eta0, h=0.01):
-        xi = np.array([xi0 - h, xi0, xi0 + h])
-        eta = np.array([eta0 - h, eta0, eta0 + h])
-        vals = np.array([[fn(x, e) for e in eta] for x in xi], dtype=complex)
-        return FieldGrid(xi=xi, eta=eta, values=vals)
-
-    def test_plane_wave_current(self):
-        k = 1.0
-        grid = self._grid_from_function(
-            lambda x, e: cmath.exp(0.5j * k * (x * x - e * e)), 1.1, 0.6)
-        jx, jy = current_field(grid, 1.1, 0.6)
-        assert jx == pytest.approx(k, abs=1e-3)
-        assert jy == pytest.approx(0.0, abs=1e-3)
-
-    def test_real_standing_wave_has_no_current(self):
-        grid = self._grid_from_function(
-            lambda x, e: math.cos(0.5 * (x * x - e * e)), 0.9, 0.7)
-        jx, jy = current_field(grid, 0.9, 0.7)
-        assert abs(jx) < 1e-14 and abs(jy) < 1e-14
-
     def test_upstream_flow_is_along_x(self):
-        # far upstream (x ~ -112) the incident wave dominates
-        grid_vals = sample_scattering_field(P_C, (0.25 - 0.02, 0.25 + 0.02),
-                                            (15.0 - 0.02, 15.0 + 0.02), 3, 3)
-        jx, jy = current_field(grid_vals, 0.25, 15.0)
+        # far upstream (x ~ -112) the incident wave dominates; the current
+        # Im(psi* grad psi) from centred differences in (xi, eta), rotated to
+        # Cartesian axes through the conformal frame (scale xi^2 + eta^2)
+        xi, eta, h = 0.25, 15.0, 0.02
+        psi = eval_scattering_field(P_C, xi, eta)
+        d_xi = (eval_scattering_field(P_C, xi + h, eta)
+                - eval_scattering_field(P_C, xi - h, eta)) / (2.0 * h)
+        d_eta = (eval_scattering_field(P_C, xi, eta + h)
+                 - eval_scattering_field(P_C, xi, eta - h)) / (2.0 * h)
+        h2 = xi * xi + eta * eta
+        jx = (psi.conjugate() * (d_xi * xi - d_eta * eta) / h2).imag
+        jy = (psi.conjugate() * (d_xi * eta + d_eta * xi) / h2).imag
         assert math.atan2(jy, jx) == pytest.approx(0.0, abs=1e-2)
         assert jx > 0.9
-
-    def test_boundary_rejected(self):
-        grid = self._grid_from_function(lambda x, e: 1.0 + 0j, 1.0, 1.0)
-        with pytest.raises(GridBoundary):
-            current_field(grid, 2.0, 1.0)
 
 
 GRIDS = [
@@ -417,12 +399,13 @@ class TestSampleScatteringField:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
     def test_matches_pointwise_evaluation_exactly(self, p, grid):
-        g = sample_scattering_field(p, *grid)
-        assert g.values.shape == (grid[2], grid[3])
-        for i, xv in enumerate(g.xi.tolist()):
-            for j, ev in enumerate(g.eta.tolist()):
-                assert g.values[i, j] == eval_scattering_field(p, xv, ev)
-                assert g.values[i, j] == pointwise_field(p, xv, ev)
+        xis, etas, values = sample_scattering_field(p, *grid)
+        assert (len(xis), len(etas)) == (grid[2], grid[3])
+        assert [len(line) for line in values] == [grid[3]] * grid[2]
+        for xv, line in zip(xis, values):
+            for ev, v in zip(etas, line):
+                assert v == eval_scattering_field(p, xv, ev)
+                assert v == pointwise_field(p, xv, ev)
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
@@ -434,11 +417,10 @@ class TestSampleScatteringField:
             return kummer_m(a, b, z)
 
         monkeypatch.setattr(scatter, "kummer_m", counting)
-        g = sample_scattering_field(p, *grid)
-        budget = g.eta.size
+        xis, etas, _ = sample_scattering_field(p, *grid)
+        budget = len(etas)
         if p.flux_case is FluxCase.INTEGER_FLUX:
-            budget += len({0.5 * (x * x + e * e)
-                           for x in g.xi.tolist() for e in g.eta.tolist()})
+            budget += len({0.5 * (x * x + e * e) for x in xis for e in etas})
         assert len(calls) <= budget
 
 
@@ -449,5 +431,6 @@ class TestSampleDispatch:
         assert s.sigma_total == s.sigma_coulomb and s.sigma_cross == 0.0
 
     def test_field_grid_shape_checked(self):
-        with pytest.raises(ValueError):
-            FieldGrid(xi=np.zeros(3), eta=np.zeros(4), values=np.zeros((4, 3), complex))
+        for nx, ny in ((1, 4), (4, 1)):
+            with pytest.raises(ValueError):
+                sample_scattering_field(P_C, (-1.0, 1.0), (-1.0, 1.0), nx, ny)

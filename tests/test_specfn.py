@@ -13,7 +13,7 @@ import pytest
 
 from abc2d.errors import DomainError, ParameterPole, PoleError
 from abc2d import specfn
-from abc2d.specfn import _taylor, arg_gamma, gamma_moduli, kummer_m, ln_gamma
+from abc2d.specfn import _taylor, arg_gamma, kummer_m, ln_gamma
 
 mp.mp.dps = 40
 
@@ -112,25 +112,31 @@ class TestArgGamma:
 
 class TestGammaModuli:
     def test_closed_forms_at_one(self):
-        g0, g1 = gamma_moduli(1.0)
-        assert g0 == pytest.approx(PI_OVER_SINH_PI, rel=1e-15)
-        assert g1 == pytest.approx(PI_OVER_COSH_PI, rel=1e-15)
+        g0 = abs(cmath.exp(ln_gamma(1j))) ** 2
+        g1 = abs(cmath.exp(ln_gamma(0.5 + 1j))) ** 2
+        assert g0 == pytest.approx(PI_OVER_SINH_PI, rel=1e-14)
+        assert g1 == pytest.approx(PI_OVER_COSH_PI, rel=1e-14)
 
     def test_zero_beta_pole(self):
-        with pytest.raises(ZeroDivisionError):
-            gamma_moduli(0.0)
+        # |Gamma(i b)|^2 diverges at b = 0; |Gamma(1/2 + i b)|^2 -> pi stays finite
+        with pytest.raises(PoleError):
+            ln_gamma(0j)
+        assert abs(cmath.exp(ln_gamma(0.5 + 0j))) ** 2 == pytest.approx(math.pi, rel=1e-14)
 
     def test_large_beta_asymptotics(self):
-        # g0 -> 2 pi e^{-pi b}/b and g1 -> 2 pi e^{-pi b}
+        # |Gamma(i b)|^2 -> 2 pi e^{-pi b}/b and |Gamma(1/2 + i b)|^2 -> 2 pi e^{-pi b}
         b = 10.0
-        g0, g1 = gamma_moduli(b)
+        g0 = abs(cmath.exp(ln_gamma(1j * b))) ** 2
+        g1 = abs(cmath.exp(ln_gamma(0.5 + 1j * b))) ** 2
         asym = 2.0 * math.pi * math.exp(-math.pi * b)
         assert g0 * b / asym == pytest.approx(1.0, rel=1e-12)
         assert g1 / asym == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_ln_gamma_identities(self):
+        # |Gamma(i b)|^2 = pi/(b sinh pi b), |Gamma(1/2 + i b)|^2 = pi/cosh pi b
         for b in (0.05, 0.3, 1.7, 6.0, 10.0):
-            g0, g1 = gamma_moduli(b)
+            g0 = math.pi / (b * math.sinh(math.pi * b))
+            g1 = math.pi / math.cosh(math.pi * b)
             assert abs(cmath.exp(ln_gamma(1j * b))) ** 2 == pytest.approx(g0, rel=1e-11)
             assert abs(cmath.exp(ln_gamma(0.5 + 1j * b))) ** 2 == pytest.approx(g1, rel=1e-11)
 
