@@ -149,10 +149,6 @@ def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
     drop_m0 = nu == 0.0 and problem.m0 != 0
     prefactor = -problem.reduced_mass * (problem.kappa * problem.kappa) / 2.0
     n_plus, n_minus = 0, 1
-    # ints[k] == k, negs[k] == -k, up to k = n_minus >= n_plus: members take
-    # their ints from these, so a value past CPython's small-int cache is one
-    # object shared by every member, not one object per member.
-    ints, negs = [0], [0]
     while True:
         lam_plus, lam_minus = n_plus + nu + 0.5, n_minus - nu + 0.5
         take_plus, take_minus = lam_plus <= lam_minus, lam_minus <= lam_plus
@@ -164,15 +160,12 @@ def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
         # Members have n_r < minus_end on the minus rung, n_r < plus_end on the plus.
         minus_end = n_minus if take_minus else 0
         plus_end = n_plus + (not drop_m0) if take_plus else 0
-        if len(ints) == n_minus:  # n_minus grows by at most one per step
-            ints.append(n_minus)
-            negs.append(-n_minus)
         members: list[tuple[int, int]] = []
-        for n_r in ints[:max(minus_end, plus_end)]:
+        for n_r in range(max(minus_end, plus_end)):
             if n_r < minus_end:
-                members.append((n_r, negs[n_minus - n_r]))
+                members.append((n_r, n_r - n_minus))
             if n_r < plus_end:
-                members.append((n_r, ints[n_plus - n_r]))
+                members.append((n_r, n_plus - n_r))
         n_plus += take_plus
         n_minus += take_minus
         if not members:

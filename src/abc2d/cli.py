@@ -170,6 +170,8 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
             raise DomainError("--raw scattering input requires --energy")
         problem = _problem_from_args(args)
         return scatter.scattering_params(problem, args.energy)
+    if args.energy is not None:
+        raise DomainError("--energy applies only to --raw scattering input")
     if args.case is None:
         raise DomainError("give --case with --k/--beta, or --raw with --energy")
     return scatter.ScatteringParams(args.k, args.beta, _CASES[args.case])
@@ -222,10 +224,8 @@ def run_field(args: argparse.Namespace) -> int:
 # -- verification ----------------------------------------------------------------
 
 def run_verify(args: argparse.Namespace) -> int:
-    results, rows = verify.run_all_checks(small=(args.grid == "small"),
-                                          perturb_energy=args.perturb_energy)
-    params = {"command": "verify", "grid": args.grid,
-              "perturb_energy": args.perturb_energy}
+    results, rows = verify.run_all_checks(small=(args.grid == "small"))
+    params = {"command": "verify", "grid": args.grid}
     if args.format == "json":
         payload = {
             "params": params,
@@ -271,15 +271,18 @@ def _output_flags(*formats: str) -> _Parser:
 
 
 def build_parser() -> _Parser:
-    problem = _Parser(add_help=False)
+    # problem is raw plus --mu/--kappa/--alpha; each holds its own --raw so
+    # that only problem's help says it overrides them.
+    raw, problem = _Parser(add_help=False), _Parser(add_help=False)
     problem.add_argument("--mu", type=float, default=1.0)
     problem.add_argument("--kappa", type=float, default=1.0)
     problem.add_argument("--alpha", type=float, default=0.0)
-    problem.add_argument(
-        "--raw", nargs=6, type=float, default=None,
-        metavar=("M1", "Q1", "PHI1", "M2", "Q2", "PHI2"),
-        help="particle-level inputs (mass, charge, flux) x2; overrides --mu/--kappa/--alpha",
-    )
+    for parent, note in ((raw, ""), (problem, "; overrides --mu/--kappa/--alpha")):
+        parent.add_argument(
+            "--raw", nargs=6, type=float, default=None,
+            metavar=("M1", "Q1", "PHI1", "M2", "Q2", "PHI2"),
+            help="particle-level inputs (mass, charge, flux) x2" + note,
+        )
     scattering = _Parser(add_help=False)
     scattering.add_argument("--case", choices=tuple(_CASES), default=None)
     scattering.add_argument("--k", type=float, default=1.0)
@@ -297,7 +300,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--levels", type=int, default=5)
     sp.set_defaults(func=run_spectrum)
 
-    xs = sub.add_parser("xsection", parents=[scattering, problem, output],
+    xs = sub.add_parser("xsection", parents=[scattering, raw, output],
                         help="differential cross-section sweep")
     xs.add_argument("--thetas", type=int, default=64)
     xs.add_argument("--theta-min", type=float, default=0.1)
@@ -322,8 +325,6 @@ def build_parser() -> _Parser:
     vf = sub.add_parser("verify", parents=[_output_flags("table", "json")],
                         help="run the cross-validation suite")
     vf.add_argument("--grid", choices=("small", "full"), default="full")
-    vf.add_argument("--perturb-energy", type=float, default=0.0,
-                    help="test hook: offset applied to the closed-form energy")
     vf.set_defaults(func=run_verify)
 
     return parser

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import RatioViolation, ZeroFlux
 
@@ -49,29 +49,28 @@ class ParticlePair:
 
 @dataclass(frozen=True)
 class RelativeProblem:
-    """Reduced relative-motion problem: (mu, kappa, alpha) plus the m0 + nu split."""
+    """Reduced relative-motion problem: (mu, kappa, alpha) plus the m0 + nu split,
+    which decompose_flux derives from alpha."""
 
     reduced_mass: float
     kappa: float
     alpha_flux: float
-    m0: int
-    nu: float
+    m0: int = field(init=False)
+    nu: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.reduced_mass, self.kappa, self.alpha_flux))):
             raise ValueError("mu, kappa and alpha must be finite")
         if not self.reduced_mass > 0.0:
             raise ValueError("reduced mass must be positive")
-        if not 0.0 <= self.nu < 1.0:
-            raise ValueError("nu must lie in [0, 1)")
-        if abs(self.m0 + self.nu - self.alpha_flux) >= SNAP_TOL:
-            raise ValueError("m0 + nu does not reproduce alpha_flux")
+        m0, nu = decompose_flux(self.alpha_flux)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "nu", nu)
 
     @classmethod
     def from_parameters(cls, mu: float, kappa: float, alpha: float) -> "RelativeProblem":
         """Build directly from (mu, kappa, alpha) in hbar = 1 units."""
-        m0, nu = decompose_flux(alpha)
-        return cls(reduced_mass=mu, kappa=kappa, alpha_flux=alpha, m0=m0, nu=nu)
+        return cls(mu, kappa, alpha)
 
 
 class SpectralCase(enum.Enum):
@@ -112,8 +111,7 @@ def reduce_two_body(pair: ParticlePair) -> RelativeProblem:
     mu = pair.mass1 * pair.mass2 / (pair.mass1 + pair.mass2)
     kappa = -pair.charge1 * pair.charge2
     alpha = -pair.charge1 * pair.flux2 / TWO_PI
-    m0, nu = decompose_flux(alpha)
-    return RelativeProblem(reduced_mass=mu, kappa=kappa, alpha_flux=alpha, m0=m0, nu=nu)
+    return RelativeProblem(mu, kappa, alpha)
 
 
 def decompose_flux(alpha: float) -> tuple[int, float]:

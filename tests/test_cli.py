@@ -244,6 +244,13 @@ class TestXsectionCommand:
     def test_raw_requires_energy(self, capsys):
         assert main(["xsection", "--raw", "1", "1", "1", "1", "-1", "-1"]) == 2
 
+    @pytest.mark.parametrize("command", [["xsection"], ["field", "--kind", "scatter"]])
+    def test_energy_requires_raw(self, command, capsys):
+        assert main([*command, "--case", "half", "--energy", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "abc2d: --energy applies only to --raw scattering input\n"
+
     def test_unsupported_flux_case(self):
         assert main(["xsection", "--raw", "1", "1", str(math.pi / 2), "1", "-1",
                      str(-math.pi / 2), "--energy", "0.5"]) == 2
@@ -319,12 +326,28 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "FAIL" not in text and "all" in text
 
-    def test_energy_perturbation_is_caught(self, tmp_path):
+    def test_energy_perturbation_is_caught(self, tmp_path, monkeypatch):
+        # the closed form is off by 1e-3 relative; oracle.quad_norm imports
+        # energy directly, so the shooting oracle keeps the true energies
+        real = verify.bound.energy
+        monkeypatch.setattr(verify.bound, "energy",
+                            lambda qn, problem: real(qn, problem) * (1.0 + 1e-3))
         out = tmp_path / "verify_bad.txt"
-        code = main(["verify", "--grid", "small", "--perturb-energy", "1e-3",
-                     "--out", str(out)])
-        assert code == 3
-        assert "shooting" in out.read_text()
+        assert main(["verify", "--grid", "small", "--out", str(out)]) == 3
+        rows = [line.split() for line in out.read_text().splitlines()
+                if line.startswith("shooting ")]
+        assert [row[1] for row in rows] == ["FAIL"]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_params_block_holds_only_command_and_grid(self, fmt, capsys):
+        assert main(["verify", "--grid", "small", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["params"] == {"command": "verify", "grid": "small"}
+        else:
+            params = [line for line in out.splitlines()
+                      if line.startswith("# ") and "=" in line]
+            assert params == ["# command=verify", "# grid=small"]
 
 
 class TestDeterminismAndUsage:
@@ -336,13 +359,20 @@ class TestDeterminismAndUsage:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_usage_errors_exit_one(self):
+    @pytest.mark.parametrize("argv", [
+        ["xsection", "--case", "bogus"],
+        ["nonsense"],
+        # a sweep is set by --case/--k/--beta or by --raw with --energy alone
+        ["xsection", "--case", "coulomb", "--alpha", "0.5"],
+        ["xsection", "--case", "coulomb", "--mu", "2"],
+        ["xsection", "--case", "coulomb", "--kappa", "2"],
+        ["verify", "--grid", "small", "--perturb-energy", "1e-3"],
+    ])
+    def test_usage_errors_exit_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["xsection", "--case", "bogus"])
+            main(argv)
         assert exc.value.code == 1
-        with pytest.raises(SystemExit) as exc:
-            main(["nonsense"])
-        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--kappa", "nan"],
@@ -423,6 +453,20 @@ class TestDeterminismAndUsage:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and flags in captured.err
 
+    @pytest.mark.parametrize("command,reads_problem", [
+        (["spectrum"], True), (["field", "--kind", "bound"], True), (["xsection"], False)])
+    def test_help_lists_only_the_flags_a_command_reads(self, command, reads_problem,
+                                                       capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # keep each help entry on one line
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--mu", "--kappa", "--alpha"):
+            assert (f"[{flag} " in text) is reads_problem
+        assert ("; overrides --mu/--kappa/--alpha" in text) is reads_problem
+        assert "particle-level inputs (mass, charge, flux) x2" in text
+
     def test_cli_import_does_not_load_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -451,11 +495,9 @@ class TestDeterminismAndUsage:
 
 FLOAT_FLAGS = {
     "spectrum": ("--mu", "--kappa", "--alpha"),
-    "xsection": ("--k", "--beta", "--energy", "--theta-min", "--theta-max",
-                 "--mu", "--kappa", "--alpha"),
+    "xsection": ("--k", "--beta", "--energy", "--theta-min", "--theta-max"),
     "field": ("--mu", "--kappa", "--alpha", "--k", "--beta", "--energy", "--extent",
               "--xi-min", "--xi-max", "--eta-min", "--eta-max"),
-    "verify": ("--perturb-energy",),
 }
 REQUIRED = {"field": ["--kind", "bound"]}
 NEGATIVE_EXPONENT_FORMS = ("-1e-3", "-2E0", "-3e-12", "-1.5e+300", "-.5e1")
@@ -520,8 +562,9 @@ _FLOAT_TEXT = st.builds(lambda x, exp: format(x, ".6e") if exp else repr(x),
 _CASE = st.sampled_from(["coulomb", "integer", "half"])
 _FORMAT = st.sampled_from(["csv", "json"])
 _RAW = st.lists(_FLOAT_TEXT, min_size=6, max_size=6)
+_RAW_INPUT = {"--raw": _RAW, "--format": _FORMAT}
 _PROBLEM = {"--mu": _FLOAT_TEXT, "--kappa": _FLOAT_TEXT, "--alpha": _FLOAT_TEXT,
-            "--raw": _RAW, "--format": _FORMAT}
+            **_RAW_INPUT}
 _SCATTERING = {"--case": _CASE, "--k": _FLOAT_TEXT, "--beta": _FLOAT_TEXT,
                "--energy": _FLOAT_TEXT}
 
@@ -546,7 +589,7 @@ def _argv(command, required, optional):
 _ARGV = st.one_of(
     _argv("spectrum", {"--levels": _small_int(-1, 50)}, _PROBLEM),
     _argv("xsection", {"--thetas": _small_int(0, 16)},
-          {**_PROBLEM, **_SCATTERING, "--theta-min": _FLOAT_TEXT,
+          {**_RAW_INPUT, **_SCATTERING, "--theta-min": _FLOAT_TEXT,
            "--theta-max": _FLOAT_TEXT}),
     _argv("field", {"--kind": st.just("bound"), "--points": _small_int(0, 5)},
           {**_PROBLEM, "--nr": _small_int(0, 3), "--m": _small_int(-3, 3),

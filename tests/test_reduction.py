@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -124,6 +126,26 @@ class TestRelativeProblem:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            RelativeProblem(reduced_mass=-1.0, kappa=1.0, alpha_flux=0.0, m0=0, nu=0.0)
+            RelativeProblem(reduced_mass=-1.0, kappa=1.0, alpha_flux=0.0)
+
+    def test_split_follows_from_alpha(self):
+        assert list(inspect.signature(RelativeProblem).parameters) == [
+            "reduced_mass", "kappa", "alpha_flux"]
+        prob = RelativeProblem(1.0, 1.0, 1.5 + 1e-13)
+        assert (prob.m0, prob.nu) == (1, 0.5)
+
+    @pytest.mark.parametrize("alpha", [
+        0.0, 1e-13, -1e-13, 0.25, 0.5, 2.0 - 3e-13, -1.5, 1e6 + 0.75])
+    def test_split_is_decompose_flux(self, alpha):
+        # the split is derived, so alpha itself is kept unsnapped
+        prob = RelativeProblem(1.0, 1.0, alpha)
+        assert prob.alpha_flux == alpha
+        assert (prob.m0, prob.nu) == decompose_flux(alpha)
+        assert 0.0 <= prob.nu < 1.0
+        assert abs(prob.m0 + prob.nu - alpha) < 1e-12 * max(1.0, abs(alpha))
+
+    def test_replace_rederives_the_split(self):
+        prob = dataclasses.replace(RelativeProblem(1.0, 1.0, 2.75), alpha_flux=-0.5)
+        assert (prob.m0, prob.nu) == (-1, 0.5)
         with pytest.raises(ValueError):
-            RelativeProblem(reduced_mass=1.0, kappa=1.0, alpha_flux=0.5, m0=0, nu=0.25)
+            dataclasses.replace(prob, nu=0.25)
