@@ -2,12 +2,14 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-axis span that overflows, an unwritable --out and a stdout that its reader
-closed, as in ``abc2d spectrum | head -1``, included), 2 domain error
-(e.g. no bound states, unsupported flux case, a result that overflows to inf
-or nan), 3 verification failure.  Numeric output
-uses 17 significant digits and every artifact embeds the parameters that
-produced it, so identical invocations give byte-identical files.
+axis span that overflows, a field dump given a flag that only the other
+--kind reads, an unwritable --out and a stdout that its reader closed, as in
+``abc2d spectrum | head -1``, included), 2 domain error (e.g. no bound
+states, unsupported flux case, --energy without --raw or --case/--k/--beta
+with it, a result that overflows to inf or nan), 3 verification failure.
+Numeric output uses 17 significant digits and every artifact embeds the
+parameters that produced it, so identical invocations give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-
-import numpy as np
 
 from . import bound, scatter, verify
 from .errors import DomainError
@@ -46,6 +46,44 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+# Flags that one run reads and another ignores.  The parser leaves them None,
+# so that _refuse_unread can tell a given flag from an absent one; main then
+# fills in these defaults.
+_DEFAULTS = {
+    "mu": 1.0, "kappa": 1.0, "alpha": 0.0, "k": 1.0, "beta": 1.0,
+    "nr": 0, "m": 0, "extent": 4.0, "points": 41,
+    "xi_min": -2.0, "xi_max": 2.0, "eta_min": -2.0, "eta_max": 2.0, "nx": 41, "ny": 41,
+}
+# The flags of a field dump that only one --kind reads.
+_KIND_FLAGS = {
+    "bound": ("mu", "kappa", "alpha", "nr", "m", "extent", "points"),
+    "scatter": ("case", "k", "beta", "energy",
+                "xi_min", "xi_max", "eta_min", "eta_max", "nx", "ny"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """A given flag that the run would ignore is an error: a field flag of the
+    other --kind is a usage error; --energy without --raw, and --case, --k or
+    --beta with it, are domain errors."""
+    given = [dest for dest, value in vars(args).items() if value is not None]
+    if args.command == "field":
+        other = "scatter" if args.kind == "bound" else "bound"
+        for dest in given:
+            if dest in _KIND_FLAGS[other]:
+                raise ValueError(f"{_flag(dest)} applies only to --kind {other}")
+    if "raw" not in given and "energy" in given:
+        raise DomainError("--energy applies only to --raw scattering input")
+    if "raw" in given:
+        for dest in ("case", "k", "beta"):
+            if dest in given:
+                raise DomainError(f"{_flag(dest)} does not apply to --raw scattering input")
 
 
 def _problem_from_args(args: argparse.Namespace) -> RelativeProblem:
@@ -88,7 +126,7 @@ def _check_out(path: str) -> None:
 
 def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
     """(lo, hi) of a grid or angle axis; a span hi - lo that overflows is a
-    usage error, raised before np.linspace would warn and return nan."""
+    usage error, raised before scatter.linspace would return nan."""
     if not math.isfinite(hi - lo):
         raise ValueError(f"{flags}: the span {hi!r} - ({lo!r}) overflows")
     return lo, hi
@@ -170,8 +208,6 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
             raise DomainError("--raw scattering input requires --energy")
         problem = _problem_from_args(args)
         return scatter.scattering_params(problem, args.energy)
-    if args.energy is not None:
-        raise DomainError("--energy applies only to --raw scattering input")
     if args.case is None:
         raise DomainError("give --case with --k/--beta, or --raw with --energy")
     return scatter.ScatteringParams(args.k, args.beta, _CASES[args.case])
@@ -180,7 +216,7 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
 def run_xsection(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     span = _span(args.theta_min, args.theta_max, "--theta-min/--theta-max")
-    rows = scatter.cross_sections(p, np.linspace(*span, args.thetas).tolist())
+    rows = scatter.cross_sections(p, scatter.linspace(*span, args.thetas))
     params = {
         "command": "xsection", "case": p.flux_case.value, "k": p.k, "beta": p.beta,
         "thetas": args.thetas, "theta_min": args.theta_min, "theta_max": args.theta_max,
@@ -195,8 +231,8 @@ def run_field(args: argparse.Namespace) -> int:
     if args.kind == "bound":
         problem = _problem_from_args(args)
         psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
-        xs = ys = np.linspace(*_span(-args.extent, args.extent, "--extent"),
-                              args.points).tolist()
+        xs = ys = scatter.linspace(*_span(-args.extent, args.extent, "--extent"),
+                                   args.points)
         values = [[psi(math.hypot(x, y), math.atan2(y, x)) for y in ys] for x in xs]
         params = {
             "command": "field", "kind": "bound",
@@ -274,9 +310,10 @@ def build_parser() -> _Parser:
     # problem is raw plus --mu/--kappa/--alpha; each holds its own --raw so
     # that only problem's help says it overrides them.
     raw, problem = _Parser(add_help=False), _Parser(add_help=False)
-    problem.add_argument("--mu", type=float, default=1.0)
-    problem.add_argument("--kappa", type=float, default=1.0)
-    problem.add_argument("--alpha", type=float, default=0.0)
+    # Here and below, a default of None is filled in from _DEFAULTS by main.
+    problem.add_argument("--mu", type=float, default=None)
+    problem.add_argument("--kappa", type=float, default=None)
+    problem.add_argument("--alpha", type=float, default=None)
     for parent, note in ((raw, ""), (problem, "; overrides --mu/--kappa/--alpha")):
         parent.add_argument(
             "--raw", nargs=6, type=float, default=None,
@@ -285,8 +322,8 @@ def build_parser() -> _Parser:
         )
     scattering = _Parser(add_help=False)
     scattering.add_argument("--case", choices=tuple(_CASES), default=None)
-    scattering.add_argument("--k", type=float, default=1.0)
-    scattering.add_argument("--beta", type=float, default=1.0)
+    scattering.add_argument("--k", type=float, default=None)
+    scattering.add_argument("--beta", type=float, default=None)
     scattering.add_argument("--energy", type=float, default=None)
     output = _output_flags("csv", "json")
 
@@ -310,16 +347,16 @@ def build_parser() -> _Parser:
     fd = sub.add_parser("field", parents=[problem, scattering, output],
                         help="complex field dump on a grid")
     fd.add_argument("--kind", choices=("bound", "scatter"), required=True)
-    fd.add_argument("--nr", type=int, default=0)
-    fd.add_argument("--m", type=int, default=0)
-    fd.add_argument("--extent", type=float, default=4.0)
-    fd.add_argument("--points", type=int, default=41)
-    fd.add_argument("--xi-min", type=float, default=-2.0)
-    fd.add_argument("--xi-max", type=float, default=2.0)
-    fd.add_argument("--eta-min", type=float, default=-2.0)
-    fd.add_argument("--eta-max", type=float, default=2.0)
-    fd.add_argument("--nx", type=int, default=41)
-    fd.add_argument("--ny", type=int, default=41)
+    fd.add_argument("--nr", type=int, default=None)
+    fd.add_argument("--m", type=int, default=None)
+    fd.add_argument("--extent", type=float, default=None)
+    fd.add_argument("--points", type=int, default=None)
+    fd.add_argument("--xi-min", type=float, default=None)
+    fd.add_argument("--xi-max", type=float, default=None)
+    fd.add_argument("--eta-min", type=float, default=None)
+    fd.add_argument("--eta-max", type=float, default=None)
+    fd.add_argument("--nx", type=int, default=None)
+    fd.add_argument("--ny", type=int, default=None)
     fd.set_defaults(func=run_field)
 
     vf = sub.add_parser("verify", parents=[_output_flags("table", "json")],
@@ -337,7 +374,11 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"{_flag(name)} must be finite, got {value}")
+        _refuse_unread(args)
+        for dest, default in _DEFAULTS.items():
+            if dest in vars(args) and getattr(args, dest) is None:
+                setattr(args, dest, default)
         if args.out is not None:
             _check_out(args.out)
         code = args.func(args)

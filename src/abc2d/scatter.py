@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
 from .reduction import RelativeProblem
 from .specfn import arg_gamma, kummer_m, ln_gamma
@@ -291,6 +289,30 @@ def scattered_asymptotic(p: ScatteringParams, r: float, theta: float) -> complex
     return f * cmath.exp(1j * (p.k * r + p.beta * math.log(2.0 * p.k * r))) / math.sqrt(r)
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from ``start`` to ``stop``, bit for bit
+    ``np.linspace(start, stop, num).tolist()`` without importing numpy.
+
+    Element i is ``i * step + start`` and the last is ``stop``; a step that
+    underflows to zero takes numpy's denormal branch, ``i / div * delta +
+    start``.  A negative ``num`` is a ValueError, as in numpy.
+    """
+    if num < 0:
+        raise ValueError(f"number of samples, {num}, must be non-negative")
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def sample_scattering_field(
     p: ScatteringParams,
     xi_range: tuple[float, float],
@@ -302,8 +324,8 @@ def sample_scattering_field(
     values[i][j] at (xis[i], etas[j])."""
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    xis = np.linspace(xi_range[0], xi_range[1], nx).tolist()
-    etas = np.linspace(eta_range[0], eta_range[1], ny).tolist()
+    xis = linspace(xi_range[0], xi_range[1], nx)
+    etas = linspace(eta_range[0], eta_range[1], ny)
     return xis, etas, _field(p, xis, etas)
 
 

@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import bound, oracle, scatter, specfn
 from .reduction import RelativeProblem, classify_case
 
@@ -66,6 +64,8 @@ def _result(name: str, worst: float, bnd: float, detail: str = "") -> CheckResul
 # -- special functions -----------------------------------------------------------
 
 def check_gamma_identities(points: int = 200) -> CheckResult:
+    import numpy as np
+
     worst = 0.0
     for b in np.geomspace(0.05, 10.0, points):
         g0 = abs(cmath.exp(specfn.ln_gamma(1j * b))) ** 2
@@ -285,6 +285,8 @@ _PDE_PROBES = ((0.7, 1.3), (1.4, 0.9), (2.1, 1.8))
 
 def pde_convergence_order(p: scatter.ScatteringParams) -> float:
     """Least-squares slope of log max-residual vs log h."""
+    import numpy as np
+
     hs = (0.2, 0.1, 0.05, 0.025)
     res = []
     for h in hs:
@@ -347,7 +349,7 @@ def check_interference(points: int = 4096) -> CheckResult:
     supremum 8/(pi e) ~ 0.9368.
     """
     p = scatter.ScatteringParams(1.0, 0.3, scatter.FluxCase.INTEGER_FLUX)
-    thetas = np.linspace(0.01, 2.0 * math.pi - 0.01, points).tolist()
+    thetas = scatter.linspace(0.01, 2.0 * math.pi - 0.01, points)
     cross_min = math.inf
     cross_max = -math.inf
     total_min = math.inf
@@ -377,6 +379,8 @@ def stationary_fit_exponent() -> float:
     error in the stationary wave or the scattered amplitude would surface as
     an O(r^{-1/2}) residual and drive the exponent toward -1/2.
     """
+    import numpy as np
+
     p = scatter.ScatteringParams(1.0, 1.0, scatter.FluxCase.INTEGER_FLUX)
     theta = 2.0 * math.pi / 3.0
     radii = (50.0, 64.0, 82.0, 105.0, 134.0, 171.0, 200.0)

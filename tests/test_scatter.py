@@ -1,8 +1,10 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from abc2d import scatter, specfn
 from abc2d.errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
@@ -434,3 +436,38 @@ class TestSampleDispatch:
         for nx, ny in ((1, 4), (4, 1)):
             with pytest.raises(ValueError):
                 sample_scattering_field(P_C, (-1.0, 1.0), (-1.0, 1.0), nx, ny)
+
+
+# Spans of every scale: subnormal ends, signed zeros, spans whose step
+# underflows to 0 (numpy's denormal branch) and spans near the float limit.
+_ENDS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1e300,
+                     1.7976931348623157e308)),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(values):
+    return [struct.pack("d", x) for x in values]
+
+
+class TestLinspace:
+    @settings(max_examples=500, deadline=None)
+    @given(_ENDS, _ENDS, st.integers(0, 70))
+    @example(0.0, 5e-324, 3)
+    @example(-5e-324, 5e-324, 70)
+    @example(-0.0, 1.0, 1)
+    @example(-0.0, -1.0, 1)
+    @example(1.0, 2.0, 0)
+    def test_bit_identical_to_numpy(self, start, stop, num):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num).tolist()
+        assert _bits(scatter.linspace(start, stop, num)) == _bits(expected)
+
+    @pytest.mark.parametrize("num", [-1, -70])
+    def test_negative_count_is_a_value_error(self, num):
+        # as np.linspace; the CLI turns it into exit 1
+        with pytest.raises(ValueError):
+            scatter.linspace(0.0, 1.0, num)
