@@ -213,7 +213,7 @@ def wavefunction(qn: QuantumNumbers,
     """The normalized eigenfunction psi(r, theta); energy, C, w and alpha are
     computed once, here.
 
-    rho^w at r = 0 is taken by limit: 1 for w = 0, else 0 (no pow(0, w) NaN).
+    rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for w = 0, else 0.
     theta is accepted but irrelevant at the origin, where only the w = 0
     states are finite anyway.
     """
@@ -226,10 +226,7 @@ def wavefunction(qn: QuantumNumbers,
         if r < 0.0:
             raise ValueError("r must be non-negative")
         rho = alpha * r
-        if rho == 0.0:
-            radial_power = 1.0 if w == 0.0 else 0.0
-        else:
-            radial_power = rho**w
+        radial_power = rho**w
         poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
         try:
             phase = cmath.exp(1j * (qn.m - problem.m0) * theta)

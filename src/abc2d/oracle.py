@@ -82,9 +82,10 @@ def _outer_turning_point(e: float, w: float) -> float:
 
 
 def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
-               tol: float, sign_lock: bool = False) -> tuple[int, float, float]:
+               sign_lock: bool = False) -> tuple[int, float, float]:
     """Integrate R_xx = q R, q = w^2 - 2 e^x - 2 e e^{2x}, from x0 to x1
-    (either direction) at trial energy e, with the Cash-Karp 5(4) pair.
+    (either direction) at trial energy e, with the Cash-Karp 5(4) pair and
+    local error tolerance _ODE_TOL.
 
     Returns (sign changes of R, R, R_x) with the final pair rescaled by an
     arbitrary positive factor.  With sign_lock, integration stops at the
@@ -161,7 +162,7 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
                        + 13525.0 / 55296.0 * k4d + 277.0 / 14336.0 * k5d + 0.25 * k6d)
 
         scale = abs(y5) + abs(h * d5) + 1e-300
-        err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * tol)
+        err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * _ODE_TOL)
         if err <= 1.0:
             x = x1 if last else x + h
             q1 = q5
@@ -207,12 +208,12 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
         """(x_tp, nodes, R, R_x) of the outward leg, x0 to the turning point x_tp."""
         if e not in legs:
             x_tp = math.log(_outer_turning_point(e, w))
-            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, y0, dy0, _ODE_TOL))
+            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, y0, dy0))
         return legs[e]
 
     def nodes_at(e: float) -> int:
         x_tp, nodes, y, dy = outward(e)
-        return nodes + _integrate(w, e, x_tp, x1, y, dy, _ODE_TOL, True)[0]
+        return nodes + _integrate(w, e, x_tp, x1, y, dy, sign_lock=True)[0]
 
     def wronskian(e: float) -> float:
         """Normalized Wronskian of the outward and inward solutions at the
@@ -221,8 +222,7 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
         s_in = min(s_max, _outer_turning_point(e, w) + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
         # WKB slope of the solution that decays outward (grows inward)
         q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q),
-                                _ODE_TOL)
+        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q))
         return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
 
     return nodes_at, wronskian

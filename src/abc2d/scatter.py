@@ -45,15 +45,22 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
+from .errors import DomainError, ForwardSingularity, UnsupportedFluxCase, WrongCase
 from .reduction import RelativeProblem
-from .specfn import arg_gamma, kummer_m, ln_gamma
+from .specfn import _EPS, arg_gamma, kummer_m, ln_gamma
 
 # Cross sections diverge in the forward direction; queries this close to
 # theta = 0 (mod 2 pi) are rejected.
 FORWARD_CONE = 1e-3
 
 SQRT_PI = math.sqrt(math.pi)
+
+# The integer-flux cosine argument d0 + d1 - beta ln sin^2 theta/2 adds terms
+# of size beta ln beta; _EPS times their magnitudes bounds its rounding error,
+# which is sigma_x's error relative to its amplitude.  Past _PHASE_ERROR_LIMIT
+# the sample is refused: beta up to about 1e5 passes at every angle, from
+# about 1e6 none does.
+_PHASE_ERROR_LIMIT = 1e-9
 
 
 class FluxCase(enum.Enum):
@@ -149,6 +156,8 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
     each angle then costs a sine, plus a log and a cosine for integer flux.
     The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod 2 pi
     before evaluation to preserve accuracy at large |beta ln sin^2 theta/2|.
+    Raises DomainError where that argument's rounding error estimate exceeds
+    _PHASE_ERROR_LIMIT.
     """
     integer = p.flux_case is FluxCase.INTEGER_FLUX
     half = p.flux_case is FluxCase.HALF_INTEGER
@@ -158,7 +167,10 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
     if integer:
         if b == 0.0:
             raise WrongCase("interference term undefined at beta = 0")
-        d = arg_gamma(0.5 - 1j * b) + arg_gamma(1j * b)
+        d0 = arg_gamma(0.5 - 1j * b)
+        d1 = arg_gamma(1j * b)
+        d = d0 + d1
+        d_size = abs(d0) + abs(d1)
         neg_amp = -math.sqrt(btanh) / (SQRT_PI * p.k)
     if half:
         bcoth = 1.0 / math.pi if b == 0.0 else b / math.tanh(math.pi * b)
@@ -167,7 +179,11 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
         s2 = _check_angle(theta)
         sc = btanh / (two_k * s2)
         if integer:
-            arg = math.remainder(d - b * math.log(s2), 2.0 * math.pi)
+            b_ln = b * math.log(s2)
+            if _EPS * (d_size + abs(b_ln)) > _PHASE_ERROR_LIMIT:
+                raise DomainError(f"the integer-flux phase at beta = {b}, theta = {theta} "
+                                  "is lost to rounding")
+            arg = math.remainder(d - b_ln, 2.0 * math.pi)
             sx = neg_amp * math.cos(arg) / math.sqrt(s2)
             samples.append(CrossSectionSample(theta, sc + sx, sc, sx))
         elif half:

@@ -11,11 +11,11 @@ them against closed-form identities:
 
 ``ln_gamma`` evaluates the Stirling series after shifting its argument to
 |z| >= 9 through the recurrence, with the reflection formula for Re z < 1/2;
-products and the long alternating sums are carried with exact-residual
-multiplication and compensated accumulation, keeping exp(ln_gamma) within
-1e-13 of Gamma over the |z| <= 50 disk.  ``kummer_m`` sums the Taylor series for
-|z| <= 40 and switches to the two-sector large-|z| expansion beyond.  The
-Taylor sum monitors its own cancellation (sum of |terms| vs |result|); when
+products are carried with exact-residual multiplication, and all the terms,
+residuals included, are added in one correctly rounded ``math.fsum``, keeping
+exp(ln_gamma) within 1e-13 of Gamma over the |z| <= 50 disk.  ``kummer_m``
+sums the Taylor series for |z| <= 40 and switches to the two-sector large-|z|
+expansion beyond.  The Taylor sum monitors its own cancellation (sum of |terms| vs |result|); when
 double precision cannot deliver ~1e-13, the series is re-summed in binary
 fixed point: Python integers scaled by 2**bits, with the bits the
 cancellation costs plus 84 guard bits, and one correctly rounded conversion
@@ -89,23 +89,6 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _neumaier(terms_re, terms_im) -> complex:
-    """Compensated (Neumaier) summation, separately on real and imaginary parts."""
-    out = [0.0, 0.0]
-    for k, terms in enumerate((terms_re, terms_im)):
-        s = 0.0
-        c = 0.0
-        for t in terms:
-            tot = s + t
-            if abs(s) >= abs(t):
-                c += (s - tot) + t
-            else:
-                c += (t - tot) + s
-            s = tot
-        out[k] = s + c
-    return complex(out[0], out[1])
-
-
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
@@ -126,8 +109,8 @@ def _right_half_terms(z: complex) -> tuple[tuple, tuple]:
     """Summands of ln Gamma for Re z >= 1/2, product residuals kept separate.
 
     Shifts z up the recurrence until |z| >= _STIRLING_RADIUS, then applies the
-    Stirling series; the -log(z+k) recurrence terms join the same compensated
-    accumulation as the Stirling pieces.
+    Stirling series; the -log(z+k) recurrence terms join the same correctly
+    rounded sum as the Stirling pieces.
     """
     shift_logs = []
     zs = z
@@ -173,12 +156,12 @@ def ln_gamma(z: complex) -> complex:
             sgn = math.copysign(1.0, z.imag)
             ls = -1j * sgn * cmath.pi * z - _LN_TWO + 0.5j * sgn * cmath.pi
         re, im = _right_half_terms(1.0 - z)
-        # LN_PI - ls - lnGamma(1-z) in one compensated accumulation
+        # LN_PI - ls - lnGamma(1-z) in one correctly rounded sum
         re_terms = (LN_PI, -ls.real) + tuple(-v for v in re)
         im_terms = (-ls.imag,) + tuple(-v for v in im)
-        return _neumaier(re_terms, im_terms)
+        return complex(math.fsum(re_terms), math.fsum(im_terms))
     re, im = _right_half_terms(z)
-    return _neumaier(re, im)
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def arg_gamma(z: complex) -> float:

@@ -155,13 +155,8 @@ def shooting_grid(small: bool) -> list[tuple[float, float, float, int, int]]:
     nus = (0.0, 0.5) if small else (0.0, 0.25, 0.5, 0.75)
     ms = (-1, 0, 1) if small else (-2, -1, 0, 1, 2)
     nrs = (0, 1) if small else (0, 1, 2)
-    grid = []
-    for nu in nus:
-        for m in ms:
-            for n_r in nrs:
-                if bound.is_acceptable(bound.QuantumNumbers(n_r, m), 0, nu):
-                    grid.append((1.0, 1.0, nu, m, n_r))
-    return grid
+    # alpha = nu < 1, so m0 = 0 and every (n_r, m) is an acceptable state
+    return [(1.0, 1.0, nu, m, n_r) for nu in nus for m in ms for n_r in nrs]
 
 
 def shooting_report(small: bool = False) -> list[ShootingRow]:

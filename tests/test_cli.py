@@ -241,6 +241,16 @@ class TestXsectionCommand:
         assert len(rows) == 16
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integer_flux_phase_lost_to_rounding_exits_two(self, fmt, capsys):
+        # at beta = 1e7 the cosine argument's terms are near 3e8, so double
+        # precision leaves it uncertain by about 1e-7 radians
+        assert main(["xsection", "--case", "integer", "--beta", "1e7",
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "rounding" in captured.err
+
     def test_raw_requires_energy(self, capsys):
         assert main(["xsection", "--raw", "1", "1", "1", "1", "-1", "-1"]) == 2
 

@@ -73,9 +73,9 @@ class TestShooting:
         calls = []
         integrate = oracle_mod._integrate
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return integrate(*args)
+            return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "_integrate", counting)
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
@@ -88,9 +88,9 @@ class TestShooting:
         calls = []
         integrate = oracle_mod._integrate
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return integrate(*args)
+            return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "_integrate", counting)
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):

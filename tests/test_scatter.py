@@ -2,12 +2,13 @@ import cmath
 import math
 import struct
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abc2d import scatter, specfn
-from abc2d.errors import ForwardSingularity, UnsupportedFluxCase, WrongCase
+from abc2d.errors import DomainError, ForwardSingularity, UnsupportedFluxCase, WrongCase
 from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
     FORWARD_CONE,
@@ -143,6 +144,26 @@ class TestInterference:
         expected = 2.0 * (amplitude_coulomb(p, theta) * s_out.conjugate()).real
         got = cross_sections(p, [theta])[0].sigma_cross
         assert abs(got - expected) <= 1e-13 * abs(expected)
+
+    def test_large_beta_phase_matches_mpmath(self):
+        # beta = 1e5 is the largest the phase-error estimate accepts at every
+        # angle; the cosine argument's terms are of size beta ln beta ~ 1e6
+        beta = 1e5
+        thetas = [2.0 * FORWARD_CONE, 0.1, 0.5, 1.0, 2.0, math.pi, 5.0]
+        samples = cross_sections(ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX), thetas)
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            d = mp.loggamma(mp.mpc(0.5, -b)).imag + mp.loggamma(mp.mpc(0, b)).imag
+            for theta, s in zip(thetas, samples):
+                s2 = mp.sin(mp.mpf(theta) / 2) ** 2
+                amp = mp.sqrt(b * mp.tanh(mp.pi * b) / (mp.pi * s2))
+                ref = -amp * mp.cos(d - b * mp.log(s2))
+                assert abs(s.sigma_cross - ref) <= 1e-9 * amp, theta
+
+    @pytest.mark.parametrize("beta", [1e6, -1e7, 1e15])
+    def test_phase_lost_to_rounding_raises(self, beta):
+        with pytest.raises(DomainError):
+            cross_sections(ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX), [2.0])
 
     def test_sigma_one_never_negative(self):
         # the opposing interference reaches 92% of sigma_C at beta = 0.3 but
