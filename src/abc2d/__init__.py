@@ -21,21 +21,7 @@ from .bound import (
     normalization_constant,
     spectrum,
 )
-from .errors import (
-    DomainError,
-    ForwardSingularity,
-    NoBoundStates,
-    NoConvergence,
-    ParameterPole,
-    PoleError,
-    QuadratureFailure,
-    RatioViolation,
-    StiffnessFailure,
-    Unacceptable,
-    UnsupportedFluxCase,
-    WrongCase,
-    ZeroFlux,
-)
+from .errors import DomainError
 from .oracle import quad_norm, shoot_with_nodes
 from .reduction import (
     ParticlePair,

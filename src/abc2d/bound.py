@@ -32,7 +32,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import DomainError, NoBoundStates, Unacceptable
+from .errors import DomainError
 from .reduction import RelativeProblem
 from .specfn import kummer_m
 
@@ -93,9 +93,9 @@ def _lambda(qn: QuantumNumbers, nu: float) -> float:
 def energy(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     """Bound-state energy -mu kappa^2 / (2 lambda^2), lambda = n_r + |m+nu| + 1/2."""
     if problem.kappa <= 0.0:
-        raise NoBoundStates("bound states require attraction (kappa > 0)")
+        raise DomainError("bound states require attraction (kappa > 0)")
     if not is_acceptable(qn, problem.m0, problem.nu):
-        raise Unacceptable(
+        raise DomainError(
             f"state (n_r={qn.n_r}, m={qn.m}) is not regular at the origin "
             f"for m0={problem.m0}, nu={problem.nu}"
         )
@@ -117,7 +117,7 @@ def iter_levels(problem: RelativeProblem, n_levels: int) -> Iterator[SpectrumLev
     and yielded one at a time.
 
     The arguments are checked here, at the call: n_levels <= 0 raises
-    ValueError and kappa <= 0 NoBoundStates before the first level is asked for.
+    ValueError and kappa <= 0 DomainError before the first level is asked for.
 
     The plus ladder (m >= 0) has lambda = N + nu + 1/2 and members
     (n_r, m) = (N - m, m), m = 0..N; the minus ladder (m < 0, N >= 1) has
@@ -138,7 +138,7 @@ def iter_levels(problem: RelativeProblem, n_levels: int) -> Iterator[SpectrumLev
     if n_levels <= 0:
         raise ValueError("n_levels must be positive")
     if problem.kappa <= 0.0:
-        raise NoBoundStates("bound states require attraction (kappa > 0)")
+        raise DomainError("bound states require attraction (kappa > 0)")
     return islice(_walk_ladders(problem), n_levels)
 
 

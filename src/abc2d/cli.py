@@ -2,11 +2,12 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-axis span that overflows, a field dump given a flag that only the other
---kind reads, an unwritable --out and a stdout that its reader closed, as in
-``abc2d spectrum | head -1``, included), 2 domain error (e.g. no bound
-states, unsupported flux case, --energy without --raw or --case/--k/--beta
-with it, a result that overflows to inf or nan), 3 verification failure.
+axis span that overflows, a field grid axis of fewer than 2 points, a field
+dump given a flag that only the other --kind reads, an unwritable --out and
+a stdout that its reader closed, as in ``abc2d spectrum | head -1``,
+included), 2 domain error (e.g. no bound states, unsupported flux case,
+--energy without --raw or --case/--k/--beta with it, a result that overflows
+to inf or nan), 3 verification failure.
 Numeric output uses 17 significant digits and every artifact embeds the
 parameters that produced it, so identical invocations give byte-identical
 files.
@@ -233,6 +234,8 @@ def run_field(args: argparse.Namespace) -> int:
         psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
         xs = ys = scatter.linspace(*_span(-args.extent, args.extent, "--extent"),
                                    args.points)
+        if len(xs) < 2:
+            raise ValueError("grid needs at least 2 points per axis")
         values = [[psi(math.hypot(x, y), math.atan2(y, x)) for y in ys] for x in xs]
         params = {
             "command": "field", "kind": "bound",

@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable
 
 from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
-from .errors import NoBoundStates, NoConvergence, QuadratureFailure, StiffnessFailure
+from .errors import DomainError
 from .reduction import RelativeProblem
 
 # The state (R, R_x) is renormalized once it exceeds this magnitude.
@@ -178,7 +178,7 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
                 break
         h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
         if abs(h) < 1e-14 * span:
-            raise StiffnessFailure("step size underflow in radial integration")
+            raise DomainError("step size underflow in radial integration")
     return nodes, y, dy
 
 
@@ -243,7 +243,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
     n_lo, n_hi = nodes_at(lo), nodes_at(hi)
     if n_lo > n_r or n_hi < n_r + 1:
-        raise NoConvergence(
+        raise DomainError(
             f"no eigenvalue bracket in [{lo}, {hi}]: node counts "
             f"({n_lo}, {n_hi}) vs target {n_r}"
         )
@@ -258,7 +258,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
         else:
             hi, n_hi = mid, n_mid
     else:
-        raise NoConvergence(f"node counts never isolated level {n_r}")
+        raise DomainError(f"node counts never isolated level {n_r}")
 
     known = {lo: wronskian(lo), hi: wronskian(hi)}
     if (known[lo] < 0.0) == (known[hi] < 0.0):
@@ -267,7 +267,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
         # (~1e-11) of either sign, and that end is the root.
         end = min(known, key=lambda e: abs(known[e]))
         if abs(known[end]) > _ROOT_NOISE:
-            raise NoConvergence(f"no Wronskian sign change in [{lo}, {hi}]")
+            raise DomainError(f"no Wronskian sign change in [{lo}, {hi}]")
         return end, n_lo
     e = brentq(lambda e: known[e] if e in known else wronskian(e), lo, hi,
                xtol=_ROOT_RTOL * abs(e_guess), rtol=_ROOT_RTOL)
@@ -278,7 +278,7 @@ def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float,
     """(ODE eigenvalue with n_r interior nodes in physical units, node count
     measured at the lower bracket end)."""
     if problem.kappa <= 0.0:
-        raise NoBoundStates("shooting requires attraction (kappa > 0)")
+        raise DomainError("shooting requires attraction (kappa > 0)")
     if n_r < 0:
         raise ValueError("n_r must be non-negative")
     w = effective_exponent(m, problem.nu)
@@ -309,5 +309,5 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
 
     value, err_est = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     if err_est > 1e-7:
-        raise QuadratureFailure(f"norm quadrature error estimate {err_est:.2e}")
+        raise DomainError(f"norm quadrature error estimate {err_est:.2e}")
     return 2.0 * math.pi * value

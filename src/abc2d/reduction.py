@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import RatioViolation, ZeroFlux
+from .errors import DomainError
 
 RATIO_RTOL = 1e-12
 SNAP_TOL = 1e-12
@@ -86,18 +86,16 @@ class SpectralCase(enum.Enum):
 def validate_ratio(pair: ParticlePair) -> None:
     """Check q1/Phi1 == q2/Phi2 to relative tolerance 1e-12.
 
-    Raises ZeroFlux for vanishing flux entries and RatioViolation when the
-    ratios disagree (the two-body equation is then not separable).
+    Raises DomainError for a vanishing flux entry and when the ratios
+    disagree (the two-body equation is then not separable).
     """
     if pair.flux1 == 0.0 or pair.flux2 == 0.0:
-        raise ZeroFlux("flux entries must be nonzero")
+        raise DomainError("flux entries must be nonzero")
     r1 = pair.charge1 / pair.flux1
     r2 = pair.charge2 / pair.flux2
     scale = max(abs(r1), abs(r2))
     if abs(r1 - r2) > RATIO_RTOL * scale:
-        raise RatioViolation(
-            f"charge/flux ratios differ: {r1!r} vs {r2!r}"
-        )
+        raise DomainError(f"charge/flux ratios differ: {r1!r} vs {r2!r}")
 
 
 def reduce_two_body(pair: ParticlePair) -> RelativeProblem:

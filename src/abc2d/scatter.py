@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ForwardSingularity, UnsupportedFluxCase, WrongCase
+from .errors import DomainError
 from .reduction import RelativeProblem
 from .specfn import _EPS, arg_gamma, kummer_m, ln_gamma
 
@@ -108,9 +108,7 @@ def scattering_params(problem: RelativeProblem, energy: float) -> ScatteringPara
     elif problem.nu == 0.5:
         case = FluxCase.HALF_INTEGER
     else:
-        raise UnsupportedFluxCase(
-            f"no closed-form scattering solution for nu = {problem.nu}"
-        )
+        raise DomainError(f"no closed-form scattering solution for nu = {problem.nu}")
     k = math.sqrt(2.0 * problem.reduced_mass * energy)
     beta = problem.reduced_mass * problem.kappa / k
     return ScatteringParams(k=k, beta=beta, flux_case=case)
@@ -119,7 +117,7 @@ def scattering_params(problem: RelativeProblem, energy: float) -> ScatteringPara
 def _check_angle(theta: float) -> float:
     """Reject angles inside the forward cone; return sin^2(theta/2)."""
     if abs(math.remainder(theta, 2.0 * math.pi)) < FORWARD_CONE:
-        raise ForwardSingularity(f"theta = {theta} is inside the forward cone")
+        raise DomainError(f"theta = {theta} is inside the forward cone")
     return math.sin(0.5 * theta) ** 2
 
 
@@ -166,7 +164,7 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
     btanh = b * math.tanh(math.pi * b)
     if integer:
         if b == 0.0:
-            raise WrongCase("interference term undefined at beta = 0")
+            raise DomainError("interference term undefined at beta = 0")
         d0 = arg_gamma(0.5 - 1j * b)
         d1 = arg_gamma(1j * b)
         d = d0 + d1
@@ -277,7 +275,7 @@ def stationary_wave(p: ScatteringParams, r: float) -> complex:
     -e^{i d0} sqrt(2/(pi k)) cos(k r + beta ln 2 k r + d0 - pi/4) / sqrt(r).
     """
     if p.flux_case is not FluxCase.INTEGER_FLUX:
-        raise WrongCase("stationary wave exists only for integer flux")
+        raise DomainError("stationary wave exists only for integer flux")
     if r <= 0.0:
         raise ValueError("r must be positive")
     d0 = arg_gamma(0.5 - 1j * p.beta)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, ParameterPole, PoleError
+from .errors import DomainError
 
 _EPS = 2.220446049250313e-16
 LN_SQRT_TWO_PI = 0.9189385332046727
@@ -140,12 +140,12 @@ def ln_gamma(z: complex) -> complex:
 
     Continuous (and real) on the positive real axis; Re z < 1/2 is handled via
     the reflection formula, whose imaginary part may differ from the analytic
-    continuation by multiples of 2 pi i.  Raises PoleError at non-positive
-    integers.
+    continuation by multiples of 2 pi i.  Raises DomainError at the poles, the
+    non-positive integers.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
-        raise PoleError(f"Gamma pole at z = {z.real}")
+        raise DomainError(f"Gamma pole at z = {z.real}")
     if z.real < 0.5:
         if abs(z.imag) * math.pi < _SIN_OVERFLOW_IM:
             ls = cmath.log(cmath.sin(cmath.pi * z))
@@ -334,14 +334,14 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
     Exact degree-n polynomial when a is a non-positive integer -n.  Kummer's
     transformation M(a,b,z) = e^z M(b-a, b, -z) is applied first for
     Re z < 0.  Target accuracy ~1e-12 relative for |z| <= 50 with parameters
-    of moderate size; raises ParameterPole when b is a non-positive integer
-    and DomainError when z is not finite.
+    of moderate size; raises DomainError when b is a non-positive integer or
+    z is not finite.
     """
     a, b, z = complex(a), complex(b), complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"M(a, b, z) needs a finite argument, got z = {z}")
     if _is_nonpositive_integer(b):
-        raise ParameterPole(f"lower parameter pole at b = {b.real}")
+        raise DomainError(f"lower parameter pole at b = {b.real}")
     if z == 0.0:
         return 1.0 + 0.0j
     if _is_nonpositive_integer(a):

@@ -17,7 +17,7 @@ from abc2d.bound import (
     normalization_constant,
     spectrum,
 )
-from abc2d.errors import NoBoundStates, Unacceptable
+from abc2d.errors import DomainError
 from abc2d.reduction import RelativeProblem
 
 C00_NU0 = 1.5957691216057307       # 4 / sqrt(2 pi)
@@ -54,11 +54,11 @@ class TestEnergy:
         assert energy(QuantumNumbers(1, -1), p) == energy(QuantumNumbers(0, 1), p)
 
     def test_repulsion_has_no_bound_states(self):
-        with pytest.raises(NoBoundStates):
+        with pytest.raises(DomainError, match="bound states require attraction"):
             energy(QuantumNumbers(0, 0), problem(0.0, kappa=-1.0))
 
     def test_unacceptable_state_rejected(self):
-        with pytest.raises(Unacceptable):
+        with pytest.raises(DomainError, match="not regular at the origin"):
             energy(QuantumNumbers(1, 0), problem(0.0, m0=2))
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
@@ -147,18 +147,18 @@ class TestSpectrum:
             assert e_plus == pytest.approx(e_minus, rel=1e-14)
 
     def test_no_bound_states(self):
-        with pytest.raises(NoBoundStates):
+        with pytest.raises(DomainError, match="bound states require attraction"):
             spectrum(problem(0.0, kappa=-2.0), 3)
 
-    @pytest.mark.parametrize("p,n,error", [
-        (problem(0.5), 0, ValueError),
-        (problem(0.3), -2, ValueError),
-        (problem(0.0, kappa=-2.0), 3, NoBoundStates),
-        (problem(0.7, kappa=0.0), 3, NoBoundStates),
+    @pytest.mark.parametrize("p,n,error,match", [
+        (problem(0.5), 0, ValueError, "n_levels must be positive"),
+        (problem(0.3), -2, ValueError, "n_levels must be positive"),
+        (problem(0.0, kappa=-2.0), 3, DomainError, "bound states require attraction"),
+        (problem(0.7, kappa=0.0), 3, DomainError, "bound states require attraction"),
     ])
-    def test_iter_levels_checks_its_arguments_at_the_call(self, p, n, error):
+    def test_iter_levels_checks_its_arguments_at_the_call(self, p, n, error, match):
         # a plain generator function would raise only at the first next()
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             bound.iter_levels(p, n)
 
     @pytest.mark.parametrize("alpha", [0.0, -2.0, 0.3, 0.7, 2.5])

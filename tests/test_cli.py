@@ -70,6 +70,10 @@ class TestSpectrumCommand:
         (["spectrum", "--levels", "0"], 1, "abc2d: invalid argument: n_levels must be positive\n"),
         (["spectrum", "--kappa", "-1"], 2,
          "abc2d: bound states require attraction (kappa > 0)\n"),
+        (["spectrum", "--raw", "1", "0", "0", "1", "0", "0"], 2,
+         "abc2d: flux entries must be nonzero\n"),
+        (["spectrum", "--raw", "1", "1", "1", "1", "2", "1"], 2,
+         "abc2d: charge/flux ratios differ: 1.0 vs 2.0\n"),
     ])
     def test_level_arguments_exit_before_any_output(self, argv, code, err, capsys):
         assert main(argv) == code
@@ -271,9 +275,28 @@ class TestXsectionCommand:
         assert captured.out == ""
         assert captured.err == f"abc2d: {flag[0]} does not apply to --raw scattering input\n"
 
-    def test_unsupported_flux_case(self):
-        assert main(["xsection", "--raw", "1", "1", str(math.pi / 2), "1", "-1",
-                     str(-math.pi / 2), "--energy", "0.5"]) == 2
+    @pytest.mark.parametrize("argv,err", [
+        (["xsection", "--raw", "1", "1", str(math.pi / 2), "1", "-1", str(-math.pi / 2),
+          "--energy", "0.5"], "abc2d: no closed-form scattering solution for nu = 0.25\n"),
+        (["xsection", "--raw", "1", "1", "1", "1", "-1", "-1", "--energy", "1"],
+         "abc2d: no closed-form scattering solution for nu = 0.15915494309189535\n"),
+        (["field", "--kind", "scatter", "--raw", "1", "1", "1", "1", "-1", "-1",
+          "--energy", "1", "--nx", "3", "--ny", "3"],
+         "abc2d: no closed-form scattering solution for nu = 0.15915494309189535\n"),
+    ])
+    def test_unsupported_flux_case(self, argv, err, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("argv,err", [
+        (["xsection", "--case", "integer", "--k", "1", "--beta", "0"],
+         "abc2d: interference term undefined at beta = 0\n"),
+        (["xsection", "--case", "coulomb", "--thetas", "1", "--theta-min", "0",
+          "--theta-max", "0"], "abc2d: theta = 0.0 is inside the forward cone\n"),
+    ])
+    def test_sweep_outside_the_closed_form_exits_two(self, argv, err, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 class TestFieldCommand:
@@ -291,6 +314,16 @@ class TestFieldCommand:
         assert captured.out == ""
         assert captured.err == (f"abc2d: invalid argument: {flag[0]} applies only to "
                                 f"--kind {other}\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["field", "--kind", "bound", "--alpha", "1", "--m", "0"],
+         "abc2d: state (n_r=0, m=0) is not regular at the origin for m0=1, nu=0.0\n"),
+        (["field", "--kind", "bound", "--kappa", "-1", "--points", "3"],
+         "abc2d: bound states require attraction (kappa > 0)\n"),
+    ])
+    def test_bound_state_outside_the_spectrum_exits_two(self, argv, err, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_bound_field_peak_at_origin(self, tmp_path):
         code, text = run_csv(tmp_path, ["field", "--kind", "bound", "--alpha", "0",
@@ -497,6 +530,18 @@ class TestDeterminismAndUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--kind", "bound", "--points", "0"],
+        ["field", "--kind", "bound", "--points", "1"],
+        ["field", "--kind", "scatter", "--case", "half", "--nx", "1"],
+        ["field", "--kind", "scatter", "--case", "half", "--ny", "0"],
+    ])
+    def test_grid_axis_below_two_points_exits_one(self, argv, capsys):
+        # both kinds of field dump share one rule
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "abc2d: invalid argument: grid needs at least 2 points per axis\n")
 
     @pytest.mark.parametrize("command,reads_problem", [
         (["spectrum"], True), (["field", "--kind", "bound"], True), (["xsection"], False)])

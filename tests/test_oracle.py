@@ -7,7 +7,7 @@ import pytest
 import abc2d.oracle as oracle_mod
 from abc2d import verify
 from abc2d.bound import QuantumNumbers, energy
-from abc2d.errors import NoBoundStates, NoConvergence
+from abc2d.errors import DomainError
 from abc2d.oracle import quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
 
@@ -37,13 +37,13 @@ class TestShooting:
         assert nodes == n_r
 
     def test_requires_attraction(self):
-        with pytest.raises(NoBoundStates):
+        with pytest.raises(DomainError, match="shooting requires attraction"):
             shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
     def test_truncated_domain_fails_to_bracket(self, monkeypatch):
         # r_max below the turning point keeps the discriminating node outside
         monkeypatch.setattr(oracle_mod, "_R_MAX", 0.8)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(DomainError, match="no Wronskian sign change"):
             shoot_with_nodes(problem(0.0), 0, 0)
 
     # The first node-count midpoint is the closed-form energy, so one end of
@@ -118,6 +118,13 @@ class TestQuadNorm:
         p = problem(0.75)
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, -2), QuantumNumbers(0, 3)):
             assert quad_norm(qn, p) == pytest.approx(1.0, abs=1e-6)
+
+    def test_inaccurate_quadrature_is_refused(self, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **kw: (0.15, 1e-6))
+        with pytest.raises(DomainError, match="norm quadrature error estimate 1.00e-06"):
+            quad_norm(QuantumNumbers(0, 0), problem(0.0))
 
 
 def test_ode_path_is_independent_of_hypergeometric_code():

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from abc2d.errors import RatioViolation, ZeroFlux
+from abc2d.errors import DomainError
 from abc2d.reduction import (
     ParticlePair,
     RelativeProblem,
@@ -24,7 +24,7 @@ class TestValidateRatio:
         validate_ratio(ParticlePair(1, 1, 1, -3, 2, -6))
 
     def test_unequal_ratios_rejected(self):
-        with pytest.raises(RatioViolation):
+        with pytest.raises(DomainError, match="charge/flux ratios differ"):
             validate_ratio(ParticlePair(1, 1, 1, -3, 2, -5))
 
     def test_standard_parameterization(self):
@@ -32,7 +32,7 @@ class TestValidateRatio:
         validate_ratio(ParticlePair(1, 1, 1, -2, 2, -4))
 
     def test_zero_flux_rejected(self):
-        with pytest.raises(ZeroFlux):
+        with pytest.raises(DomainError, match="flux entries must be nonzero"):
             validate_ratio(ParticlePair(1, 1, 1, -1, 0, -4))
 
 

@@ -11,7 +11,7 @@ import random
 import mpmath as mp
 import pytest
 
-from abc2d.errors import DomainError, ParameterPole, PoleError
+from abc2d.errors import DomainError
 from abc2d import specfn
 from abc2d.specfn import _taylor, arg_gamma, kummer_m, ln_gamma
 
@@ -38,7 +38,7 @@ class TestLnGamma:
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
     def test_poles(self, z):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="Gamma pole at z"):
             ln_gamma(z)
 
     def test_near_pole_is_not_pole(self):
@@ -119,7 +119,7 @@ class TestGammaModuli:
 
     def test_zero_beta_pole(self):
         # |Gamma(i b)|^2 diverges at b = 0; |Gamma(1/2 + i b)|^2 -> pi stays finite
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="Gamma pole at z"):
             ln_gamma(0j)
         assert abs(cmath.exp(ln_gamma(0.5 + 0j))) ** 2 == pytest.approx(math.pi, rel=1e-14)
 
@@ -154,7 +154,7 @@ class TestKummer:
 
     @pytest.mark.parametrize("b", [0.0, -1.0, -4.0])
     def test_parameter_pole(self, b):
-        with pytest.raises(ParameterPole):
+        with pytest.raises(DomainError, match="lower parameter pole at b"):
             kummer_m(0.5, b, 1.0)
 
     def test_termination_term_count(self):
