@@ -2,12 +2,12 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-axis span that overflows, a field grid axis of fewer than 2 points, a field
-dump given a flag that only the other --kind reads, an unwritable --out and
-a stdout that its reader closed, as in ``abc2d spectrum | head -1``,
-included), 2 domain error (e.g. no bound states, unsupported flux case,
---energy without --raw or --case/--k/--beta with it, a result that overflows
-to inf or nan), 3 verification failure.
+axis span that overflows, a field grid axis of fewer than 2 points, a sweep
+of no angles, a field dump given a flag that only the other --kind reads, an
+unwritable --out and a stdout that its reader closed, as in ``abc2d spectrum
+| head -1``, included), 2 domain error (e.g. no bound states, unsupported flux
+case, --energy without --raw or --case/--k/--beta/--mu/--kappa/--alpha with
+it, a result that overflows to inf or nan), 3 verification failure.
 Numeric output uses 17 significant digits and every artifact embeds the
 parameters that produced it, so identical invocations give byte-identical
 files.
@@ -71,8 +71,8 @@ def _flag(dest: str) -> str:
 
 def _refuse_unread(args: argparse.Namespace) -> None:
     """A given flag that the run would ignore is an error: a field flag of the
-    other --kind is a usage error; --energy without --raw, and --case, --k or
-    --beta with it, are domain errors."""
+    other --kind is a usage error; --energy without --raw, and --case, --k,
+    --beta, --mu, --kappa or --alpha with it, are domain errors."""
     given = [dest for dest, value in vars(args).items() if value is not None]
     if args.command == "field":
         other = "scatter" if args.kind == "bound" else "bound"
@@ -82,9 +82,11 @@ def _refuse_unread(args: argparse.Namespace) -> None:
     if "raw" not in given and "energy" in given:
         raise DomainError("--energy applies only to --raw scattering input")
     if "raw" in given:
-        for dest in ("case", "k", "beta"):
-            if dest in given:
-                raise DomainError(f"{_flag(dest)} does not apply to --raw scattering input")
+        for dests, what in ((("case", "k", "beta"), "scattering"),
+                            (("mu", "kappa", "alpha"), "particle")):
+            for dest in dests:
+                if dest in given:
+                    raise DomainError(f"{_flag(dest)} does not apply to --raw {what} input")
 
 
 def _problem_from_args(args: argparse.Namespace) -> RelativeProblem:
@@ -217,7 +219,10 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
 def run_xsection(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     span = _span(args.theta_min, args.theta_max, "--theta-min/--theta-max")
-    rows = scatter.cross_sections(p, scatter.linspace(*span, args.thetas))
+    thetas = scatter.linspace(*span, args.thetas)
+    if not thetas:
+        raise ValueError("a sweep needs at least 1 angle")
+    rows = scatter.cross_sections(p, thetas)
     params = {
         "command": "xsection", "case": p.flux_case.value, "k": p.k, "beta": p.beta,
         "thetas": args.thetas, "theta_min": args.theta_min, "theta_max": args.theta_max,
@@ -310,19 +315,15 @@ def _output_flags(*formats: str) -> _Parser:
 
 
 def build_parser() -> _Parser:
-    # problem is raw plus --mu/--kappa/--alpha; each holds its own --raw so
-    # that only problem's help says it overrides them.
-    raw, problem = _Parser(add_help=False), _Parser(add_help=False)
     # Here and below, a default of None is filled in from _DEFAULTS by main.
+    problem = _Parser(add_help=False)
     problem.add_argument("--mu", type=float, default=None)
     problem.add_argument("--kappa", type=float, default=None)
     problem.add_argument("--alpha", type=float, default=None)
-    for parent, note in ((raw, ""), (problem, "; overrides --mu/--kappa/--alpha")):
-        parent.add_argument(
-            "--raw", nargs=6, type=float, default=None,
-            metavar=("M1", "Q1", "PHI1", "M2", "Q2", "PHI2"),
-            help="particle-level inputs (mass, charge, flux) x2" + note,
-        )
+    raw = _Parser(add_help=False)
+    raw.add_argument("--raw", nargs=6, type=float, default=None,
+                     metavar=("M1", "Q1", "PHI1", "M2", "Q2", "PHI2"),
+                     help="particle-level inputs (mass, charge, flux) x2")
     scattering = _Parser(add_help=False)
     scattering.add_argument("--case", choices=tuple(_CASES), default=None)
     scattering.add_argument("--k", type=float, default=None)
@@ -335,7 +336,7 @@ def build_parser() -> _Parser:
                                  "spectra, wavefunctions and cross sections")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", parents=[problem, output],
+    sp = sub.add_parser("spectrum", parents=[problem, raw, output],
                         help="bound-state level table")
     sp.add_argument("--levels", type=int, default=5)
     sp.set_defaults(func=run_spectrum)
@@ -347,7 +348,7 @@ def build_parser() -> _Parser:
     xs.add_argument("--theta-max", type=float, default=2.0 * math.pi - 0.1)
     xs.set_defaults(func=run_xsection)
 
-    fd = sub.add_parser("field", parents=[problem, scattering, output],
+    fd = sub.add_parser("field", parents=[problem, raw, scattering, output],
                         help="complex field dump on a grid")
     fd.add_argument("--kind", choices=("bound", "scatter"), required=True)
     fd.add_argument("--nr", type=int, default=None)

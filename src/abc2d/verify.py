@@ -61,13 +61,24 @@ def _result(name: str, worst: float, bnd: float, detail: str = "") -> CheckResul
                        detail=detail)
 
 
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x, summed exactly over the
+    float logs as Fractions and rounded once."""
+    us = [Fraction(math.log(x)) for x in xs]
+    vs = [Fraction(math.log(y)) for y in ys]
+    n, su = len(us), sum(us)
+    num = n * sum(u * v for u, v in zip(us, vs)) - su * sum(vs)
+    return float(num / (n * sum(u * u for u in us) - su * su))
+
+
 # -- special functions -----------------------------------------------------------
 
 def check_gamma_identities(points: int = 200) -> CheckResult:
-    import numpy as np
-
+    # np.geomspace(0.05, 10.0, points) without numpy: both ends pinned
+    betas = [10.0 ** v for v in scatter.linspace(math.log10(0.05), 1.0, points)]
+    betas[0], betas[-1] = 0.05, 10.0
     worst = 0.0
-    for b in np.geomspace(0.05, 10.0, points):
+    for b in betas:
         g0 = abs(cmath.exp(specfn.ln_gamma(1j * b))) ** 2
         g1 = abs(cmath.exp(specfn.ln_gamma(0.5 + 1j * b))) ** 2
         worst = max(
@@ -280,14 +291,11 @@ _PDE_PROBES = ((0.7, 1.3), (1.4, 0.9), (2.1, 1.8))
 
 def pde_convergence_order(p: scatter.ScatteringParams) -> float:
     """Least-squares slope of log max-residual vs log h."""
-    import numpy as np
-
     hs = (0.2, 0.1, 0.05, 0.025)
     res = []
     for h in hs:
         res.append(max(scatter.pde_residual(p, xi, eta, h) for xi, eta in _PDE_PROBES))
-    slope, _ = np.polyfit(np.log(hs), np.log(res), 1)
-    return float(slope)
+    return _loglog_slope(hs, res)
 
 
 def check_pde_residual() -> CheckResult:
@@ -374,8 +382,6 @@ def stationary_fit_exponent() -> float:
     error in the stationary wave or the scattered amplitude would surface as
     an O(r^{-1/2}) residual and drive the exponent toward -1/2.
     """
-    import numpy as np
-
     p = scatter.ScatteringParams(1.0, 1.0, scatter.FluxCase.INTEGER_FLUX)
     theta = 2.0 * math.pi / 3.0
     radii = (50.0, 64.0, 82.0, 105.0, 134.0, 171.0, 200.0)
@@ -388,8 +394,7 @@ def stationary_fit_exponent() -> float:
             + scatter.stationary_wave(p, r)
         )
         res.append(abs(exact - approx))
-    slope, _ = np.polyfit(np.log(radii), np.log(res), 1)
-    return float(slope)
+    return _loglog_slope(radii, res)
 
 
 def check_stationary_wave() -> CheckResult:

@@ -68,6 +68,8 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("argv,code,err", [
         (["spectrum", "--levels", "0"], 1, "abc2d: invalid argument: n_levels must be positive\n"),
+        (["xsection", "--case", "coulomb", "--thetas", "0"], 1,
+         "abc2d: invalid argument: a sweep needs at least 1 angle\n"),
         (["spectrum", "--kappa", "-1"], 2,
          "abc2d: bound states require attraction (kappa > 0)\n"),
         (["spectrum", "--raw", "1", "0", "0", "1", "0", "0"], 2,
@@ -274,6 +276,15 @@ class TestXsectionCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"abc2d: {flag[0]} does not apply to --raw scattering input\n"
+
+    @pytest.mark.parametrize("command", [["spectrum", "--levels", "1"],
+                                         ["field", "--kind", "bound", "--points", "2"]])
+    @pytest.mark.parametrize("flag", ["--mu", "--kappa", "--alpha"])
+    def test_raw_refuses_mu_kappa_and_alpha(self, command, flag, capsys):
+        raw = ["--raw", "1", "1", str(math.pi), "1", "-1", str(-math.pi)]
+        assert main([*command, *raw, flag, "7"]) == 2
+        assert capsys.readouterr() == (
+            "", f"abc2d: {flag} does not apply to --raw particle input\n")
 
     @pytest.mark.parametrize("argv,err", [
         (["xsection", "--raw", "1", "1", str(math.pi / 2), "1", "-1", str(-math.pi / 2),
@@ -554,7 +565,8 @@ class TestDeterminismAndUsage:
         text = capsys.readouterr().out
         for flag in ("--mu", "--kappa", "--alpha"):
             assert (f"[{flag} " in text) is reads_problem
-        assert ("; overrides --mu/--kappa/--alpha" in text) is reads_problem
+        # --raw with --mu/--kappa/--alpha is refused, so nothing overrides them
+        assert "overrides" not in text
         assert "particle-level inputs (mass, charge, flux) x2" in text
 
     def test_closed_form_commands_load_neither_numpy_nor_scipy(self):
@@ -570,6 +582,27 @@ class TestDeterminismAndUsage:
             "    assert main(argv) == 0, argv",
             "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules",
             "assert 'abc2d.verify' in sys.modules",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_checks_without_an_oracle_load_neither_numpy_nor_scipy(self):
+        # only shooting and norm_quadrature call the scipy-backed oracles
+        script = "\n".join([
+            "import sys",
+            "from abc2d import verify",
+            "for check in (lambda: verify.check_gamma_identities(50),",
+            "              lambda: verify.check_gamma_functional(40),",
+            "              lambda: verify.check_kummer_transform(40),",
+            "              verify.check_kummer_polynomial,",
+            "              lambda: verify.check_degeneracy(8),",
+            "              verify.check_pde_residual, verify.check_limits,",
+            "              lambda: verify.check_interference(1024),",
+            "              verify.check_stationary_wave):",
+            "    result = check()",
+            "    assert result.passed, result",
+            "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules",
         ])
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
@@ -725,8 +758,10 @@ _ARGV = st.one_of(
 @example(["field", "--kind", "bound", "--mu", "1e-300", "--kappa", "1e-300"])
 @example(["field", "--kind", "bound", "--alpha", "1.7976931348623157e308", "--extent", "2",
           "--points", "3", "--nr", "2", "--m", "1"])
-# flags that the run would ignore: --case/--k/--beta with --raw, and the other
-# --kind's flags in a field dump
+# flags that the run would ignore: --case/--k/--beta and --mu/--kappa/--alpha
+# with --raw, and the other --kind's flags in a field dump
+@example(["spectrum", "--raw", "1", "1", "3.14159", "1", "-1", "-3.14159", "--mu", "7",
+          "--levels", "1"])
 @example(["xsection", "--raw", "1", "1", "6.283185307179586", "1", "-1", "-6.283185307179586",
           "--energy", "0.5", "--case", "half", "--k", "3", "--beta", "9", "--thetas", "3"])
 @example(["field", "--kind", "bound", "--case", "half", "--k", "3", "--energy", "2",

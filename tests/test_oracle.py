@@ -31,10 +31,14 @@ class TestShooting:
         e = shoot_with_nodes(problem(0.25), -1, 1)[0]
         assert e == pytest.approx(E_NU025_M_MINUS1_NR1, rel=1e-6)
 
-    @pytest.mark.parametrize("nu,m,n_r", [(0.0, 1, 2), (0.25, -2, 1), (0.75, 0, 2)])
+    # at w = |m + nu| near 14 and above, (R, R_x) passes _RESCALE_AT on the
+    # way out and is renormalized: 4 times for m = 14, 7 times for m = 20
+    @pytest.mark.parametrize("nu,m,n_r", [(0.0, 1, 2), (0.25, -2, 1), (0.75, 0, 2),
+                                          (0.25, 14, 0), (0.25, 20, 1)])
     def test_node_counts(self, nu, m, n_r):
-        _, nodes = shoot_with_nodes(problem(nu), m, n_r)
+        e, nodes = shoot_with_nodes(problem(nu), m, n_r)
         assert nodes == n_r
+        assert e == pytest.approx(energy(QuantumNumbers(n_r, m), problem(nu)), rel=1e-9)
 
     def test_requires_attraction(self):
         with pytest.raises(DomainError, match="shooting requires attraction"):

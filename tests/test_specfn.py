@@ -208,6 +208,15 @@ class TestKummer:
             ref = complex(mp.hyp1f1(a, mp.mpf(b), 1j * y))
             assert abs(kummer_m(a, b, 1j * y) - ref) <= 5e-12 * abs(ref)
 
+    # real z beyond the Taylor radius, where the two sectors are averaged
+    # into one cos(pi a) term
+    @pytest.mark.parametrize("a,b,z", [
+        (0.25, 1.0, 45.0), (0.5 + 0.3j, 1.5, 50.0), (0.5, 1.5, 400.0), (0.7j, 0.5, 120.0),
+        (-1.5, 1.0, 41.0), (2.5 - 1j, 3.0, 200.0), (0.3, 0.5, 100.0)])
+    def test_against_reference_positive_real_axis(self, a, b, z):
+        ref = complex(mp.hyp1f1(a, b, z))
+        assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref)
+
     @pytest.mark.parametrize("a", [1e-20, -1e-20, 1e-18, 1e-20j])
     @pytest.mark.parametrize("z", [30.0, 40.0])
     def test_tiny_upper_parameter_keeps_growing_terms(self, a, z):
