@@ -16,6 +16,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -314,7 +315,10 @@ def _output_flags(*formats: str) -> _Parser:
     return output
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process; main picks the command's run_*
+    function by name at each call, so a replaced module attribute is seen."""
     # Here and below, a default of None is filled in from _DEFAULTS by main.
     problem = _Parser(add_help=False)
     problem.add_argument("--mu", type=float, default=None)
@@ -339,14 +343,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectrum", parents=[problem, raw, output],
                         help="bound-state level table")
     sp.add_argument("--levels", type=int, default=5)
-    sp.set_defaults(func=run_spectrum)
 
     xs = sub.add_parser("xsection", parents=[scattering, raw, output],
                         help="differential cross-section sweep")
     xs.add_argument("--thetas", type=int, default=64)
     xs.add_argument("--theta-min", type=float, default=0.1)
     xs.add_argument("--theta-max", type=float, default=2.0 * math.pi - 0.1)
-    xs.set_defaults(func=run_xsection)
 
     fd = sub.add_parser("field", parents=[problem, raw, scattering, output],
                         help="complex field dump on a grid")
@@ -361,19 +363,16 @@ def build_parser() -> _Parser:
     fd.add_argument("--eta-max", type=float, default=None)
     fd.add_argument("--nx", type=int, default=None)
     fd.add_argument("--ny", type=int, default=None)
-    fd.set_defaults(func=run_field)
 
     vf = sub.add_parser("verify", parents=[_output_flags("table", "json")],
                         help="run the cross-validation suite")
     vf.add_argument("--grid", choices=("small", "full"), default="full")
-    vf.set_defaults(func=run_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
             values = value if isinstance(value, list) else [value]
@@ -385,7 +384,9 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, dest, default)
         if args.out is not None:
             _check_out(args.out)
-        code = args.func(args)
+        run = {"spectrum": run_spectrum, "xsection": run_xsection,
+               "field": run_field, "verify": run_verify}[args.command]
+        code = run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -11,7 +11,8 @@ The checks:
   kummer_transform   M(a,b,z) = e^z M(b-a,b,-z) on random triples
   kummer_polynomial  terminating series vs exact rational Horner evaluation
   shooting           ODE eigenvalues vs closed-form energies, node counts
-  norm_quadrature    numerical norm of every low state = 1
+  norm_quadrature    numerical norm of every low state = 1; shooting reads
+                     its norms from the same table, one quad_norm per state
   degeneracy         spectrum vs brute-force level enumeration and tables
   pde_residual       second-order convergence of the field residual
   limits             flux-only and classical limits of the cross sections
@@ -131,13 +132,11 @@ def check_kummer_polynomial() -> CheckResult:
         n = rng.randint(0, 8)
         b = Fraction(rng.randint(1, 12), rng.randint(1, 3))
         z = Fraction(rng.randint(-60, 60), rng.randint(1, 4))
-        coeff = Fraction(1)
+        term = Fraction(1)
         exact = Fraction(1)
-        zp = Fraction(1)
         for j in range(n):
-            coeff *= Fraction(-n + j) / ((b + j) * (j + 1))
-            zp *= z
-            exact += coeff * zp
+            term *= (-n + j) * z / ((b + j) * (j + 1))
+            exact += term
         got = specfn.kummer_m(complex(-n), complex(float(b)), complex(float(z)))
         ref = float(exact)
         worst = max(worst, abs(got.real - ref) / max(abs(ref), 1e-300) + abs(got.imag))
@@ -147,32 +146,53 @@ def check_kummer_polynomial() -> CheckResult:
 
 # -- bound states vs oracle ------------------------------------------------------
 
-def _shoot_row(mu: float, kappa: float, alpha: float, m: int, n_r: int) -> ShootingRow:
-    problem = RelativeProblem.from_parameters(mu, kappa, alpha)
-    qn = bound.QuantumNumbers(n_r, m)
-    closed = bound.energy(qn, problem)
-    shot, nodes = oracle.shoot_with_nodes(problem, m, n_r)
-    norm = oracle.quad_norm(qn, problem)
-    rel = abs(shot - closed) / abs(closed)
-    case = classify_case(problem.m0, problem.nu).value
-    return ShootingRow(
-        case=case, n_r=n_r, m=m, closed_energy=closed, shoot_energy=shot,
-        rel_err=rel, norm=norm,
-        passed=rel < 1e-6 and abs(norm - 1.0) < 1e-6 and nodes == n_r,
-    )
+def _grid(small: bool) -> tuple[tuple[float, ...], int]:
+    """(nu values, size): shooting covers |m|, n_r <= size at alpha = nu, so
+    m0 = 0; the norm table covers n_r + |m| <= 2 size, which holds them all."""
+    return ((0.0, 0.5), 1) if small else ((0.0, 0.25, 0.5, 0.75), 2)
 
 
 def shooting_grid(small: bool) -> list[tuple[float, float, float, int, int]]:
-    nus = (0.0, 0.5) if small else (0.0, 0.25, 0.5, 0.75)
-    ms = (-1, 0, 1) if small else (-2, -1, 0, 1, 2)
-    nrs = (0, 1) if small else (0, 1, 2)
-    # alpha = nu < 1, so m0 = 0 and every (n_r, m) is an acceptable state
-    return [(1.0, 1.0, nu, m, n_r) for nu in nus for m in ms for n_r in nrs]
+    nus, size = _grid(small)
+    return [(1.0, 1.0, nu, m, n_r) for nu in nus
+            for m in range(-size, size + 1) for n_r in range(size + 1)]
 
 
-def shooting_report(small: bool = False) -> list[ShootingRow]:
-    """Per-state rows (case, n_r, m, closed_E, shoot_E, rel_err, norm, pass)."""
-    return [_shoot_row(*state) for state in shooting_grid(small)]
+def norm_table(small: bool) -> dict[tuple[float, int, int], float]:
+    """quad_norm of each (nu, n_r, m) with n_r + |m| <= 2 size, once each."""
+    nus, size = _grid(small)
+    n_max = 2 * size
+    norms = {}
+    for nu in nus:
+        problem = RelativeProblem.from_parameters(1.0, 1.0, nu)
+        for n_r in range(n_max + 1):
+            for m in range(-(n_max - n_r), n_max - n_r + 1):
+                norms[nu, n_r, m] = oracle.quad_norm(bound.QuantumNumbers(n_r, m), problem)
+    return norms
+
+
+def shooting_report(small: bool,
+                    norms: dict[tuple[float, int, int], float]) -> list[ShootingRow]:
+    """Per-state rows (case, n_r, m, closed_E, shoot_E, rel_err, norm, pass).
+    The oracle reads only (mu, kappa, |m + nu|, n_r): states that share them
+    share one shot, but each row keeps its own closed-form energy."""
+    shots: dict[tuple[float, float, float, int], tuple[float, int]] = {}
+    rows = []
+    for mu, kappa, nu, m, n_r in shooting_grid(small):
+        problem = RelativeProblem.from_parameters(mu, kappa, nu)
+        key = (mu, kappa, bound.effective_exponent(m, problem.nu), n_r)
+        if key not in shots:
+            shots[key] = oracle.shoot_with_nodes(problem, m, n_r)
+        shot, nodes = shots[key]
+        closed = bound.energy(bound.QuantumNumbers(n_r, m), problem)
+        norm = norms[nu, n_r, m]
+        rel = abs(shot - closed) / abs(closed)
+        rows.append(ShootingRow(
+            case=classify_case(problem.m0, problem.nu).value, n_r=n_r, m=m,
+            closed_energy=closed, shoot_energy=shot, rel_err=rel, norm=norm,
+            passed=rel < 1e-6 and abs(norm - 1.0) < 1e-6 and nodes == n_r,
+        ))
+    return rows
 
 
 def check_shooting(rows: list[ShootingRow]) -> CheckResult:
@@ -184,20 +204,11 @@ def check_shooting(rows: list[ShootingRow]) -> CheckResult:
     return _result("shooting", worst, 1e-6, detail)
 
 
-def check_norm_quadrature(small: bool = False) -> CheckResult:
-    n_max = 2 if small else 4
-    nus = (0.0, 0.5) if small else (0.0, 0.25, 0.5, 0.75)
-    worst = 0.0
-    count = 0
-    for nu in nus:
-        problem = RelativeProblem.from_parameters(1.0, 1.0, nu)
-        for n_r in range(n_max + 1):
-            for m in range(-(n_max - n_r), n_max - n_r + 1):
-                qn = bound.QuantumNumbers(n_r, m)
-                worst = max(worst, abs(oracle.quad_norm(qn, problem) - 1.0))
-                count += 1
+def check_norm_quadrature(norms: dict[tuple[float, int, int], float]) -> CheckResult:
+    worst = max(abs(norm - 1.0) for norm in norms.values())
+    n_max = max(n_r + abs(m) for _, n_r, m in norms)
     return _result("norm_quadrature", worst, 1e-6,
-                   f"{count} states with n_r + |m| <= {n_max}")
+                   f"{len(norms)} states with n_r + |m| <= {n_max}")
 
 
 def _enumerate_levels(problem: RelativeProblem,
@@ -292,9 +303,7 @@ _PDE_PROBES = ((0.7, 1.3), (1.4, 0.9), (2.1, 1.8))
 def pde_convergence_order(p: scatter.ScatteringParams) -> float:
     """Least-squares slope of log max-residual vs log h."""
     hs = (0.2, 0.1, 0.05, 0.025)
-    res = []
-    for h in hs:
-        res.append(max(scatter.pde_residual(p, xi, eta, h) for xi, eta in _PDE_PROBES))
+    res = [max(scatter.pde_residual(p, xi, eta, h) for xi, eta in _PDE_PROBES) for h in hs]
     return _loglog_slope(hs, res)
 
 
@@ -304,12 +313,8 @@ def check_pde_residual() -> CheckResult:
         scatter.ScatteringParams(1.0, 0.7, scatter.FluxCase.INTEGER_FLUX),
         scatter.ScatteringParams(1.0, 1.0, scatter.FluxCase.HALF_INTEGER),
     )
-    worst = 0.0
-    orders = []
-    for p in cases:
-        order = pde_convergence_order(p)
-        orders.append(order)
-        worst = max(worst, abs(order - 2.0))
+    orders = [pde_convergence_order(p) for p in cases]
+    worst = max(abs(order - 2.0) for order in orders)
     detail = "orders " + ", ".join(f"{o:.3f}" for o in orders)
     return _result("pde_residual", worst, 0.2, detail)
 
@@ -317,10 +322,9 @@ def check_pde_residual() -> CheckResult:
 def check_limits() -> CheckResult:
     """Flux-only limit of sigma_2 and classical limit of sigma_C, sigma_2."""
     theta = math.pi
-    worst = 0.0
     p_half = scatter.ScatteringParams(1.0, 1e-8, scatter.FluxCase.HALF_INTEGER)
     ab = scatter.limit_ab(scatter.FluxCase.HALF_INTEGER, 1.0, theta)
-    worst = max(worst, abs(scatter.sigma_sample(p_half, theta).sigma_total - ab) / ab)
+    worst = abs(scatter.sigma_sample(p_half, theta).sigma_total - ab) / ab
 
     # classical limit: mu = 1, v_c = k, beta = kappa/v_c^2
     mu, k, beta = 1.0, 1.0, 20.0
@@ -353,15 +357,11 @@ def check_interference(points: int = 4096) -> CheckResult:
     """
     p = scatter.ScatteringParams(1.0, 0.3, scatter.FluxCase.INTEGER_FLUX)
     thetas = scatter.linspace(0.01, 2.0 * math.pi - 0.01, points)
-    cross_min = math.inf
-    cross_max = -math.inf
-    total_min = math.inf
-    ratio_max = 0.0
-    for s in scatter.cross_sections(p, thetas):
-        cross_min = min(cross_min, s.sigma_cross)
-        cross_max = max(cross_max, s.sigma_cross)
-        total_min = min(total_min, s.sigma_total)
-        ratio_max = max(ratio_max, abs(s.sigma_cross) / s.sigma_coulomb)
+    samples = scatter.cross_sections(p, thetas)
+    cross_min = min(s.sigma_cross for s in samples)
+    cross_max = max(s.sigma_cross for s in samples)
+    total_min = min(s.sigma_total for s in samples)
+    ratio_max = max(abs(s.sigma_cross) / s.sigma_coulomb for s in samples)
     indefinite = cross_min < 0.0 < cross_max
     positive = total_min > 0.0
     worst = ratio_max if (indefinite and positive) else math.inf
@@ -405,16 +405,16 @@ def check_stationary_wave() -> CheckResult:
 
 def run_all_checks(small: bool = False) -> tuple[list[CheckResult], list[ShootingRow]]:
     """The full verification grid, in a stable order, plus the per-state rows."""
-    n_gamma = 50 if small else 200
     n_rand = 40 if small else 100
-    rows = shooting_report(small=small)
+    norms = norm_table(small)
+    rows = shooting_report(small, norms)
     checks = [
-        check_gamma_identities(n_gamma),
+        check_gamma_identities(50 if small else 200),
         check_gamma_functional(n_rand),
         check_kummer_transform(n_rand),
         check_kummer_polynomial(),
         check_shooting(rows),
-        check_norm_quadrature(small=small),
+        check_norm_quadrature(norms),
         check_degeneracy(8 if small else 12),
         check_pde_residual(),
         check_limits(),

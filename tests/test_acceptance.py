@@ -31,7 +31,7 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_spectrum_vs_ode_oracle():
     start = time.monotonic()
-    rows = verify.shooting_report(small=False)
+    rows = verify.shooting_report(False, verify.norm_table(False))
     elapsed = time.monotonic() - start
     worst = max(r.rel_err for r in rows)
     rows_ok = all(r.passed for r in rows)
@@ -50,7 +50,7 @@ def test_criterion_2_degeneracy_tables():
 
 
 def test_criterion_3_normalization():
-    res = verify.check_norm_quadrature(small=False)
+    res = verify.check_norm_quadrature(verify.norm_table(False))
     ok = res.worst < 1e-6
     _report("criterion 3 (normalization)", ok,
             f"{res.detail}, worst |norm - 1| = {res.worst:.2e} (< 1e-6); "

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import abc2d
-from abc2d import verify
+from abc2d import cli, verify
 from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
 from abc2d.cli import build_parser, main
 from abc2d.reduction import RelativeProblem
@@ -175,6 +175,22 @@ FIELD_DIGESTS = [
 @pytest.mark.parametrize("argv,digest", FIELD_DIGESTS)
 def test_field_golden_digests(argv, digest, capsys):
     assert main(["field"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `verify` stdout, recorded from the suite that shot every state and
+# took every norm on its own, before the oracle tables shared them.
+VERIFY_DIGESTS = [
+    ("small", "table", "baad9c6b8e656af75ae83a2ec97c27164aa6c52c67d021170016db7a811b6bbb"),
+    ("small", "json", "18cbe720f6e28a45ecf955dfb0f93a1023eb345a2723c7b4bf57dfe1f5f6b62b"),
+    ("full", "table", "4f323f639df632912beb58b966fbda958c76bb778e0ac1c7ea55741f0bce893b"),
+]
+
+
+@pytest.mark.parametrize("grid,fmt,digest", VERIFY_DIGESTS)
+def test_verify_golden_digests(grid, fmt, digest, capsys):
+    assert main(["verify", "--grid", grid, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -417,6 +433,23 @@ class TestVerifyCommand:
                 if line.startswith("shooting ")]
         assert [row[1] for row in rows] == ["FAIL"]
 
+    def test_shared_shots_keep_each_states_closed_energy(self, capsys, monkeypatch):
+        # lambda = n_r + |m| + nu + 1/2 is wrong only where m < 0 < nu, and
+        # each such state shares its shot with a state of the same |m + nu|
+        # that the mutant gets right, e.g. (nu, m) = (1/2, -1) and (1/2, 0)
+        def mutant(qn, problem):
+            lam = qn.n_r + abs(qn.m) + problem.nu + 0.5
+            return -problem.reduced_mass * problem.kappa ** 2 / (2.0 * lam * lam)
+
+        monkeypatch.setattr(verify.bound, "energy", mutant)
+        assert main(["verify", "--grid", "small"]) == 3
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines() if line.startswith("shooting ")]
+        assert [row[1] for row in rows] == ["FAIL"]
+        failed = [line.split(",")[:3] for line in out.splitlines()
+                  if line.startswith("# ") and line.endswith(",FAIL")]
+        assert failed == [["# HalfInteger", "0", "-1"], ["# HalfInteger", "1", "-1"]]
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_params_block_holds_only_command_and_grid(self, fmt, capsys):
         assert main(["verify", "--grid", "small", "--format", fmt]) == 0
@@ -635,6 +668,23 @@ FLOAT_FLAGS = {
 }
 REQUIRED = {"field": ["--kind", "bound"]}
 NEGATIVE_EXPONENT_FORMS = ("-1e-3", "-2E0", "-3e-12", "-1.5e+300", "-.5e1")
+
+
+def test_parser_is_built_once_and_main_finds_run_functions_at_call_time(
+        capsys, monkeypatch):
+    assert main(["spectrum", "--levels", "1"]) == 0
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    ran = []
+    run_spectrum = cli.run_spectrum
+    monkeypatch.setattr(cli, "run_spectrum",
+                        lambda args: ran.append(args.levels) or run_spectrum(args))
+    assert main(["spectrum", "--levels", "2"]) == 0
+    assert ran == [2]
+    assert built == []
+    assert build_parser() is build_parser()
 
 
 class TestNegativeExponentValues:

@@ -39,3 +39,31 @@ def test_slope_is_the_exact_least_squares_slope_rounded_once(fits):
         exact = (sum((u - u_bar) * (v - v_bar) for u, v in zip(us, vs))
                  / sum((u - u_bar) ** 2 for u in us))
         assert verify._loglog_slope(xs, ys) == float(exact)
+
+
+def test_each_oracle_input_is_computed_once_per_run(monkeypatch):
+    # one quad_norm per (nu, n_r, m) of the norm triangle and one shot per
+    # (mu, kappa, |m + nu|, n_r); a second run repeats them all, so nothing
+    # is kept between runs
+    calls = {"quad_norm": [], "shoot_with_nodes": []}
+    quad_norm, shoot = verify.oracle.quad_norm, verify.oracle.shoot_with_nodes
+
+    def counting_norm(qn, problem):
+        calls["quad_norm"].append((problem.nu, qn.n_r, qn.m))
+        return quad_norm(qn, problem)
+
+    def counting_shot(problem, m, n_r):
+        w = verify.bound.effective_exponent(m, problem.nu)
+        calls["shoot_with_nodes"].append((problem.reduced_mass, problem.kappa, w, n_r))
+        return shoot(problem, m, n_r)
+
+    monkeypatch.setattr(verify.oracle, "quad_norm", counting_norm)
+    monkeypatch.setattr(verify.oracle, "shoot_with_nodes", counting_shot)
+    for run in (1, 2):
+        for log in calls.values():
+            log.clear()
+        checks, rows = verify.run_all_checks(small=True)
+        assert all(c.passed for c in checks) and len(rows) == 12
+        assert {name: len(log) for name, log in calls.items()} == {
+            "quad_norm": 18, "shoot_with_nodes": 8}, run
+        assert all(len(set(log)) == len(log) for log in calls.values()), run
