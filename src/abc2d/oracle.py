@@ -33,11 +33,24 @@ Two oracles that share no special-function code with the closed forms:
 
 The ODE path never touches the confluent hypergeometric code, so agreement
 with the closed-form energies is a genuine cross-check.
+
+The root-finder and the quadrature are in-package ports, so the oracles need
+nothing outside the standard library:
+
+* ``_brent`` is scipy's ``brentq.c`` (Brent, *Algorithms for Minimization
+  without Derivatives*, 1973), line by line;
+* ``_qags`` is QUADPACK's ``dqagse`` with its helpers ``dqk21``, ``dqpsrt``
+  and ``dqelg`` (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+  *QUADPACK*, Springer 1983), keeping the Fortran's operation order.
+
+Both return the same floats as ``scipy.optimize.brentq`` and
+``scipy.integrate.quad`` bit for bit; the tests check that against scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
 from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
@@ -71,6 +84,8 @@ _ROOT_NOISE = 1e-8
 # step costs about one.
 _BRENT_WINDOW = 0.5
 _MAX_NARROWING = 60
+# scipy.optimize.brentq's default iteration cap.
+_BRENT_MAXITER = 100
 
 
 def _outer_turning_point(e: float, w: float) -> float:
@@ -228,6 +243,64 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
     return nodes_at, wronskian
 
 
+def _brent(f: Callable[[float], float], xa: float, xb: float,
+           xtol: float, rtol: float) -> float:
+    """Zero of f in [xa, xb] by Brent's method, to |error| < xtol + rtol |x|.
+
+    A line-by-line port of scipy's ``brentq.c``, with the same 100-iteration
+    cap as ``scipy.optimize.brentq``: it evaluates f at the same points and
+    returns the same float.  A bracket whose ends have the same sign, or a
+    search that does not converge, raises DomainError.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"Brent bracket [{xa}, {xb}] has no sign change")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise DomainError(f"Brent root-find did not converge in {_BRENT_MAXITER} "
+                      f"iterations in [{xa}, {xb}]")
+
+
 def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     """Find the Coulomb-unit eigenvalue with n_r interior nodes.
 
@@ -237,8 +310,6 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     _BRENT_WINDOW |e_guess| wide; Brent's method then finds the zero of the
     matching Wronskian inside it.
     """
-    from scipy.optimize import brentq
-
     nodes_at, wronskian = _shots(w, e_guess)
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
     n_lo, n_hi = nodes_at(lo), nodes_at(hi)
@@ -269,8 +340,8 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
         if abs(known[end]) > _ROOT_NOISE:
             raise DomainError(f"no Wronskian sign change in [{lo}, {hi}]")
         return end, n_lo
-    e = brentq(lambda e: known[e] if e in known else wronskian(e), lo, hi,
-               xtol=_ROOT_RTOL * abs(e_guess), rtol=_ROOT_RTOL)
+    e = _brent(lambda e: known[e] if e in known else wronskian(e), lo, hi,
+               _ROOT_RTOL * abs(e_guess), _ROOT_RTOL)
     return e, n_lo
 
 
@@ -289,6 +360,408 @@ def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float,
     return e_scaled * unit, nodes
 
 
+# -- QUADPACK QAGS ---------------------------------------------------------------
+#
+# A transliteration of dqagse and its helpers dqk21, dqpsrt and dqelg
+# (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer
+# 1983), keeping the Fortran's operation order and comparisons so that it
+# returns the same floats as scipy.integrate.quad.  The interval, error and
+# epsilon-table arrays keep the Fortran's 1-based indices; slot 0 is unused.
+
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_OFLOW = sys.float_info.max
+
+# 21-point Gauss-Kronrod rule on [-1, 1]: Kronrod abscissae (outermost first,
+# the centre last) and weights; the abscissae at odd 0-based index are the
+# 10-point Gauss nodes, with weights _WG.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208292750321, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# dqk21's two loops: (index, abscissa, Kronrod weight, Gauss weight) for the
+# Gauss nodes, then (index, abscissa, Kronrod weight) for the others.
+_QK21_GAUSS = tuple((j, _XGK[j], _WGK[j], _WG[j // 2]) for j in range(1, 10, 2))
+_QK21_KRONROD = tuple((j, _XGK[j], _WGK[j]) for j in range(0, 10, 2))
+
+
+def _qk21(f: Callable[[float], float], a: float,
+          b: float) -> tuple[float, float, float, float]:
+    """dqk21: (integral, error estimate, integral of |f|, integral of
+    |f - mean|) by the 21-point Kronrod rule on [a, b]."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    resg = 0.0
+    fc = f(centr)
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j, x, wk, wg in _QK21_GAUSS:
+        absc = hlgth * x
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        resg = resg + wg * fsum
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    for j, x, wk in _QK21_KRONROD:
+        absc = hlgth * x
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qpsrt(limit: int, last: int, maxerr: int, elist: list[float],
+           iord: list[int], nrmax: int) -> tuple[int, float, int]:
+    """dqpsrt: keep iord[1:] listing the intervals by descending error
+    estimate; returns (maxerr, errmax, nrmax) of the next one to bisect."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+    else:
+        errmax = elist[maxerr]
+        # subdivision raised the error estimate: move up past nrmax
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax -= 1
+        # only as many as the remaining bisections can reach stay sorted
+        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        # insert errmax top-down, then errmin bottom-up
+        for i in range(nrmax + 1, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        iord[k + 1] = last
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n: int, epstab: list[float], res3la: list[float],
+          nres: int) -> tuple[int, float, float, int]:
+    """dqelg: Wynn's epsilon algorithm on the n partial sums in epstab[1:];
+    returns (n, extrapolated limit, its error estimate, nres).  epstab and
+    res3la, the last three results, are updated in place."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    limexp = 50
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    num = n
+    k1 = n
+    for i in range(1, newelm + 1):
+        k2 = k1 - 1
+        k3 = k1 - 2
+        res = epstab[k1 + 2]
+        e0 = epstab[k3]
+        e1 = epstab[k2]
+        e2 = res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        if not (err2 > tol2 or err3 > tol3):
+            # e0, e1 and e2 agree to machine accuracy: converged
+            result = res
+            abserr = err2 + err3
+            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        # two close elements, or irregular behaviour: drop part of the table
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        epsinf = abs(ss * e1)
+        if not epsinf > 1e-4:
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 = k1 - 2
+        error = err2 + abs(res - e2) + err3
+        if not error > abserr:
+            abserr = error
+            result = res
+    # shift the table
+    if n == limexp:
+        n = 2 * (limexp // 2) - 1
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib += 2
+    if num != n:
+        indx = num - n + 1
+        for i in range(1, n + 1):
+            epstab[i] = epstab[indx]
+            indx += 1
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                  + abs(result - res3la[1]))
+        res3la[1] = res3la[2]
+        res3la[2] = res3la[3]
+        res3la[3] = result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def _qags(f: Callable[[float], float], a: float, b: float, epsabs: float,
+          epsrel: float, limit: int) -> tuple[float, float]:
+    """dqagse: (integral of f over [a, b], error estimate) by globally
+    adaptive bisection of at most ``limit`` intervals, with Wynn's epsilon
+    extrapolation past endpoint singularities.  The same floats as
+    ``scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+    limit=limit)``.  QUADPACK's ier flag is not returned: where it is
+    nonzero, the error estimate says how far the result can be trusted.
+    """
+    if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
+        raise ValueError("QAGS needs limit >= 1 and a positive tolerance")
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    alist[1] = a
+    blist[1] = b
+
+    # first approximation to the integral
+    ier = 0
+    ierro = 0
+    result, abserr, defabs, resasc = _qk21(f, a, b)
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    last = 1
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+        return result, abserr
+
+    rlist2[1] = result
+    errmax = abserr
+    maxerr = 1
+    area = result
+    errsum = abserr
+    abserr = _OFLOW
+    nrmax = 1
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    iroff1 = iroff2 = iroff3 = 0
+    small = erlarg = ertest = correc = 0.0
+
+    for last in range(2, limit + 1):
+        # bisect the interval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+
+        # roundoff, the interval limit, and bad behaviour at a point
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+
+        # append the new intervals to the list
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
+        else:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+
+        if errsum <= errbnd:
+            return _sum_in_order(rlist, last), errsum
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # go on bisecting until the interval to bisect next is the smallest
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # the smallest interval has the largest error: bisect a larger
+            # interval first if one is among the next in error order
+            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    larger = True
+                    break
+                nrmax += 1
+            if larger:
+                continue
+
+        # extrapolate
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    # choose between the extrapolated result and the sum over the intervals
+    if abserr == _OFLOW:
+        return _sum_in_order(rlist, last), errsum
+    if ier + ierro == 0:
+        return result, abserr
+    if ierro == 3:
+        abserr = abserr + correc
+    if result != 0.0 and area != 0.0:
+        if abserr / abs(result) > errsum / abs(area):
+            return _sum_in_order(rlist, last), errsum
+        return result, abserr
+    if abserr > errsum:
+        return _sum_in_order(rlist, last), errsum
+    return result, abserr
+
+
+def _sum_in_order(rlist: list[float], last: int) -> float:
+    """dqagse's final sum of the interval results, in list order."""
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result
+
+
 def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     """Numerical norm integral |psi|^2 over the plane.
 
@@ -296,8 +769,6 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     2 pi; the radial integral runs over u = rho/(1+rho) in (0, 1) with the
     decaying integrand evaluated through bound.wavefunction, built once.
     """
-    from scipy.integrate import quad
-
     e = energy(qn, problem)
     alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
     psi = wavefunction(qn, problem)
@@ -307,7 +778,7 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
         r = rho / alpha
         return abs(psi(r, 0.0)) ** 2 * r / (alpha * (1.0 - u) ** 2)
 
-    value, err_est = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    value, err_est = _qags(integrand, 0.0, 1.0, 1e-10, 1e-10, 200)
     if err_est > 1e-7:
         raise DomainError(f"norm quadrature error estimate {err_est:.2e}")
     return 2.0 * math.pi * value

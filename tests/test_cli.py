@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import abc2d
-from abc2d import cli, verify
+from abc2d import cli, oracle, verify
 from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
 from abc2d.cli import build_parser, main
 from abc2d.reduction import RelativeProblem
@@ -450,6 +451,15 @@ class TestVerifyCommand:
                   if line.startswith("# ") and line.endswith(",FAIL")]
         assert failed == [["# HalfInteger", "0", "-1"], ["# HalfInteger", "1", "-1"]]
 
+    def test_brent_nonconvergence_exits_two(self, capsys, monkeypatch):
+        # the shooting root-find gets one iteration, too few for any state
+        monkeypatch.setattr(oracle, "_BRENT_MAXITER", 1)
+        assert main(["verify", "--grid", "small"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("abc2d: Brent root-find did not converge in 1 iterations")
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_params_block_holds_only_command_and_grid(self, fmt, capsys):
         assert main(["verify", "--grid", "small", "--format", fmt]) == 0
@@ -621,7 +631,7 @@ class TestDeterminismAndUsage:
         assert proc.returncode == 0, proc.stderr
 
     def test_verify_checks_without_an_oracle_load_neither_numpy_nor_scipy(self):
-        # only shooting and norm_quadrature call the scipy-backed oracles
+        # the checks that never call shooting or norm_quadrature's oracles
         script = "\n".join([
             "import sys",
             "from abc2d import verify",
@@ -640,6 +650,40 @@ class TestDeterminismAndUsage:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
+
+    def test_oracles_load_neither_numpy_nor_scipy(self):
+        # verify with both oracles, then one state as the benchmark's
+        # "state" operation runs it: shooting and norm quadrature
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from abc2d import oracle",
+            "from abc2d.bound import QuantumNumbers",
+            "from abc2d.cli import main",
+            "from abc2d.reduction import RelativeProblem",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert main(['verify', '--grid', 'small']) == 0",
+            "problem = RelativeProblem.from_parameters(1.3, 0.7, 0.25)",
+            "assert oracle.shoot_with_nodes(problem, -1, 1)[1] == 1",
+            "assert abs(oracle.quad_norm(QuantumNumbers(1, -1), problem) - 1.0) < 1e-6",
+            "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_imports_only_the_standard_library(self):
+        # a third-party import anywhere in the package would put it back on
+        # the runtime path; relative imports are the package's own modules
+        for path in sorted(Path(abc2d.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

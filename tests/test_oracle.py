@@ -1,8 +1,12 @@
 import collections
 import inspect
 import math
+import random
+import sys
 
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 import abc2d.oracle as oracle_mod
 from abc2d import verify
@@ -124,11 +128,109 @@ class TestQuadNorm:
             assert quad_norm(qn, p) == pytest.approx(1.0, abs=1e-6)
 
     def test_inaccurate_quadrature_is_refused(self, monkeypatch):
-        import scipy.integrate
-
-        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **kw: (0.15, 1e-6))
+        monkeypatch.setattr(oracle_mod, "_qags", lambda f, a, b, *args: (0.15, 1e-6))
         with pytest.raises(DomainError, match="norm quadrature error estimate 1.00e-06"):
             quad_norm(QuantumNumbers(0, 0), problem(0.0))
+
+
+def _recorded(monkeypatch, name):
+    """(args, result) of each call to oracle.<name>, which still runs."""
+    calls = []
+    real = getattr(oracle_mod, name)
+
+    def recording(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(oracle_mod, name, recording)
+    return calls
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _scipy_quad(f, a, b, epsabs, epsrel, limit, **kw):
+    return scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kw)
+
+
+# _qags ports QUADPACK dqagse, the routine behind scipy.integrate.quad on a
+# finite interval: value and error estimate must be scipy's floats bit for bit.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestQagsMatchesScipy:
+    def assert_matches_quad(self, calls):
+        assert calls
+        for args, ours in calls:
+            assert _bits(ours) == _bits(_scipy_quad(*args)), args[1:]
+
+    @pytest.mark.parametrize("small", [True, False])
+    def test_norm_table_integrands(self, monkeypatch, small):
+        calls = _recorded(monkeypatch, "_qags")
+        verify.norm_table(small)
+        self.assert_matches_quad(calls)
+
+    def test_seeded_random_states(self, monkeypatch):
+        calls = _recorded(monkeypatch, "_qags")
+        rng = random.Random(20260)
+        for _ in range(50):
+            p = RelativeProblem.from_parameters(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5),
+                                                rng.uniform(-2.5, 2.5))
+            quad_norm(QuantumNumbers(rng.randint(0, 5), rng.randint(-5, 5)), p)
+        self.assert_matches_quad(calls)
+
+    @pytest.mark.parametrize("f", [lambda x: x ** -0.5, math.log, lambda x: x ** -0.9],
+                             ids=["inv_sqrt", "log", "x^-0.9"])
+    @pytest.mark.parametrize("limit", [200, 50, 10])
+    def test_endpoint_singularities_extrapolate(self, monkeypatch, f, limit):
+        extrapolations = _recorded(monkeypatch, "_qelg")
+        ours = oracle_mod._qags(f, 0.0, 1.0, 1e-10, 1e-10, limit)
+        assert extrapolations
+        assert _bits(ours) == _bits(_scipy_quad(f, 0.0, 1.0, 1e-10, 1e-10, limit))
+
+    @pytest.mark.parametrize("f,limit", [(lambda x: math.sin(1.0 / x), 10),
+                                         (lambda x: x ** -0.9, 3)],
+                             ids=["sin(1/x)", "x^-0.9"])
+    def test_running_out_of_intervals(self, f, limit):
+        ours = oracle_mod._qags(f, 0.0, 1.0, 1e-10, 1e-10, limit)
+        value, err, info, *_ = _scipy_quad(f, 0.0, 1.0, 1e-10, 1e-10, limit, full_output=1)
+        assert info["last"] == limit  # QUADPACK's ier = 1
+        assert _bits(ours) == _bits((value, err))
+
+    def test_invalid_tolerances_are_refused(self):
+        with pytest.raises(ValueError, match="positive tolerance"):
+            oracle_mod._qags(math.exp, 0.0, 1.0, 0.0, 1e-20, 50)
+
+
+def _step(x):
+    return -1.0 if x < 0.5 else 1.0
+
+
+class TestBrent:
+    def test_matches_brentq_on_every_shooting_call(self, monkeypatch):
+        calls = _recorded(monkeypatch, "_brent")
+        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=False):
+            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+        assert calls
+        for (f, xa, xb, xtol, rtol), ours in calls:
+            theirs = scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+            assert ours.hex() == theirs.hex(), (xa, xb)
+
+    @pytest.mark.parametrize("xa,xb,root", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)])
+    def test_an_end_where_f_is_zero_is_the_root(self, xa, xb, root):
+        assert oracle_mod._brent(lambda x: x - 1.0, xa, xb, 1e-12, 1e-10) == root
+
+    def test_same_sign_bracket_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no sign change"):
+            oracle_mod._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-10)
+
+    def test_nonconvergence_is_a_domain_error(self):
+        # bisecting [-1e300, 1e300] down to the jump takes over 1000 steps
+        rtol = 4.0 * sys.float_info.epsilon
+        with pytest.raises(RuntimeError, match="Failed to converge"):
+            scipy.optimize.brentq(_step, -1e300, 1e300, xtol=1e-320, rtol=rtol)
+        with pytest.raises(DomainError, match="did not converge in 100 iterations"):
+            oracle_mod._brent(_step, -1e300, 1e300, 1e-320, rtol)
 
 
 def test_ode_path_is_independent_of_hypergeometric_code():
