@@ -180,12 +180,15 @@ def test_field_golden_digests(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout, recorded from the suite that shot every state and
-# took every norm on its own, before the oracle tables shared them.
+# sha256 of `verify` stdout, recorded when quad_norm moved from QUADPACK on
+# u = rho / (1 + rho) to the trapezoid rule in ln rho.  Against the previous
+# digests only the per-state norm cells and the norm_quadrature row changed:
+# small-grid norms by at most 4.4e-16, full-grid ones by at most 5.0e-13, and
+# the full-grid worst |norm - 1| fell from 5.79e-13 to 6.2e-15.
 VERIFY_DIGESTS = [
-    ("small", "table", "baad9c6b8e656af75ae83a2ec97c27164aa6c52c67d021170016db7a811b6bbb"),
-    ("small", "json", "18cbe720f6e28a45ecf955dfb0f93a1023eb345a2723c7b4bf57dfe1f5f6b62b"),
-    ("full", "table", "4f323f639df632912beb58b966fbda958c76bb778e0ac1c7ea55741f0bce893b"),
+    ("small", "table", "41821cc74e67249860004daca545b471fbb6aebb9dc583fcd06d136d4ec323ac"),
+    ("small", "json", "a9e481930cb51edaeb0036abfea9cd088d48ac98070665ec03ca6cd33fa453fd"),
+    ("full", "table", "97b25e043538ab1485c2efd799808b65b508d2f1e19b102c057a5239afc5fbc4"),
 ]
 
 
