@@ -12,20 +12,28 @@ Two oracles that share no special-function code with the closed forms:
   supplies the per-step error control; the state is renormalized whenever it
   grows large (the ODE is linear).
 
+  The outward solution starts from its Frobenius series R = s^w sum c_k s^k,
+  summed at a quarter of the inner classical turning point (at most s = 2w).
+  Below w^2 / 2 the radial equation is classically forbidden at every
+  energy, so R grows there as a pure power without a node and needs no
+  steps.  The inward solution starts where a lower bound on the WKB action
+  from the outer turning point reaches 12, so its admixed growing mode is
+  damped by at least e^-24 and its steps cover no more decaying tail than
+  that.
+
   The eigenvalue is found in two stages.  Interior node counts of the
-  solution shot outward from the indicial behavior R ~ r^{|m+nu|} bracket
-  level n_r alone: n_r nodes at the lower end, n_r + 1 at the upper.  A
-  node count stops at the first step past the outer turning point where R
-  and R_x share a sign: R_xx has the sign of R there, so the solution then
-  grows monotonically and no further node can occur.  Brent's method then
-  finds the root of the normalized Wronskian of that outward solution and
-  one integrated inward from the decaying tail, matched at the outer
-  turning point (the matching method of Pryce, *Numerical Solution of
-  Sturm-Liouville Problems*, 1993).  Each trial energy's outward leg, from
-  the origin to the turning point, is integrated once and serves both its
-  node count and its Wronskian.  The reported node count is the one
-  measured at the lower bracket end, so it checks the level assignment
-  independently of the root-find.
+  outward solution bracket level n_r alone: n_r nodes at the lower end,
+  n_r + 1 at the upper.  A node count stops at the first step past the
+  outer turning point where R and R_x share a sign: R_xx has the sign of R
+  there, so the solution then grows monotonically and no further node can
+  occur.  Brent's method then finds the root of the normalized Wronskian of
+  that outward solution and one integrated inward from the decaying tail,
+  matched at the outer turning point (the matching method of Pryce,
+  *Numerical Solution of Sturm-Liouville Problems*, 1993).  Each trial
+  energy's outward leg, from the series start to the turning point, is
+  integrated once and serves both its node count and its Wronskian.  The
+  reported node count is the one measured at the lower bracket end, so it
+  checks the level assignment independently of the root-find.
 
 * ``quad_norm`` integrates |psi|^2 over the plane with the trapezoid rule in
   x = ln(alpha r), halving the step until two sums agree; the angular
@@ -53,13 +61,17 @@ from .reduction import RelativeProblem
 
 # The state (R, R_x) is renormalized once it exceeds this magnitude.
 _RESCALE_AT = 1e100
-# The inward solution starts where the decaying tail has fallen this many
-# e-folds below its value at the turning point; the admixed growing mode is
-# damped by about twice that on the way in.
-_TAIL_EFOLDS = 40.0
-# Shooting domain: the outward solution starts at _R_START in units of the
-# closed-form inverse decay scale 1/alpha and runs to _R_MAX outer classical
-# turning points; every integration keeps the local error below _ODE_TOL.
+# The inward solution starts where a lower bound on the WKB action from the
+# outer turning point reaches this value, so the admixed growing mode is
+# damped by at least e^-24 on the way in.
+_TAIL_ACTION = 12.0
+# The Frobenius series of the outward start converges in a few dozen terms
+# on the shooting domain; more than this many is a DomainError.
+_SERIES_MAX_TERMS = 200
+# Shooting domain: the outward solution starts no nearer the origin than
+# _R_START in units of the closed-form inverse decay scale 1/alpha and runs
+# to _R_MAX outer classical turning points; every integration keeps the
+# local error below _ODE_TOL.
 # _R_MAX must exceed 4: a trial energy in [1.5, 0.5] e_guess has its turning
 # point at most 4 times that of e_guess, so every node count and Wronskian
 # finds its turning point inside the domain.
@@ -196,33 +208,83 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
     return nodes, y, dy
 
 
+def _outward_start(w: float, e_guess: float) -> float:
+    """Where the outward leg starts: a quarter of e_guess's inner turning
+    point, the smaller root of 2 e s^2 + 2 s - w^2 = 0 (w^2 where it has
+    none), but at most 2w and at least _R_START / alpha.
+
+    q = w^2 - 2 s - 2 e s^2 > 0 below w^2 / 2 at every e < 0, so the regular
+    solution grows there without a node and starting past it skips only
+    pure growth.  The series that gives the start alternates: at s = 2w its
+    largest term is at most about 15 times its sum, while at a quarter of
+    the turning point it reaches 3e7 times the sum at w = 45.
+    """
+    s_inner = w * w / (1.0 + math.sqrt(max(1.0 + 2.0 * e_guess * w * w, 0.0)))
+    return max(min(0.25 * s_inner, 2.0 * w), _R_START / math.sqrt(-8.0 * e_guess))
+
+
+def _regular_series(w: float, e: float, s: float) -> tuple[float, float]:
+    """(R, R_x) of the regular solution at s, up to the positive factor s^w.
+
+    The Frobenius series R = s^w sum_k c_k s^k of R_xx = q R has c_0 = 1 and
+    c_k k (k + 2w) = -2 c_{k-1} - 2 e c_{k-2}.  Once k (k + 2w) exceeds
+    4 (s + |e| s^2), each term is below half the larger of the two before
+    it, so the sum ends at the second term in a row below the last bit.
+    """
+    t2, t1 = 0.0, 1.0
+    y, dy = 1.0, w
+    growth = 4.0 * (s - e * s * s)
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        t = (-2.0 * s * t1 - 2.0 * e * s * s * t2) / (k * (k + 2.0 * w))
+        y += t
+        dy += (w + k) * t
+        if (k * (k + 2.0 * w) > growth
+                and (w + k) * max(abs(t), abs(t1)) <= 1e-17 * (abs(y) + abs(dy))):
+            return y, dy
+        t2, t1 = t1, t
+    raise DomainError(f"Frobenius series at s = {s} did not converge in "
+                      f"{_SERIES_MAX_TERMS} terms (w = {w}, e = {e})")
+
+
+def _tail_start(e: float, w: float, s_max: float) -> float:
+    """Where the inward leg starts: the first s_tp + d, d = k^-1 1.25^j with
+    k = sqrt(-2e) and s_tp the outer turning point, at which the chord
+    (d / 2) sqrt(q_s(s_tp + d)) reaches _TAIL_ACTION, capped at s_max.
+    q_s = k^2 - 2/s + w^2/s^2 vanishes at s_tp and its root rises concavely
+    past it, so the chord bounds the WKB action from below.  (Where q_s has
+    no root, s_tp = -1/e and q_s > 0 throughout.)"""
+    s_tp = _outer_turning_point(e, w)
+    k2 = -2.0 * e
+    d = 1.0 / math.sqrt(k2)
+    while s_tp + d < s_max:
+        s = s_tp + d
+        if 0.5 * d * math.sqrt(max(k2 - 2.0 / s + w * w / (s * s), 0.0)) >= _TAIL_ACTION:
+            return s
+        d *= 1.25
+    return s_max
+
+
 def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
                                                Callable[[float], float]]:
     """(node count, matching Wronskian) as functions of the trial energy, on
     the shooting domain set by the predicted energy e_guess.
 
     Both start from one outward leg per trial energy, integrated once from
-    the Frobenius start to the outer turning point and kept: the node count
+    the series start to the outer turning point and kept: the node count
     continues it outward until growth is sign-locked, the Wronskian matches
     it against a leg integrated inward from the decaying tail.
     """
-    alpha = math.sqrt(-8.0 * e_guess)
-    s0 = _R_START / alpha
+    s0 = _outward_start(w, e_guess)
     x0 = math.log(s0)
     s_max = _R_MAX * _outer_turning_point(e_guess, w)
     x1 = math.log(s_max)
-    # Frobenius start R = s^w (1 - 2 s/(2w+1)), normalized at s0; in the log
-    # variable the slope is d ln R/dx times R.
-    c1 = -2.0 / (2.0 * w + 1.0)
-    y0 = 1.0 + c1 * s0
-    dy0 = w * (1.0 + c1 * s0) + c1 * s0
     legs: dict[float, tuple[float, int, float, float]] = {}
 
     def outward(e: float) -> tuple[float, int, float, float]:
         """(x_tp, nodes, R, R_x) of the outward leg, x0 to the turning point x_tp."""
         if e not in legs:
             x_tp = math.log(_outer_turning_point(e, w))
-            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, y0, dy0))
+            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, *_regular_series(w, e, s0)))
         return legs[e]
 
     def nodes_at(e: float) -> int:
@@ -233,7 +295,7 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
         """Normalized Wronskian of the outward and inward solutions at the
         outer turning point; zero exactly at an eigenvalue."""
         x_tp, _, yo, dyo = outward(e)
-        s_in = min(s_max, _outer_turning_point(e, w) + _TAIL_EFOLDS / math.sqrt(-2.0 * e))
+        s_in = _tail_start(e, w, s_max)
         # WKB slope of the solution that decays outward (grows inward)
         q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
         _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q))
@@ -407,7 +469,11 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
         return (abs(psi(rho / alpha, 0.0)) * rho / alpha) ** 2
 
     x_min, x_max = -40.0 / (2.0 * w + 2.0), math.log(8.0 * lam + 60.0)
-    value, err_est = _trapezoid(integrand, x_min, x_max)
+    try:
+        value, err_est = _trapezoid(integrand, x_min, x_max)
+    except OverflowError:
+        raise DomainError(f"norm quadrature overflows for (n_r, m) = ({qn.n_r}, {qn.m}) "
+                          f"at nu = {problem.nu}") from None
     if err_est > 1e-7:
         raise DomainError(f"norm quadrature error estimate {err_est:.2e}")
     return 2.0 * math.pi * value

@@ -180,15 +180,16 @@ def test_field_golden_digests(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout, recorded when quad_norm moved from QUADPACK on
-# u = rho / (1 + rho) to the trapezoid rule in ln rho.  Against the previous
-# digests only the per-state norm cells and the norm_quadrature row changed:
-# small-grid norms by at most 4.4e-16, full-grid ones by at most 5.0e-13, and
-# the full-grid worst |norm - 1| fell from 5.79e-13 to 6.2e-15.
+# sha256 of `verify` stdout, recorded when the shooting oracle's outward
+# legs moved to a Frobenius-series start and its inward legs to a tail start
+# bounded by the WKB action.  Against the previous digests only shoot_E and
+# rel_err cells and the shooting row's worst changed: energies by at most
+# 8.4e-11 relative, the worst error from 1.932e-10 to 1.957e-10; every norm
+# and every per-state pass (which holds the node count) stayed.
 VERIFY_DIGESTS = [
-    ("small", "table", "41821cc74e67249860004daca545b471fbb6aebb9dc583fcd06d136d4ec323ac"),
-    ("small", "json", "a9e481930cb51edaeb0036abfea9cd088d48ac98070665ec03ca6cd33fa453fd"),
-    ("full", "table", "97b25e043538ab1485c2efd799808b65b508d2f1e19b102c057a5239afc5fbc4"),
+    ("small", "table", "20c24e0b3d29f49f31c0a86bbdf8a78f4e060e7bd655224623d9b320b4b65c97"),
+    ("small", "json", "3e55ff2fb04892d89eedb0920fd730096cf14360c60b3f725bfb57a493414cb0"),
+    ("full", "table", "81ad3353867edeb24d88560b24725455a1444326d08d76c41e052d4f34e22b4e"),
 ]
 
 

@@ -113,6 +113,92 @@ class TestShooting:
         closed = -p.reduced_mass * p.kappa**2 / (2.0 * 1.0**2)
         assert e == pytest.approx(closed, rel=1e-6)
 
+    def test_step_budget(self, monkeypatch):
+        # each q evaluation in _integrate is one exp: starting the outward
+        # legs at a quarter of the inner turning point (not 1e-6 / alpha)
+        # and the inward legs at a WKB action of 12 (not 40 nominal e-folds)
+        # took the small grid from 235,355 to 138,181 of them
+        counting = _CountingMath()
+        monkeypatch.setattr(oracle_mod, "math", counting)
+        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
+            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+        assert counting.exps <= 0.65 * 235_355
+
+    # an inward leg started 12 nominal e-folds k (s - s_tp) past the turning
+    # point, instead of at the action bound, fails 11 of these 12 states
+    @pytest.mark.parametrize("m", [5, -8, 12, 20, 30, 45])
+    @pytest.mark.parametrize("n_r", [0, 3])
+    def test_large_m(self, m, n_r):
+        p = problem(0.3)
+        e, nodes = shoot_with_nodes(p, m, n_r)
+        assert nodes == n_r
+        assert e == pytest.approx(energy(QuantumNumbers(n_r, m), p), rel=1e-8)
+
+
+class _CountingMath:
+    """The math module, counting calls to exp."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exps += 1
+        return math.exp(x)
+
+
+class TestLegEnds:
+    @pytest.mark.parametrize("w", [0.25, 1.0, 2.75, 12.0, 45.0])
+    @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
+    def test_series_start_matches_integration_from_the_origin(self, w, factor, monkeypatch):
+        # (R, R_x) at the outward start, from the Frobenius series and from
+        # Cash-Karp run out from the two-term start at 1e-6 / alpha.  At the
+        # shooting tolerance of 1e-10 that path is itself off the series by
+        # up to 3.3e-11 at w = 0.25 (the series is within 1.4e-16 of a
+        # 50-digit sum), so it runs here at 1e-13.
+        monkeypatch.setattr(oracle_mod, "_ODE_TOL", 1e-13)
+        e_guess = -0.5 / (w + 0.5) ** 2
+        e = factor * e_guess
+        s_tiny = oracle_mod._R_START / math.sqrt(-8.0 * e_guess)
+        s0 = oracle_mod._outward_start(w, e_guess)
+        assert s0 > 1e3 * s_tiny
+        c1 = -2.0 / (2.0 * w + 1.0)
+        _, y, dy = oracle_mod._integrate(w, e, math.log(s_tiny), math.log(s0), 1.0 + c1 * s_tiny,
+                                         w * (1.0 + c1 * s_tiny) + c1 * s_tiny)
+        ys, dys = oracle_mod._regular_series(w, e, s0)
+        sine = abs(y * dys - dy * ys) / (math.hypot(y, dy) * math.hypot(ys, dys))
+        assert sine <= 1e-11
+
+    def test_w_zero_keeps_the_tiny_start(self):
+        e_guess = -2.0
+        assert oracle_mod._outward_start(0.0, e_guess) == oracle_mod._R_START / 4.0
+
+    def test_series_term_cap_is_a_domain_error(self):
+        # at s = 1e6 the terms grow for about a million terms before they fall
+        with pytest.raises(DomainError, match="did not converge in 200 terms"):
+            oracle_mod._regular_series(1.0, -0.5, 1e6)
+
+    @pytest.mark.parametrize("w", [0.0, 0.25, 2.75, 12.0, 45.0])
+    @pytest.mark.parametrize("n_r", [0, 3])
+    @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
+    def test_tail_starts_past_the_action_bound(self, w, n_r, factor):
+        # the WKB action from the outer turning point to the inward start,
+        # by a fine midpoint sum, is at least _TAIL_ACTION
+        e_guess = -0.5 / (n_r + w + 0.5) ** 2
+        e = factor * e_guess
+        s_max = oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w)
+        s_tp = oracle_mod._outer_turning_point(e, w)
+        s_in = oracle_mod._tail_start(e, w, s_max)
+        assert s_tp < s_in < s_max
+        n = 20_000
+        h = (s_in - s_tp) / n
+        action = h * math.fsum(
+            math.sqrt(max(-2.0 * e - 2.0 / s + w * w / (s * s), 0.0))
+            for s in (s_tp + (j + 0.5) * h for j in range(n)))
+        assert oracle_mod._TAIL_ACTION <= action < 4.0 * oracle_mod._TAIL_ACTION
+
 
 class TestQuadNorm:
     def test_coulomb_ground(self):
@@ -125,6 +211,11 @@ class TestQuadNorm:
         p = problem(0.75)
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, -2), QuantumNumbers(0, 3)):
             assert quad_norm(qn, p) == pytest.approx(1.0, abs=1e-6)
+
+    def test_overflow_is_a_domain_error(self):
+        # rho^w overflows inside the range, although |psi| is finite there
+        with pytest.raises(DomainError, match=r"overflows for \(n_r, m\) = \(0, 120\) at nu = 0.3"):
+            quad_norm(QuantumNumbers(0, 120), problem(0.3))
 
     def test_inaccurate_quadrature_is_refused(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_trapezoid", lambda f, a, b: (0.15, 1e-6))
@@ -281,21 +372,23 @@ def test_ode_path_is_independent_of_hypergeometric_code():
     assert "specfn" not in src
 
 
-# repr(shoot_with_nodes(...)) recorded before the node counts stopped at the
-# sign lock and the outward legs were shared: the small verify grid, then the
-# states of test_bracket_end_on_eigenvalue.
+# repr(shoot_with_nodes(...)) on the small verify grid, then the states of
+# test_bracket_end_on_eigenvalue.  Re-recorded when the outward legs moved
+# to the series start and the inward legs to the action-bounded tail: the
+# five energies that are not exact moved by at most 8.4e-11 relative (worst
+# error 1.932e-10 -> 1.957e-10), and every node count stayed.
 GOLDEN_SHOTS = [
-    ((0.0, -1, 0), "(-0.22222222226515864, 0)"),
+    ((0.0, -1, 0), "(-0.22222222225542743, 0)"),
     ((0.0, -1, 1), "(-0.08, 1)"),
     ((0.0, 0, 0), "(-2.0, 0)"),
     ((0.0, 0, 1), "(-0.2222222222222222, 1)"),
-    ((0.0, 1, 0), "(-0.22222222226515864, 0)"),
+    ((0.0, 1, 0), "(-0.22222222225542743, 0)"),
     ((0.0, 1, 1), "(-0.08, 1)"),
-    ((0.5, -1, 0), "(-0.5000000000561182, 0)"),
+    ((0.5, -1, 0), "(-0.5000000000978628, 0)"),
     ((0.5, -1, 1), "(-0.125, 1)"),
-    ((0.5, 0, 0), "(-0.5000000000561182, 0)"),
+    ((0.5, 0, 0), "(-0.5000000000978628, 0)"),
     ((0.5, 0, 1), "(-0.125, 1)"),
-    ((0.5, 1, 0), "(-0.12500000001521985, 0)"),
+    ((0.5, 1, 0), "(-0.125000000015149, 0)"),
     ((0.5, 1, 1), "(-0.05555555555555555, 1)"),
     ((0.25, 0, 2), "(-0.06611570247933884, 2)"),
     ((0.25, 2, 1), "(-0.035555555555555556, 1)"),
@@ -386,13 +479,15 @@ def _growth_stop_nodes(w, e, x0, x1, y0, dy0, tol=1e-10):
 @pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.25, 2.75])
 @pytest.mark.parametrize("n_r", [0, 1, 2, 3])
 def test_sign_lock_stop_keeps_node_counts(w, n_r):
-    # the node count may stop once R and R_x share a sign past the turning
-    # point; it must agree with running on to 60 e-folds of growth.  At
-    # factor 1.0, e_guess is the eigenvalue itself (the first narrowing
-    # midpoint), and within about 1e-11 of it the count is roundoff under
-    # either rule: the two agree there on this grid only.  On the eigenvalue
-    # they are known to differ for some n_r = 4 states with w >= 3.3, so a
-    # different libm could flip the 1.0 case without a real regression.
+    # the node count may start at the series start and stop once R and R_x
+    # share a sign past the turning point; it must agree with a shot from
+    # the two-term start at 1e-6 / alpha run on to 60 e-folds of growth,
+    # and 5e-10 from the eigenvalue (e_guess, at factor 1.0) both must give
+    # the exact count: n_r below it, n_r + 1 above.  Nearer than that the
+    # count is decided by the 1e-10 integration error: on this grid the
+    # oracle's count changes up to 1.6e-10 from the eigenvalue (1.1e-10
+    # with the old tiny start) and the reference's up to 1.2e-10, so there
+    # the count is held only to rising from n_r to n_r + 1 as e does.
     e_guess = -0.5 / (n_r + w + 0.5) ** 2
     alpha = math.sqrt(-8.0 * e_guess)
     s0 = oracle_mod._R_START / alpha
@@ -400,8 +495,9 @@ def test_sign_lock_stop_keeps_node_counts(w, n_r):
     c1 = -2.0 / (2.0 * w + 1.0)
     start = (math.log(s0), x1, 1.0 + c1 * s0, w * (1.0 + c1 * s0) + c1 * s0)
     nodes_at = oracle_mod._shots(w, e_guess)[0]
-    factors = [1.5, 1.3, 1.1, 1.0, 0.9, 0.7, 0.5,
-               1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-10, 1.0 - 1e-10]
-    for f in factors:
+    for f in [1.5, 1.3, 1.1, 0.9, 0.7, 0.5, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-10, 1.0 - 5e-10]:
         e = f * e_guess
         assert nodes_at(e) == _growth_stop_nodes(w, e, *start), f
+    band = [nodes_at(f * e_guess)
+            for f in [1.0 + 1e-9, 1.0 + 5e-10, 1.0 + 1e-10, 1.0, 1.0 - 1e-10, 1.0 - 5e-10, 1.0 - 1e-9]]
+    assert band == sorted(band) and band[:2] == [n_r] * 2 and band[-2:] == [n_r + 1] * 2, band
