@@ -26,12 +26,12 @@ Two oracles that share no special-function code with the closed forms:
   n_r + 1 at the upper.  A node count stops at the first step past the
   outer turning point where R and R_x share a sign: R_xx has the sign of R
   there, so the solution then grows monotonically and no further node can
-  occur.  Brent's method then finds the root of the normalized Wronskian of
-  that outward solution and one integrated inward from the decaying tail,
-  matched at the outer turning point (the matching method of Pryce,
-  *Numerical Solution of Sturm-Liouville Problems*, 1993).  Each trial
-  energy's outward leg, from the series start to the turning point, is
-  integrated once and serves both its node count and its Wronskian.  The
+  occur.  The Illinois method then finds the root of the normalized
+  Wronskian of that outward solution and one integrated inward from the
+  decaying tail, matched at the outer turning point (the matching method of
+  Pryce, *Numerical Solution of Sturm-Liouville Problems*, 1993).  Each
+  trial energy's outward leg, from the series start to the turning point,
+  is integrated once and serves both its node count and its Wronskian.  The
   reported node count is the one measured at the lower bracket end, so it
   checks the level assignment independently of the root-find.
 
@@ -45,9 +45,8 @@ The ODE path never touches the confluent hypergeometric code, so agreement
 with the closed-form energies is a genuine cross-check.
 
 The oracles need nothing outside the standard library: the root-finder
-``_brent`` is a line-by-line port of scipy's ``brentq.c`` (Brent, *Algorithms
-for Minimization without Derivatives*, 1973) that returns the same floats as
-``scipy.optimize.brentq`` bit for bit; the tests check that against scipy.
+``_illinois`` is the Illinois modified regula falsi (Dowell & Jarratt, *BIT*
+11, 168, 1971).
 """
 
 from __future__ import annotations
@@ -78,20 +77,20 @@ _SERIES_MAX_TERMS = 200
 _R_START = 1e-6
 _R_MAX = 60.0
 _ODE_TOL = 1e-10
-# Relative energy tolerance of the Brent root-find, near the noise floor the
+# Relative energy tolerance of the root-find, near the noise floor the
 # _ODE_TOL integrations leave in the matching Wronskian.
 _ROOT_RTOL = 1e-10
-# When both bracket ends show the same Wronskian sign, the end below this
-# magnitude is the eigenvalue itself; the observed noise there is ~5e-11.
+# When both bracket ends show the same Wronskian sign, an end below this
+# magnitude sits on the eigenvalue; the observed noise there is ~5e-11.
 _ROOT_NOISE = 1e-8
-# Brent starts from a node bracket at most this share of |e_guess| wide.
-# Across the whole initial window the Wronskian is curved enough that Brent
-# needs 8-10 evaluations of two integrations each; a node-count bisection
-# step costs about one.
-_BRENT_WINDOW = 0.5
+# The root-find starts from a node bracket at most this share of |e_guess|
+# wide.  Across the whole initial window the Wronskian is curved enough that
+# the root-find needs 6-11 evaluations of two integrations each; a
+# node-count bisection step costs about one.
+_ROOT_WINDOW = 0.5
 _MAX_NARROWING = 60
-# scipy.optimize.brentq's default iteration cap.
-_BRENT_MAXITER = 100
+# The root-find's step cap.
+_ROOT_MAXITER = 100
 # quad_norm's trapezoid rule: the first sum's panel count, the relative
 # agreement of two successive sums that ends the halving, and the panel cap.
 _TRAPEZOID_PANELS = 32
@@ -304,62 +303,33 @@ def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
     return nodes_at, wronskian
 
 
-def _brent(f: Callable[[float], float], xa: float, xb: float,
-           xtol: float, rtol: float) -> float:
-    """Zero of f in [xa, xb] by Brent's method, to |error| < xtol + rtol |x|.
-
-    A line-by-line port of scipy's ``brentq.c``, with the same 100-iteration
-    cap as ``scipy.optimize.brentq``: it evaluates f at the same points and
-    returns the same float.  A bracket whose ends have the same sign, or a
-    search that does not converge, raises DomainError.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise DomainError(f"Brent bracket [{xa}, {xb}] has no sign change")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _illinois(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
+              xtol: float, rtol: float) -> float:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) differ in
+    sign.  Each step replaces an end by the secant point c, and halves the
+    f value of an end kept twice in a row (the Illinois rule).  Returns c
+    once |b - a| <= 2 (xtol + rtol |c|), or an end where f is zero; more
+    than _ROOT_MAXITER steps raise DomainError."""
+    side = 0  # which end the last step replaced: -1 for a, 1 for b
+    for _ in range(_ROOT_MAXITER):
+        if fa == 0.0 or fb == 0.0:
+            return a if fa == 0.0 else b
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(b - a) <= 2.0 * (xtol + rtol * abs(c)):
+            return c
+        fc = f(c)
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise DomainError(f"Brent root-find did not converge in {_BRENT_MAXITER} "
-                      f"iterations in [{xa}, {xb}]")
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+    raise DomainError(f"root-find did not converge in {_ROOT_MAXITER} steps "
+                      f"between {a} and {b}")
 
 
 def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
@@ -368,8 +338,10 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     Returns (e, nodes measured at the lower end of the root bracket).  The
     search window is [1.5 e_guess, 0.5 e_guess] around the predicted energy,
     narrowed by node count until it holds level n_r alone and is at most
-    _BRENT_WINDOW |e_guess| wide; Brent's method then finds the zero of the
-    matching Wronskian inside it.
+    _ROOT_WINDOW |e_guess| wide; the Illinois method then finds the zero of
+    the matching Wronskian inside it.  Where both ends show the same sign,
+    one end sits on the eigenvalue and its Wronskian is integration noise;
+    the secant zero through the two ends is then returned.
     """
     nodes_at, wronskian = _shots(w, e_guess)
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
@@ -381,7 +353,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
         )
     # For high states the initial window also holds level n_r + 1.
     for _ in range(_MAX_NARROWING):
-        if n_lo == n_r and n_hi == n_r + 1 and hi - lo <= _BRENT_WINDOW * abs(e_guess):
+        if n_lo == n_r and n_hi == n_r + 1 and hi - lo <= _ROOT_WINDOW * abs(e_guess):
             break
         mid = 0.5 * (lo + hi)
         n_mid = nodes_at(mid)
@@ -392,17 +364,15 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     else:
         raise DomainError(f"node counts never isolated level {n_r}")
 
-    known = {lo: wronskian(lo), hi: wronskian(hi)}
-    if (known[lo] < 0.0) == (known[hi] < 0.0):
+    w_lo, w_hi = wronskian(lo), wronskian(hi)
+    if (w_lo < 0.0) == (w_hi < 0.0):
         # The first narrowing midpoint is e_guess.  Where that is the
-        # eigenvalue, the Wronskian there is integration noise
-        # (~1e-11) of either sign, and that end is the root.
-        end = min(known, key=lambda e: abs(known[e]))
-        if abs(known[end]) > _ROOT_NOISE:
+        # eigenvalue, the Wronskian there is integration noise (~1e-11) of
+        # either sign, and the secant through both ends lands next to it.
+        if min(abs(w_lo), abs(w_hi)) > _ROOT_NOISE:
             raise DomainError(f"no Wronskian sign change in [{lo}, {hi}]")
-        return end, n_lo
-    e = _brent(lambda e: known[e] if e in known else wronskian(e), lo, hi,
-               _ROOT_RTOL * abs(e_guess), _ROOT_RTOL)
+        return hi - w_hi * (hi - lo) / (w_hi - w_lo), n_lo
+    e = _illinois(wronskian, lo, w_lo, hi, w_hi, _ROOT_RTOL * abs(e_guess), _ROOT_RTOL)
     return e, n_lo
 
 

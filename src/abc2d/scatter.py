@@ -160,7 +160,6 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
     integer = p.flux_case is FluxCase.INTEGER_FLUX
     half = p.flux_case is FluxCase.HALF_INTEGER
     b = p.beta
-    two_k = 2.0 * p.k
     btanh = b * math.tanh(math.pi * b)
     if integer:
         if b == 0.0:
@@ -175,7 +174,7 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
     samples = []
     for theta in thetas:
         s2 = _check_angle(theta)
-        sc = btanh / (two_k * s2)
+        sc = 0.5 * btanh / (p.k * s2)
         if integer:
             b_ln = b * math.log(s2)
             if _EPS * (d_size + abs(b_ln)) > _PHASE_ERROR_LIMIT:
@@ -185,7 +184,7 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
             sx = neg_amp * math.cos(arg) / math.sqrt(s2)
             samples.append(CrossSectionSample(theta, sc + sx, sc, sx))
         elif half:
-            samples.append(CrossSectionSample(theta, bcoth / (two_k * s2), sc, 0.0))
+            samples.append(CrossSectionSample(theta, 0.5 * bcoth / (p.k * s2), sc, 0.0))
         else:
             samples.append(CrossSectionSample(theta, sc, sc, 0.0))
     return samples

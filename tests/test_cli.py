@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -180,16 +181,17 @@ def test_field_golden_digests(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout, recorded when the shooting oracle's outward
-# legs moved to a Frobenius-series start and its inward legs to a tail start
-# bounded by the WKB action.  Against the previous digests only shoot_E and
+# sha256 of `verify` stdout, recorded when the shooting root-find became the
+# Illinois method and stopped returning the closed-form end of a bracket
+# whose ends share a sign.  Against the previous digests only shoot_E and
 # rel_err cells and the shooting row's worst changed: energies by at most
-# 8.4e-11 relative, the worst error from 1.932e-10 to 1.957e-10; every norm
-# and every per-state pass (which holds the node count) stayed.
+# 7.9e-11 relative, the worst error from 1.957e-10 to 1.170e-10 (small) and
+# 1.723e-10 (full); every norm and every per-state pass (which holds the
+# node count) stayed, and no shoot_E equals its closed_E.
 VERIFY_DIGESTS = [
-    ("small", "table", "20c24e0b3d29f49f31c0a86bbdf8a78f4e060e7bd655224623d9b320b4b65c97"),
-    ("small", "json", "3e55ff2fb04892d89eedb0920fd730096cf14360c60b3f725bfb57a493414cb0"),
-    ("full", "table", "81ad3353867edeb24d88560b24725455a1444326d08d76c41e052d4f34e22b4e"),
+    ("small", "table", "a5ff9eda6e406cc1086f14425a39b71b63f518fa4681d3e05ae08e6e2fe1f93a"),
+    ("small", "json", "e96d207995855a4b9e2c7bcd8f017f9fff243b2d980e7ab6e2e1b0f1e4fa4e33"),
+    ("full", "table", "b889efae57f1fbafe9beb938669ecd3a518f16e1edf04df98a71dfa30d56c4a1"),
 ]
 
 
@@ -267,6 +269,18 @@ class TestXsectionCommand:
         _, _, rows = parse_csv(text)
         assert len(rows) == 16
         assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+    @pytest.mark.parametrize("case", ["coulomb", "half"])
+    def test_backscattering_at_the_largest_k(self, case, tmp_path):
+        # 2k overflows at k = 1e308; beta tanh(pi beta) / (2k) and
+        # beta coth(pi beta) / (2k) are both 0.5 at theta = pi
+        code, text = run_csv(tmp_path, ["xsection", "--case", case, "--k", "1e308",
+                                        "--beta", "1e308", "--thetas", "1",
+                                        "--theta-min", "3.141592653589793",
+                                        "--theta-max", "3.141592653589793"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert [float(v) for v in rows[0][1:]] == [0.5, 0.5, 0.0]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_integer_flux_phase_lost_to_rounding_exits_two(self, fmt, capsys):
@@ -455,14 +469,14 @@ class TestVerifyCommand:
                   if line.startswith("# ") and line.endswith(",FAIL")]
         assert failed == [["# HalfInteger", "0", "-1"], ["# HalfInteger", "1", "-1"]]
 
-    def test_brent_nonconvergence_exits_two(self, capsys, monkeypatch):
-        # the shooting root-find gets one iteration, too few for any state
-        monkeypatch.setattr(oracle, "_BRENT_MAXITER", 1)
+    def test_root_find_nonconvergence_exits_two(self, capsys, monkeypatch):
+        # the shooting root-find gets one step, too few for any sign change
+        monkeypatch.setattr(oracle, "_ROOT_MAXITER", 1)
         assert main(["verify", "--grid", "small"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("abc2d: Brent root-find did not converge in 1 iterations")
+        assert captured.err.startswith("abc2d: root-find did not converge in 1 steps")
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_params_block_holds_only_command_and_grid(self, fmt, capsys):
@@ -688,6 +702,24 @@ class TestDeterminismAndUsage:
                     continue
                 for name in names:
                     assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+    def test_test_extra_names_the_tests_third_party_imports(self):
+        # a test dependency left out of the extra, or kept after its last
+        # import is gone, fails here; importorskip gates Python 3.10
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        imported = set()
+        for path in sorted(root.glob("tests/*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.partition(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"abc2d"}
+        with open(root / "pyproject.toml", "rb") as f:
+            extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+        names = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in extra}
+        assert third_party == names
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -2,10 +2,8 @@ import collections
 import inspect
 import math
 import random
-import sys
 
 import pytest
-import scipy.optimize
 
 import abc2d.oracle as oracle_mod
 from abc2d import verify
@@ -15,6 +13,11 @@ from abc2d.oracle import quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
 
 E_NU025_M_MINUS1_NR1 = -0.098765432098765432  # -1/(2 * 2.25^2) = -8/81
+# (nu, m, n_r) at mu = kappa = 1 whose root-bracket ends show the same
+# Wronskian sign: at the closed-form end it is integration noise
+BRACKET_END_STATES = [
+    (0.25, 0, 2), (0.25, 2, 1), (0.5, -1, 2), (0.5, 0, 2), (0.5, 2, 1), (0.75, -1, 2),
+]
 
 
 def problem(nu, mu=1.0, kappa=1.0):
@@ -55,15 +58,24 @@ class TestShooting:
 
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
-    # integration noise of either sign.
-    @pytest.mark.parametrize("nu,m,n_r", [
-        (0.25, 0, 2), (0.25, 2, 1), (0.5, -1, 2), (0.5, 0, 2), (0.5, 2, 1), (0.75, -1, 2),
-    ])
+    # integration noise of either sign: both ends may share a sign, and the
+    # secant through them then gives the energy.
+    @pytest.mark.parametrize("nu,m,n_r", BRACKET_END_STATES)
     def test_bracket_end_on_eigenvalue(self, nu, m, n_r):
         p = problem(nu)
         e, nodes = shoot_with_nodes(p, m, n_r)
         assert nodes == n_r
         assert e == pytest.approx(energy(QuantumNumbers(n_r, m), p), rel=1e-9)
+
+    def test_no_shot_returns_the_closed_form(self):
+        # the closed-form energy is an end of every root bracket, and a shot
+        # that returned it bit for bit would witness nothing
+        states = [*verify.shooting_grid(small=True), *verify.shooting_grid(small=False),
+                  *((1.0, 1.0, nu, m, n_r) for nu, m, n_r in BRACKET_END_STATES)]
+        for mu, kappa, nu, m, n_r in states:
+            p = RelativeProblem.from_parameters(mu, kappa, nu)
+            e = shoot_with_nodes(p, m, n_r)[0]
+            assert e != energy(QuantumNumbers(n_r, m), p), (nu, m, n_r)
 
     @pytest.mark.parametrize("shift", [-0.05, 1e-3, 0.1])
     def test_window_center_need_not_be_exact(self, shift):
@@ -319,49 +331,41 @@ class TestQuadNorm:
             quad_norm(QuantumNumbers(0, 0), problem(0.5, mu=1e-160, kappa=1e-160))
 
 
-def _recorded(monkeypatch, name):
-    """(args, result) of each call to oracle.<name>, which still runs."""
-    calls = []
-    real = getattr(oracle_mod, name)
+class TestIllinois:
+    @pytest.mark.parametrize("a,b,root", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)])
+    def test_an_end_where_f_is_zero_is_the_root(self, a, b, root):
+        def f(x):
+            raise AssertionError("f evaluated")
 
-    def recording(*args):
-        result = real(*args)
-        calls.append((args, result))
-        return result
+        assert oracle_mod._illinois(f, a, a - 1.0, b, b - 1.0, 1e-12, 1e-10) == root
 
-    monkeypatch.setattr(oracle_mod, name, recording)
-    return calls
+    def test_linear_f_is_exact_after_one_step(self):
+        points = []
 
+        def f(x):
+            points.append(x)
+            return 2.0 * x - 3.0
 
-def _step(x):
-    return -1.0 if x < 0.5 else 1.0
+        assert oracle_mod._illinois(f, -1.0, -5.0, 4.0, 5.0, 1e-12, 1e-10) == 1.5
+        assert points == [1.5]
 
+    def test_cube_root_of_two(self):
+        points = []
 
-class TestBrent:
-    def test_matches_brentq_on_every_shooting_call(self, monkeypatch):
-        calls = _recorded(monkeypatch, "_brent")
-        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=False):
-            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-        assert calls
-        for (f, xa, xb, xtol, rtol), ours in calls:
-            theirs = scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
-            assert ours.hex() == theirs.hex(), (xa, xb)
+        def f(x):
+            points.append(x)
+            return x ** 3 - 2.0
 
-    @pytest.mark.parametrize("xa,xb,root", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)])
-    def test_an_end_where_f_is_zero_is_the_root(self, xa, xb, root):
-        assert oracle_mod._brent(lambda x: x - 1.0, xa, xb, 1e-12, 1e-10) == root
+        xtol, rtol = 1e-12, 1e-10
+        root = 2.0 ** (1.0 / 3.0)
+        x = oracle_mod._illinois(f, 0.0, -2.0, 2.0, 6.0, xtol, rtol)
+        assert abs(x - root) <= 2.0 * (xtol + rtol * root)
+        assert len(points) <= 12
 
-    def test_same_sign_bracket_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="no sign change"):
-            oracle_mod._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-10)
-
-    def test_nonconvergence_is_a_domain_error(self):
-        # bisecting [-1e300, 1e300] down to the jump takes over 1000 steps
-        rtol = 4.0 * sys.float_info.epsilon
-        with pytest.raises(RuntimeError, match="Failed to converge"):
-            scipy.optimize.brentq(_step, -1e300, 1e300, xtol=1e-320, rtol=rtol)
-        with pytest.raises(DomainError, match="did not converge in 100 iterations"):
-            oracle_mod._brent(_step, -1e300, 1e300, 1e-320, rtol)
+    def test_step_cap_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_ROOT_MAXITER", 3)
+        with pytest.raises(DomainError, match="did not converge in 3 steps"):
+            oracle_mod._illinois(lambda x: x ** 3 - 2.0, 0.0, -2.0, 2.0, 6.0, 1e-12, 1e-10)
 
 
 def test_ode_path_is_independent_of_hypergeometric_code():
@@ -373,29 +377,30 @@ def test_ode_path_is_independent_of_hypergeometric_code():
 
 
 # repr(shoot_with_nodes(...)) on the small verify grid, then the states of
-# test_bracket_end_on_eigenvalue.  Re-recorded when the outward legs moved
-# to the series start and the inward legs to the action-bounded tail: the
-# five energies that are not exact moved by at most 8.4e-11 relative (worst
-# error 1.932e-10 -> 1.957e-10), and every node count stayed.
+# test_bracket_end_on_eigenvalue.  Re-recorded when the root-find became the
+# Illinois method and a bracket whose ends share a sign began to return the
+# secant zero through them instead of the closed-form end: every energy
+# moved, by at most 7.9e-11 relative (worst error 1.957e-10 -> 1.170e-10),
+# none equals its closed form, and every node count stayed.
 GOLDEN_SHOTS = [
-    ((0.0, -1, 0), "(-0.22222222225542743, 0)"),
-    ((0.0, -1, 1), "(-0.08, 1)"),
-    ((0.0, 0, 0), "(-2.0, 0)"),
-    ((0.0, 0, 1), "(-0.2222222222222222, 1)"),
-    ((0.0, 1, 0), "(-0.22222222225542743, 0)"),
-    ((0.0, 1, 1), "(-0.08, 1)"),
-    ((0.5, -1, 0), "(-0.5000000000978628, 0)"),
-    ((0.5, -1, 1), "(-0.125, 1)"),
-    ((0.5, 0, 0), "(-0.5000000000978628, 0)"),
-    ((0.5, 0, 1), "(-0.125, 1)"),
-    ((0.5, 1, 0), "(-0.125000000015149, 0)"),
-    ((0.5, 1, 1), "(-0.05555555555555555, 1)"),
-    ((0.25, 0, 2), "(-0.06611570247933884, 2)"),
-    ((0.25, 2, 1), "(-0.035555555555555556, 1)"),
-    ((0.5, -1, 2), "(-0.05555555555555555, 2)"),
-    ((0.5, 0, 2), "(-0.05555555555555555, 2)"),
-    ((0.5, 2, 1), "(-0.03125, 1)"),
-    ((0.75, -1, 2), "(-0.06611570247933884, 2)"),
+    ((0.0, -1, 0), "(-0.22222222224130053, 0)"),
+    ((0.0, -1, 1), "(-0.07999999999841723, 1)"),
+    ((0.0, 0, 0), "(-2.0000000000126956, 0)"),
+    ((0.0, 0, 1), "(-0.222222222221423, 1)"),
+    ((0.0, 1, 0), "(-0.22222222224130053, 0)"),
+    ((0.0, 1, 1), "(-0.07999999999841723, 1)"),
+    ((0.5, -1, 0), "(-0.5000000000585131, 0)"),
+    ((0.5, -1, 1), "(-0.12499999999978528, 1)"),
+    ((0.5, 0, 0), "(-0.5000000000585131, 0)"),
+    ((0.5, 0, 1), "(-0.12499999999978528, 1)"),
+    ((0.5, 1, 0), "(-0.12500000000791286, 0)"),
+    ((0.5, 1, 1), "(-0.0555555555548949, 1)"),
+    ((0.25, 0, 2), "(-0.06611570247997416, 2)"),
+    ((0.25, 2, 1), "(-0.03555555555583015, 1)"),
+    ((0.5, -1, 2), "(-0.05555555555690345, 2)"),
+    ((0.5, 0, 2), "(-0.05555555555690345, 2)"),
+    ((0.5, 2, 1), "(-0.03125000000053767, 1)"),
+    ((0.75, -1, 2), "(-0.06611570247997416, 2)"),
 ]
 
 
