@@ -21,19 +21,19 @@ Two oracles that share no special-function code with the closed forms:
   damped by at least e^-24 and its steps cover no more decaying tail than
   that.
 
-  The eigenvalue is found in two stages.  Interior node counts of the
-  outward solution bracket level n_r alone: n_r nodes at the lower end,
-  n_r + 1 at the upper.  A node count stops at the first step past the
-  outer turning point where R and R_x share a sign: R_xx has the sign of R
-  there, so the solution then grows monotonically and no further node can
-  occur.  The Illinois method then finds the root of the normalized
-  Wronskian of that outward solution and one integrated inward from the
-  decaying tail, matched at the outer turning point (the matching method of
-  Pryce, *Numerical Solution of Sturm-Liouville Problems*, 1993).  Each
-  trial energy's outward leg, from the series start to the turning point,
-  is integrated once and serves both its node count and its Wronskian.  The
-  reported node count is the one measured at the lower bracket end, so it
-  checks the level assignment independently of the root-find.
+  Each trial energy takes one matching shot (Pryce, *Numerical Solution of
+  Sturm-Liouville Problems*, 1993): the outward leg runs from the series
+  start to the outer turning point, the inward leg from the decaying tail to
+  the same point, and each is integrated once.  The shot returns the
+  normalized Wronskian W of the two legs there, zero exactly at an
+  eigenvalue, and the eigenvalue index: the outward leg's interior nodes,
+  plus one where W and R differ in sign.  R starts positive and the inward
+  solution has no node, so W has the sign (-1)^nodes at every trial energy.
+  Node counts bracket level n_r alone, n_r nodes at the lower end and
+  n_r + 1 at the upper, so W changes sign across the bracket, and the
+  Illinois method finds its zero.  The reported node count is the one
+  measured at the lower bracket end, so it checks the level assignment
+  independently of the root-find.
 
 * ``quad_norm`` integrates |psi|^2 over the plane with the trapezoid rule in
   x = ln(alpha r), halving the step until two sums agree; the angular
@@ -68,25 +68,23 @@ _TAIL_ACTION = 12.0
 # on the shooting domain; more than this many is a DomainError.
 _SERIES_MAX_TERMS = 200
 # Shooting domain: the outward solution starts no nearer the origin than
-# _R_START in units of the closed-form inverse decay scale 1/alpha and runs
-# to _R_MAX outer classical turning points; every integration keeps the
-# local error below _ODE_TOL.
+# _R_START in units of the closed-form inverse decay scale 1/alpha, the
+# inward one starts no farther out than _R_MAX outer classical turning
+# points of e_guess, and every integration keeps the local error below
+# _ODE_TOL.
 # _R_MAX must exceed 4: a trial energy in [1.5, 0.5] e_guess has its turning
-# point at most 4 times that of e_guess, so every node count and Wronskian
-# finds its turning point inside the domain.
+# point at most 4 times that of e_guess, so every inward leg starts past its
+# turning point.
 _R_START = 1e-6
 _R_MAX = 60.0
 _ODE_TOL = 1e-10
 # Relative energy tolerance of the root-find, near the noise floor the
 # _ODE_TOL integrations leave in the matching Wronskian.
 _ROOT_RTOL = 1e-10
-# When both bracket ends show the same Wronskian sign, an end below this
-# magnitude sits on the eigenvalue; the observed noise there is ~5e-11.
-_ROOT_NOISE = 1e-8
 # The root-find starts from a node bracket at most this share of |e_guess|
 # wide.  Across the whole initial window the Wronskian is curved enough that
-# the root-find needs 6-11 evaluations of two integrations each; a
-# node-count bisection step costs about one.
+# the root-find needs 6-11 shots of two integrations each; a node-count
+# bisection step costs one.
 _ROOT_WINDOW = 0.5
 _MAX_NARROWING = 60
 # The root-find's step cap.
@@ -106,18 +104,14 @@ def _outer_turning_point(e: float, w: float) -> float:
     return (1.0 + math.sqrt(disc)) / (-2.0 * e)
 
 
-def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
-               sign_lock: bool = False) -> tuple[int, float, float]:
+def _integrate(w: float, e: float, x0: float, x1: float, y0: float,
+               dy0: float) -> tuple[int, float, float]:
     """Integrate R_xx = q R, q = w^2 - 2 e^x - 2 e e^{2x}, from x0 to x1
     (either direction) at trial energy e, with the Cash-Karp 5(4) pair and
     local error tolerance _ODE_TOL.
 
     Returns (sign changes of R, R, R_x) with the final pair rescaled by an
-    arbitrary positive factor.  With sign_lock, integration stops at the
-    first accepted step where R and R_x share a sign.  Callers set it only
-    for a leg that runs outward from the outer turning point: q > 0 there,
-    so once R R_x > 0 the solution grows monotonically and no further node
-    can occur.
+    arbitrary positive factor.
 
     Stage 5 is evaluated at x + h, the start of the next step, so an
     accepted step hands its q on as the next step's stage 1.
@@ -199,8 +193,6 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float, dy0: float,
             if m > _RESCALE_AT:
                 y /= m
                 dy /= m
-            if sign_lock and y * dy > 0.0:
-                break
         h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
         if abs(h) < 1e-14 * span:
             raise DomainError("step size underflow in radial integration")
@@ -263,44 +255,37 @@ def _tail_start(e: float, w: float, s_max: float) -> float:
     return s_max
 
 
-def _shots(w: float, e_guess: float) -> tuple[Callable[[float], int],
-                                               Callable[[float], float]]:
-    """(node count, matching Wronskian) as functions of the trial energy, on
-    the shooting domain set by the predicted energy e_guess.
+def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
+    """The matching shot, e -> (nodes, W), memoized, on the shooting domain
+    set by the predicted energy e_guess.
 
-    Both start from one outward leg per trial energy, integrated once from
-    the series start to the outer turning point and kept: the node count
-    continues it outward until growth is sign-locked, the Wronskian matches
-    it against a leg integrated inward from the decaying tail.
+    W is the normalized Wronskian of the outward and inward solutions at the
+    outer turning point, zero exactly at an eigenvalue.  nodes counts the
+    regular solution's zeros on the whole half-line: past the turning point
+    q > 0, so R crosses zero at most once more than the outward leg's sign
+    changes.  R starts positive and the inward solution is positive without
+    a node, so W is positive below the lowest level and changes sign at
+    each eigenvalue: its sign is (-1)^nodes, and the extra zero is there
+    exactly where W and R at the turning point differ in sign.
     """
     s0 = _outward_start(w, e_guess)
     x0 = math.log(s0)
     s_max = _R_MAX * _outer_turning_point(e_guess, w)
-    x1 = math.log(s_max)
-    legs: dict[float, tuple[float, int, float, float]] = {}
+    shots: dict[float, tuple[int, float]] = {}
 
-    def outward(e: float) -> tuple[float, int, float, float]:
-        """(x_tp, nodes, R, R_x) of the outward leg, x0 to the turning point x_tp."""
-        if e not in legs:
+    def shot(e: float) -> tuple[int, float]:
+        if e not in shots:
             x_tp = math.log(_outer_turning_point(e, w))
-            legs[e] = (x_tp, *_integrate(w, e, x0, x_tp, *_regular_series(w, e, s0)))
-        return legs[e]
+            nodes, yo, dyo = _integrate(w, e, x0, x_tp, *_regular_series(w, e, s0))
+            s_in = _tail_start(e, w, s_max)
+            # WKB slope of the solution that decays outward (grows inward)
+            q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
+            _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q))
+            wr = (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
+            shots[e] = nodes + ((wr < 0.0) != (yo < 0.0)), wr
+        return shots[e]
 
-    def nodes_at(e: float) -> int:
-        x_tp, nodes, y, dy = outward(e)
-        return nodes + _integrate(w, e, x_tp, x1, y, dy, sign_lock=True)[0]
-
-    def wronskian(e: float) -> float:
-        """Normalized Wronskian of the outward and inward solutions at the
-        outer turning point; zero exactly at an eigenvalue."""
-        x_tp, _, yo, dyo = outward(e)
-        s_in = _tail_start(e, w, s_max)
-        # WKB slope of the solution that decays outward (grows inward)
-        q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-        _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q))
-        return (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
-
-    return nodes_at, wronskian
+    return shot
 
 
 def _illinois(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
@@ -336,43 +321,34 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     """Find the Coulomb-unit eigenvalue with n_r interior nodes.
 
     Returns (e, nodes measured at the lower end of the root bracket).  The
-    search window is [1.5 e_guess, 0.5 e_guess] around the predicted energy,
-    narrowed by node count until it holds level n_r alone and is at most
-    _ROOT_WINDOW |e_guess| wide; the Illinois method then finds the zero of
-    the matching Wronskian inside it.  Where both ends show the same sign,
-    one end sits on the eigenvalue and its Wronskian is integration noise;
-    the secant zero through the two ends is then returned.
+    search window [1.5 e_guess, 0.5 e_guess] around the predicted energy is
+    halved by node count, from its midpoint e_guess on, until it holds level
+    n_r alone and is at most _ROOT_WINDOW |e_guess| wide; each step keeps
+    the half whose ends count at most n_r and more than n_r nodes, so the
+    end it drops is never shot.  The Wronskian's signs at the two ends then
+    differ, and the Illinois method finds its zero between them.
     """
-    nodes_at, wronskian = _shots(w, e_guess)
+    shot = _shots(w, e_guess)
     lo, hi = 1.5 * e_guess, 0.5 * e_guess
-    n_lo, n_hi = nodes_at(lo), nodes_at(hi)
-    if n_lo > n_r or n_hi < n_r + 1:
-        raise DomainError(
-            f"no eigenvalue bracket in [{lo}, {hi}]: node counts "
-            f"({n_lo}, {n_hi}) vs target {n_r}"
-        )
-    # For high states the initial window also holds level n_r + 1.
     for _ in range(_MAX_NARROWING):
+        mid = 0.5 * (lo + hi)
+        if shot(mid)[0] <= n_r:
+            lo = mid
+        else:
+            hi = mid
+        (n_lo, w_lo), (n_hi, w_hi) = shot(lo), shot(hi)
+        if n_lo > n_r or n_hi < n_r + 1:
+            raise DomainError(
+                f"no eigenvalue bracket in [{lo}, {hi}]: node counts "
+                f"({n_lo}, {n_hi}) vs target {n_r}"
+            )
+        # For high states the first half-window also holds level n_r + 1.
         if n_lo == n_r and n_hi == n_r + 1 and hi - lo <= _ROOT_WINDOW * abs(e_guess):
             break
-        mid = 0.5 * (lo + hi)
-        n_mid = nodes_at(mid)
-        if n_mid <= n_r:
-            lo, n_lo = mid, n_mid
-        else:
-            hi, n_hi = mid, n_mid
     else:
         raise DomainError(f"node counts never isolated level {n_r}")
-
-    w_lo, w_hi = wronskian(lo), wronskian(hi)
-    if (w_lo < 0.0) == (w_hi < 0.0):
-        # The first narrowing midpoint is e_guess.  Where that is the
-        # eigenvalue, the Wronskian there is integration noise (~1e-11) of
-        # either sign, and the secant through both ends lands next to it.
-        if min(abs(w_lo), abs(w_hi)) > _ROOT_NOISE:
-            raise DomainError(f"no Wronskian sign change in [{lo}, {hi}]")
-        return hi - w_hi * (hi - lo) / (w_hi - w_lo), n_lo
-    e = _illinois(wronskian, lo, w_lo, hi, w_hi, _ROOT_RTOL * abs(e_guess), _ROOT_RTOL)
+    e = _illinois(lambda e: shot(e)[1], lo, w_lo, hi, w_hi,
+                  _ROOT_RTOL * abs(e_guess), _ROOT_RTOL)
     return e, n_lo
 
 

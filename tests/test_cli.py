@@ -181,17 +181,19 @@ def test_field_golden_digests(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout, recorded when the shooting root-find became the
-# Illinois method and stopped returning the closed-form end of a bracket
-# whose ends share a sign.  Against the previous digests only shoot_E and
-# rel_err cells and the shooting row's worst changed: energies by at most
-# 7.9e-11 relative, the worst error from 1.957e-10 to 1.170e-10 (small) and
-# 1.723e-10 (full); every norm and every per-state pass (which holds the
-# node count) stayed, and no shoot_E equals its closed_E.
+# sha256 of `verify` stdout.  The full-grid table was re-recorded when each
+# trial energy became one matching shot whose node count comes from the
+# Wronskian's sign: the closed-form energy, the first narrowing midpoint,
+# now always lands on the side of the bracket its Wronskian's sign says, so
+# no bracket's ends share a sign.  Against the previous digest only 10 of
+# the 60 rows' shoot_E and rel_err cells changed, each toward its closed
+# form (rel_err 2.812e-11 -> 1.740e-11, for one); every norm, per-state pass
+# (which holds the node count) and the shooting row's worst, 1.723e-10,
+# stayed.  The small grid's table and JSON are unchanged.
 VERIFY_DIGESTS = [
     ("small", "table", "a5ff9eda6e406cc1086f14425a39b71b63f518fa4681d3e05ae08e6e2fe1f93a"),
     ("small", "json", "e96d207995855a4b9e2c7bcd8f017f9fff243b2d980e7ab6e2e1b0f1e4fa4e33"),
-    ("full", "table", "b889efae57f1fbafe9beb938669ecd3a518f16e1edf04df98a71dfa30d56c4a1"),
+    ("full", "table", "5c2099c846f39e90abadb2382f99eec44d0a7e8147eefc910869b2b6eab986ee"),
 ]
 
 

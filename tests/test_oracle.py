@@ -13,8 +13,10 @@ from abc2d.oracle import quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
 
 E_NU025_M_MINUS1_NR1 = -0.098765432098765432  # -1/(2 * 2.25^2) = -8/81
-# (nu, m, n_r) at mu = kappa = 1 whose root-bracket ends show the same
-# Wronskian sign: at the closed-form end it is integration noise
+# (nu, m, n_r) at mu = kappa = 1 where the closed-form energy, an end of
+# the root bracket, sits so close to the eigenvalue that its Wronskian is
+# integration noise; there a node count taken apart from the Wronskian
+# disagreed with the Wronskian's sign
 BRACKET_END_STATES = [
     (0.25, 0, 2), (0.25, 2, 1), (0.5, -1, 2), (0.5, 0, 2), (0.5, 2, 1), (0.75, -1, 2),
 ]
@@ -51,15 +53,16 @@ class TestShooting:
             shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
     def test_truncated_domain_fails_to_bracket(self, monkeypatch):
-        # r_max below the turning point keeps the discriminating node outside
+        # r_max below the turning point starts the inward leg inside it, which
+        # flips the Wronskian's sign and with it every node count
         monkeypatch.setattr(oracle_mod, "_R_MAX", 0.8)
-        with pytest.raises(DomainError, match="no Wronskian sign change"):
+        with pytest.raises(DomainError, match="no eigenvalue bracket"):
             shoot_with_nodes(problem(0.0), 0, 0)
 
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
-    # integration noise of either sign: both ends may share a sign, and the
-    # secant through them then gives the energy.
+    # integration noise of either sign; the node count follows that sign,
+    # so the bracket's ends still differ in sign.
     @pytest.mark.parametrize("nu,m,n_r", BRACKET_END_STATES)
     def test_bracket_end_on_eigenvalue(self, nu, m, n_r):
         p = problem(nu)
@@ -77,6 +80,16 @@ class TestShooting:
             e = shoot_with_nodes(p, m, n_r)[0]
             assert e != energy(QuantumNumbers(n_r, m), p), (nu, m, n_r)
 
+    def test_strongly_curved_wronskian(self):
+        # W at this state's closed-form end is 2.8e-11 and 3.7e-3 at the far
+        # end of the bracket, but its local slope is 480 times the average:
+        # a secant through both ends put the shot 1.89e-9 off, while the
+        # zero of W lies 3.9e-12 from the closed form
+        p = RelativeProblem.from_parameters(0.96591, 0.50516, 1.95256)
+        e, nodes = shoot_with_nodes(p, 0, 5)
+        assert nodes == 5
+        assert e == pytest.approx(energy(QuantumNumbers(5, 0), p), rel=2e-10)
+
     @pytest.mark.parametrize("shift", [-0.05, 1e-3, 0.1])
     def test_window_center_need_not_be_exact(self, shift):
         # nu = 0.25, m = 1, n_r = 1 with the search window centred off the
@@ -88,7 +101,8 @@ class TestShooting:
         assert e == pytest.approx(e_true, rel=1e-9)
 
     def test_integration_budget(self, monkeypatch):
-        # node-count bisection alone took 37 integrations per state
+        # node-count bisection alone took 37 integrations per state, and node
+        # counts taken apart from the matching Wronskian took up to 12
         calls = []
         integrate = oracle_mod._integrate
 
@@ -100,7 +114,7 @@ class TestShooting:
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
             before = len(calls)
             shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-            assert len(calls) - before <= 16, (alpha, m, n_r)
+            assert len(calls) - before <= 8, (alpha, m, n_r)
 
     def test_each_outward_leg_is_integrated_once(self, monkeypatch):
         # a trial energy's node count and Wronskian share one leg from x0
@@ -129,12 +143,14 @@ class TestShooting:
         # each q evaluation in _integrate is one exp: starting the outward
         # legs at a quarter of the inner turning point (not 1e-6 / alpha)
         # and the inward legs at a WKB action of 12 (not 40 nominal e-folds)
-        # took the small grid from 235,355 to 138,181 of them
+        # took the small grid from 235,355 to 138,181 of them, and one
+        # matching shot per trial energy, with no leg run on past the turning
+        # point to count nodes, to 121,738
         counting = _CountingMath()
         monkeypatch.setattr(oracle_mod, "math", counting)
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
             shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-        assert counting.exps <= 0.65 * 235_355
+        assert counting.exps <= 0.55 * 235_355
 
     # an inward leg started 12 nominal e-folds k (s - s_tp) past the turning
     # point, instead of at the action bound, fails 11 of these 12 states
@@ -377,11 +393,13 @@ def test_ode_path_is_independent_of_hypergeometric_code():
 
 
 # repr(shoot_with_nodes(...)) on the small verify grid, then the states of
-# test_bracket_end_on_eigenvalue.  Re-recorded when the root-find became the
-# Illinois method and a bracket whose ends share a sign began to return the
-# secant zero through them instead of the closed-form end: every energy
-# moved, by at most 7.9e-11 relative (worst error 1.957e-10 -> 1.170e-10),
-# none equals its closed form, and every node count stayed.
+# test_bracket_end_on_eigenvalue.  The last six were re-recorded when each
+# trial energy became one matching shot with its node count taken from the
+# Wronskian's sign: their first narrowing midpoint, the closed-form energy,
+# then counted n_r + 1 where a separate count had said n_r, so the root-find
+# runs on the other half-window.  Each moved toward its closed form (rel_err
+# 9.6e-12 -> 5.3e-12 at (0.25, 0, 2), for one), and every node count stayed;
+# the small grid's twelve are unchanged.
 GOLDEN_SHOTS = [
     ((0.0, -1, 0), "(-0.22222222224130053, 0)"),
     ((0.0, -1, 1), "(-0.07999999999841723, 1)"),
@@ -395,12 +413,12 @@ GOLDEN_SHOTS = [
     ((0.5, 0, 1), "(-0.12499999999978528, 1)"),
     ((0.5, 1, 0), "(-0.12500000000791286, 0)"),
     ((0.5, 1, 1), "(-0.0555555555548949, 1)"),
-    ((0.25, 0, 2), "(-0.06611570247997416, 2)"),
-    ((0.25, 2, 1), "(-0.03555555555583015, 1)"),
-    ((0.5, -1, 2), "(-0.05555555555690345, 2)"),
-    ((0.5, 0, 2), "(-0.05555555555690345, 2)"),
-    ((0.5, 2, 1), "(-0.03125000000053767, 1)"),
-    ((0.75, -1, 2), "(-0.06611570247997416, 2)"),
+    ((0.25, 0, 2), "(-0.06611570247969059, 2)"),
+    ((0.25, 2, 1), "(-0.03555555555569669, 1)"),
+    ((0.5, -1, 2), "(-0.05555555555627508, 2)"),
+    ((0.5, 0, 2), "(-0.05555555555627508, 2)"),
+    ((0.5, 2, 1), "(-0.03125000000027821, 1)"),
+    ((0.75, -1, 2), "(-0.06611570247969059, 2)"),
 ]
 
 
@@ -483,26 +501,48 @@ def _growth_stop_nodes(w, e, x0, x1, y0, dy0, tol=1e-10):
 
 @pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.25, 2.75])
 @pytest.mark.parametrize("n_r", [0, 1, 2, 3])
-def test_sign_lock_stop_keeps_node_counts(w, n_r):
-    # the node count may start at the series start and stop once R and R_x
-    # share a sign past the turning point; it must agree with a shot from
-    # the two-term start at 1e-6 / alpha run on to 60 e-folds of growth,
-    # and 5e-10 from the eigenvalue (e_guess, at factor 1.0) both must give
-    # the exact count: n_r below it, n_r + 1 above.  Nearer than that the
-    # count is decided by the 1e-10 integration error: on this grid the
-    # oracle's count changes up to 1.6e-10 from the eigenvalue (1.1e-10
-    # with the old tiny start) and the reference's up to 1.2e-10, so there
-    # the count is held only to rising from n_r to n_r + 1 as e does.
+def test_matched_shot_keeps_node_counts(w, n_r):
+    # the node count may start at the series start and stop at the turning
+    # point, taking any last node from the Wronskian's sign; it must agree
+    # with a shot from the two-term start at 1e-6 / alpha run on to 60
+    # e-folds of growth, and 5e-10 from the eigenvalue (e_guess, at factor
+    # 1.0) both must give the exact count: n_r below it, n_r + 1 above.
+    # Nearer than that the count is decided by the 1e-10 integration error:
+    # on this grid the oracle's count changes where its Wronskian does, up
+    # to 1.7e-10 from the eigenvalue (1.6e-10 for a count run on past the
+    # turning point, 1.1e-10 with the old tiny start), and the reference's
+    # up to 1.2e-10, so there the count is held only to rising from n_r to
+    # n_r + 1 as e does.
     e_guess = -0.5 / (n_r + w + 0.5) ** 2
     alpha = math.sqrt(-8.0 * e_guess)
     s0 = oracle_mod._R_START / alpha
     x1 = math.log(oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w))
     c1 = -2.0 / (2.0 * w + 1.0)
     start = (math.log(s0), x1, 1.0 + c1 * s0, w * (1.0 + c1 * s0) + c1 * s0)
-    nodes_at = oracle_mod._shots(w, e_guess)[0]
+    shot = oracle_mod._shots(w, e_guess)
+
+    def nodes_at(e):
+        return shot(e)[0]
+
     for f in [1.5, 1.3, 1.1, 0.9, 0.7, 0.5, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-10, 1.0 - 5e-10]:
         e = f * e_guess
         assert nodes_at(e) == _growth_stop_nodes(w, e, *start), f
     band = [nodes_at(f * e_guess)
             for f in [1.0 + 1e-9, 1.0 + 5e-10, 1.0 + 1e-10, 1.0, 1.0 - 1e-10, 1.0 - 5e-10, 1.0 - 1e-9]]
     assert band == sorted(band) and band[:2] == [n_r] * 2 and band[-2:] == [n_r + 1] * 2, band
+
+
+@pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.25, 2.75])
+@pytest.mark.parametrize("n_r", [0, 1, 2, 3])
+def test_wronskian_sign_follows_the_node_count(w, n_r):
+    # R starts positive and the inward solution has no node, so W has the
+    # sign (-1)^nodes at every trial energy, and node counts n_r and n_r + 1
+    # at the bracket ends give W a sign change between them.  Counted apart
+    # from W, by a leg run on past the turning point, the count broke this
+    # at the closed-form energy (factor 1.0) itself, where W is noise.
+    e_guess = -0.5 / (n_r + w + 0.5) ** 2
+    shot = oracle_mod._shots(w, e_guess)
+    for f in [1.5, 1.3, 1.1, 0.9, 0.7, 0.5, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-10, 1.0 - 5e-10,
+              1.0 + 1e-10, 1.0 - 1e-10, 1.0]:
+        nodes, wronskian = shot(f * e_guess)
+        assert (wronskian < 0.0) == (nodes % 2 == 1), (f, nodes, wronskian)
