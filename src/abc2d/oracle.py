@@ -6,20 +6,29 @@ Two oracles that share no special-function code with the closed forms:
 
       R'' + R'/r + [2 mu E + 2 mu kappa / r - (m+nu)^2 / r^2] R = 0
 
-  in the log radial variable x = ln s (s the Coulomb-unit radius), where it
-  collapses to R_xx = (w^2 - 2 e^x - 2 e e^{2x}) R with no first-derivative
-  term and no stiffness at the origin.  A Cash-Karp 5(4) embedded pair
-  supplies the per-step error control; the state is renormalized whenever it
-  grows large (the ODE is linear).
+  in two forms, each stepped by a Cash-Karp 5(4) embedded pair with per-step
+  error control.  The outward solution, which oscillates, is integrated in
+  the log radial variable x = ln s (s the Coulomb-unit radius), where the
+  equation collapses to R_xx = (w^2 - 2 e^x - 2 e e^{2x}) R with no
+  first-derivative term and no stiffness at the origin; the state is
+  renormalized whenever it grows large (the ODE is linear).  The inward
+  solution, which decays outward without a node, is integrated as its
+  log-derivative g = R_s / R, by the Riccati equation
+
+      g_s = k^2 - 2/s + w^2/s^2 - g^2 - g/s,   k^2 = -2e,
+
+  in s itself, where g tends to the constant -k (Johnson, *J. Comput. Phys.*
+  13, 445, 1973).  Integrated inward it is stable, each stage is one scalar
+  rational expression, and it needs no exp and no rescaling.
 
   The outward solution starts from its Frobenius series R = s^w sum c_k s^k,
   summed at a quarter of the inner classical turning point (at most s = 2w).
   Below w^2 / 2 the radial equation is classically forbidden at every
   energy, so R grows there as a pure power without a node and needs no
-  steps.  The inward solution starts where a lower bound on the WKB action
-  from the outer turning point reaches 12, so its admixed growing mode is
-  damped by at least e^-24 and its steps cover no more decaying tail than
-  that.
+  steps.  The inward solution starts from its WKB log-derivative where a
+  lower bound on the WKB action from the outer turning point reaches 12, so
+  its admixed growing mode is damped by at least e^-24 and its steps cover
+  no more decaying tail than that.
 
   Each trial energy takes one matching shot (Pryce, *Numerical Solution of
   Sturm-Liouville Problems*, 1993): the outward leg runs from the series
@@ -71,7 +80,7 @@ _SERIES_MAX_TERMS = 200
 # _R_START in units of the closed-form inverse decay scale 1/alpha, the
 # inward one starts no farther out than _R_MAX outer classical turning
 # points of e_guess, and every integration keeps the local error below
-# _ODE_TOL.
+# _ODE_TOL (relative to the state for the outward leg, to g for the inward).
 # _R_MAX must exceed 4: a trial energy in [1.5, 0.5] e_guess has its turning
 # point at most 4 times that of e_guess, so every inward leg starts past its
 # turning point.
@@ -83,8 +92,8 @@ _ODE_TOL = 1e-10
 _ROOT_RTOL = 1e-10
 # The root-find starts from a node bracket at most this share of |e_guess|
 # wide.  Across the whole initial window the Wronskian is curved enough that
-# the root-find needs 6-11 shots of two integrations each; a node-count
-# bisection step costs one.
+# the root-find needs 6-11 shots; a node-count narrowing step costs one shot
+# too, an outward and an inward leg.
 _ROOT_WINDOW = 0.5
 _MAX_NARROWING = 60
 # The root-find's step cap.
@@ -199,6 +208,80 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float,
     return nodes, y, dy
 
 
+def _log_derivative(w: float, e: float, s0: float, s1: float, g0: float) -> float:
+    """Integrate the Riccati equation g_s = k^2 - 2/s + w^2/s^2 - g^2 - g/s,
+    k^2 = -2e, for g = R_s / R from s0 to s1 (either direction) at trial
+    energy e, with the Cash-Karp 5(4) pair and local error tolerance
+    _ODE_TOL relative to g at the step's start, and return g at s1.  The
+    first step is a tenth of the decay length 1/k.
+
+    This is the inward leg: past the outer turning point the decaying R is
+    positive, convex and falling, so g < 0 throughout and tends to -k far
+    out.  Integrated inward the equation is stable, errors decaying like
+    e^{-2k |ds|}.  An accepted g >= 0 raises DomainError.  A g that is not
+    finite is never accepted, as its error estimate is not finite either:
+    the step shrinks until it underflows, which raises DomainError too.
+
+    Each stage splits f = p(s) - g (g + 1/s), p = k^2 - 2/s + w^2/s^2;
+    stage 5 is evaluated at s + h, so an accepted step hands its p and 1/s
+    on as the next step's stage 1.
+    """
+    fabs = math.fabs
+    k2 = -2.0 * e
+    w2 = w * w
+    direction = 1.0 if s1 >= s0 else -1.0
+    s, g = s0, g0
+    h = 0.1 / math.sqrt(k2) * direction
+    span = abs(s1 - s0)
+    u1 = 1.0 / s
+    p1 = k2 + u1 * (w2 * u1 - 2.0)
+    while (s1 - s) * direction > 0.0:
+        last = (s + h - s1) * direction >= 0.0
+        if last:
+            h = s1 - s
+        f1 = p1 - g * (g + u1)
+
+        gg = g + h * 0.2 * f1
+        u = 1.0 / (s + 0.2 * h)
+        f2 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+
+        gg = g + h * (3.0 / 40.0 * f1 + 9.0 / 40.0 * f2)
+        u = 1.0 / (s + 0.3 * h)
+        f3 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+
+        gg = g + h * (0.3 * f1 - 0.9 * f2 + 1.2 * f3)
+        u = 1.0 / (s + 0.6 * h)
+        f4 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+
+        gg = g + h * (-11.0 / 54.0 * f1 + 2.5 * f2 - 70.0 / 27.0 * f3 + 35.0 / 27.0 * f4)
+        u5 = 1.0 / (s + h)
+        p5 = k2 + u5 * (w2 * u5 - 2.0)
+        f5 = p5 - gg * (gg + u5)
+
+        gg = g + h * (1631.0 / 55296.0 * f1 + 175.0 / 512.0 * f2 + 575.0 / 13824.0 * f3
+                      + 44275.0 / 110592.0 * f4 + 253.0 / 4096.0 * f5)
+        u = 1.0 / (s + 0.875 * h)
+        f6 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+
+        g5 = g + h * (37.0 / 378.0 * f1 + 250.0 / 621.0 * f3 + 125.0 / 594.0 * f4
+                      + 512.0 / 1771.0 * f6)
+        g4 = g + h * (2825.0 / 27648.0 * f1 + 18575.0 / 48384.0 * f3
+                      + 13525.0 / 55296.0 * f4 + 277.0 / 14336.0 * f5 + 0.25 * f6)
+        err = fabs(g5 - g4) / (-_ODE_TOL * g + 1e-300)
+        if err <= 1.0:
+            s = s1 if last else s + h
+            u1, p1 = u5, p5
+            g = g5
+            if not g < 0.0:
+                raise DomainError(f"inward log-derivative {g} at s = {s} is not negative "
+                                  f"(w = {w}, e = {e})")
+        # a NaN err shrinks the step, as an infinite one does
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+        if abs(h) < 1e-14 * span:
+            raise DomainError("step size underflow in radial integration")
+    return g
+
+
 def _outward_start(w: float, e_guess: float) -> float:
     """Where the outward leg starts: a quarter of e_guess's inner turning
     point, the smaller root of 2 e s^2 + 2 s - w^2 = 0 (w^2 where it has
@@ -260,7 +343,9 @@ def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
     set by the predicted energy e_guess.
 
     W is the normalized Wronskian of the outward and inward solutions at the
-    outer turning point, zero exactly at an eigenvalue.  nodes counts the
+    outer turning point, zero exactly at an eigenvalue: the outward leg
+    gives (R, R_x) there, and the inward Riccati leg the inward solution's
+    v = R_x / R = s g, so its (R, R_x) is (1, v).  nodes counts the
     regular solution's zeros on the whole half-line: past the turning point
     q > 0, so R crosses zero at most once more than the outward leg's sign
     changes.  R starts positive and the inward solution is positive without
@@ -275,13 +360,14 @@ def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
 
     def shot(e: float) -> tuple[int, float]:
         if e not in shots:
-            x_tp = math.log(_outer_turning_point(e, w))
-            nodes, yo, dyo = _integrate(w, e, x0, x_tp, *_regular_series(w, e, s0))
+            s_tp = _outer_turning_point(e, w)
+            nodes, yo, dyo = _integrate(w, e, x0, math.log(s_tp), *_regular_series(w, e, s0))
             s_in = _tail_start(e, w, s_max)
             # WKB slope of the solution that decays outward (grows inward)
             q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-            _, yi, dyi = _integrate(w, e, math.log(s_in), x_tp, 1.0, -math.sqrt(q))
-            wr = (dyo * yi - dyi * yo) / (math.hypot(yo, dyo) * math.hypot(yi, dyi))
+            # R_x / R of the inward solution at the turning point
+            v = s_tp * _log_derivative(w, e, s_in, s_tp, -math.sqrt(q) / s_in)
+            wr = (dyo - v * yo) / (math.hypot(yo, dyo) * math.hypot(1.0, v))
             shots[e] = nodes + ((wr < 0.0) != (yo < 0.0)), wr
         return shots[e]
 

@@ -181,19 +181,18 @@ def test_field_golden_digests(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout.  The full-grid table was re-recorded when each
-# trial energy became one matching shot whose node count comes from the
-# Wronskian's sign: the closed-form energy, the first narrowing midpoint,
-# now always lands on the side of the bracket its Wronskian's sign says, so
-# no bracket's ends share a sign.  Against the previous digest only 10 of
-# the 60 rows' shoot_E and rel_err cells changed, each toward its closed
-# form (rel_err 2.812e-11 -> 1.740e-11, for one); every norm, per-state pass
-# (which holds the node count) and the shooting row's worst, 1.723e-10,
-# stayed.  The small grid's table and JSON are unchanged.
+# sha256 of `verify` stdout.  All three were re-recorded when the shooting
+# oracle's inward leg became the Riccati equation for R_s / R in s.  Field
+# by field against the previous output, in JSON on both grids, only the
+# rows' shoot_E and rel_err cells and the shooting row's worst moved: 12 of
+# 12 rows on the small grid and 60 of 60 on the full one, with every
+# closed_E, norm, n_r, m and per-state pass (which holds the node count)
+# equal.  The shooting worst fell from 1.170e-10 to 5.670e-11 (small) and
+# from 1.723e-10 to 8.710e-11 (full).
 VERIFY_DIGESTS = [
-    ("small", "table", "a5ff9eda6e406cc1086f14425a39b71b63f518fa4681d3e05ae08e6e2fe1f93a"),
-    ("small", "json", "e96d207995855a4b9e2c7bcd8f017f9fff243b2d980e7ab6e2e1b0f1e4fa4e33"),
-    ("full", "table", "5c2099c846f39e90abadb2382f99eec44d0a7e8147eefc910869b2b6eab986ee"),
+    ("small", "table", "f8d0923e15bbdc8b911d307c92067c04160918b93ec3267927d45080efeb180a"),
+    ("small", "json", "9e32f7e0996c77f4bc575dfa7ffadeb46dd861f55afd13c2eceaee9dc81a52f3"),
+    ("full", "table", "5bd11ac2e04853d51b9133411a4ba994e9317db8524e8b0647492620ed6e9c57"),
 ]
 
 

@@ -102,19 +102,26 @@ class TestShooting:
 
     def test_integration_budget(self, monkeypatch):
         # node-count bisection alone took 37 integrations per state, and node
-        # counts taken apart from the matching Wronskian took up to 12
-        calls = []
-        integrate = oracle_mod._integrate
+        # counts taken apart from the matching Wronskian took up to 12; one
+        # matching shot per trial energy is one outward and one inward leg
+        calls = collections.Counter()
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
+        def counting(name):
+            leg = getattr(oracle_mod, name)
 
-        monkeypatch.setattr(oracle_mod, "_integrate", counting)
+            def counted(*args):
+                calls[name] += 1
+                return leg(*args)
+
+            return counted
+
+        for name in ("_integrate", "_log_derivative"):
+            monkeypatch.setattr(oracle_mod, name, counting(name))
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
-            before = len(calls)
+            calls.clear()
             shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-            assert len(calls) - before <= 8, (alpha, m, n_r)
+            assert calls["_integrate"] <= 4, (alpha, m, n_r)
+            assert calls["_log_derivative"] <= 4, (alpha, m, n_r)
 
     def test_each_outward_leg_is_integrated_once(self, monkeypatch):
         # a trial energy's node count and Wronskian share one leg from x0
@@ -145,12 +152,34 @@ class TestShooting:
         # and the inward legs at a WKB action of 12 (not 40 nominal e-folds)
         # took the small grid from 235,355 to 138,181 of them, and one
         # matching shot per trial energy, with no leg run on past the turning
-        # point to count nodes, to 121,738
+        # point to count nodes, to 121,738.  Of those the outward legs made
+        # 24,894; the inward legs, linear in x = ln s, made 19,361 step
+        # attempts of five exps each.  The Riccati leg in s makes one fabs
+        # call per step attempt and no exp.
         counting = _CountingMath()
         monkeypatch.setattr(oracle_mod, "math", counting)
         for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
             shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-        assert counting.exps <= 0.55 * 235_355
+        assert counting.exps <= 24_894
+        assert 0 < counting.fabs_calls <= 0.55 * 19_361
+
+    def test_flipped_damping_term_fails_the_shooting_check(self, monkeypatch):
+        # the inward leg with the sign of its -g/s term flipped integrates
+        # another equation; the small grid must end in a DomainError or a
+        # failing shooting row, within ten times the step attempts the
+        # unmutated legs make on it
+        src = inspect.getsource(oracle_mod._log_derivative)
+        for term in ["(g + u1)", "(gg + u)", "(gg + u5)"]:
+            assert term in src
+            src = src.replace(term, term.replace("+", "-"))
+        namespace = dict(vars(oracle_mod), math=_CountingMath(limit=10 * 5_874))
+        exec(src, namespace)
+        monkeypatch.setattr(oracle_mod, "_log_derivative", namespace["_log_derivative"])
+        try:
+            result = verify.check_shooting(verify.shooting_report(True, verify.norm_table(True)))
+        except DomainError:
+            return
+        assert not result.passed
 
     # an inward leg started 12 nominal e-folds k (s - s_tp) past the turning
     # point, instead of at the action bound, fails 11 of these 12 states
@@ -164,10 +193,13 @@ class TestShooting:
 
 
 class _CountingMath:
-    """The math module, counting calls to exp."""
+    """The math module, counting calls to exp and fabs; more than limit
+    fabs calls fail the test."""
 
-    def __init__(self):
+    def __init__(self, limit=math.inf):
         self.exps = 0
+        self.fabs_calls = 0
+        self.limit = limit
 
     def __getattr__(self, name):
         return getattr(math, name)
@@ -175,6 +207,11 @@ class _CountingMath:
     def exp(self, x):
         self.exps += 1
         return math.exp(x)
+
+    def fabs(self, x):
+        self.fabs_calls += 1
+        assert self.fabs_calls <= self.limit, "step attempt budget exceeded"
+        return math.fabs(x)
 
 
 class TestLegEnds:
@@ -226,6 +263,49 @@ class TestLegEnds:
             math.sqrt(max(-2.0 * e - 2.0 / s + w * w / (s * s), 0.0))
             for s in (s_tp + (j + 0.5) * h for j in range(n)))
         assert oracle_mod._TAIL_ACTION <= action < 4.0 * oracle_mod._TAIL_ACTION
+
+    @pytest.mark.parametrize("w", [0.0, 0.25, 1.0, 2.75, 12.0, 45.0])
+    @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
+    def test_riccati_leg_matches_the_linear_leg(self, w, factor, monkeypatch):
+        # v = R_x / R of the inward solution at the outer turning point,
+        # from the Riccati leg in s and from R_xx = q R in x = ln s, both
+        # started from the WKB slope at the tail start.  With both at 1e-13
+        # they agree within 4.5e-13.  At the shooting tolerance of 1e-10 the
+        # Riccati leg is within 2.5e-10 of that reference, as the linear leg
+        # at 1e-10 is.
+        e_guess = -0.5 / (w + 0.5) ** 2
+        e = factor * e_guess
+        s_tp = oracle_mod._outer_turning_point(e, w)
+        s_in = oracle_mod._tail_start(
+            e, w, oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w))
+        slope = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in)
+
+        def riccati():
+            return s_tp * oracle_mod._log_derivative(w, e, s_in, s_tp, slope / s_in)
+
+        v_shooting = riccati()
+        monkeypatch.setattr(oracle_mod, "_ODE_TOL", 1e-13)
+        _, y, dy = oracle_mod._integrate(w, e, math.log(s_in), math.log(s_tp), 1.0, slope)
+        assert riccati() == pytest.approx(dy / y, rel=1e-11)
+        assert v_shooting == pytest.approx(dy / y, rel=3e-10)
+
+    @pytest.mark.parametrize("w,e", [(0.0, -0.125), (0.25, -0.05), (2.75, -0.02)])
+    def test_log_derivative_that_turns_positive_is_a_domain_error(self, w, e):
+        # run on inside the turning point, the solution that decays outward
+        # has a maximum in the allowed region at these non-eigenvalues, and
+        # there g = R_s / R turns positive
+        s_tp = oracle_mod._outer_turning_point(e, w)
+        s_in = oracle_mod._tail_start(e, w, oracle_mod._R_MAX * s_tp)
+        g0 = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in) / s_in
+        with pytest.raises(DomainError, match="is not negative"):
+            oracle_mod._log_derivative(w, e, s_in, 0.05 * s_tp, g0)
+
+    @pytest.mark.parametrize("g0", [-1e200, -math.inf, math.nan])
+    def test_non_finite_log_derivative_is_a_domain_error(self, g0):
+        # g^2 overflows or g is not finite, so no step's error estimate is
+        # finite: the step shrinks until it underflows
+        with pytest.raises(DomainError, match="step size underflow"):
+            oracle_mod._log_derivative(1.0, -0.1, 40.0, 10.0, g0)
 
 
 class TestQuadNorm:
@@ -393,32 +473,31 @@ def test_ode_path_is_independent_of_hypergeometric_code():
 
 
 # repr(shoot_with_nodes(...)) on the small verify grid, then the states of
-# test_bracket_end_on_eigenvalue.  The last six were re-recorded when each
-# trial energy became one matching shot with its node count taken from the
-# Wronskian's sign: their first narrowing midpoint, the closed-form energy,
-# then counted n_r + 1 where a separate count had said n_r, so the root-find
-# runs on the other half-window.  Each moved toward its closed form (rel_err
-# 9.6e-12 -> 5.3e-12 at (0.25, 0, 2), for one), and every node count stayed;
-# the small grid's twelve are unchanged.
+# test_bracket_end_on_eigenvalue.  All eighteen were re-recorded when the
+# inward leg became the Riccati equation for R_s / R in s: every node count
+# stayed, and the largest rel_err fell from 1.17e-10 to 5.67e-11 (at
+# (0.5, 0, 0)).  Seven of the twelve grid rows moved away from their closed
+# form, the most from 3.6e-12 to 3.9e-11 at (0.0, 0, 1), all below the new
+# largest.
 GOLDEN_SHOTS = [
-    ((0.0, -1, 0), "(-0.22222222224130053, 0)"),
-    ((0.0, -1, 1), "(-0.07999999999841723, 1)"),
-    ((0.0, 0, 0), "(-2.0000000000126956, 0)"),
-    ((0.0, 0, 1), "(-0.222222222221423, 1)"),
-    ((0.0, 1, 0), "(-0.22222222224130053, 0)"),
-    ((0.0, 1, 1), "(-0.07999999999841723, 1)"),
-    ((0.5, -1, 0), "(-0.5000000000585131, 0)"),
-    ((0.5, -1, 1), "(-0.12499999999978528, 1)"),
-    ((0.5, 0, 0), "(-0.5000000000585131, 0)"),
-    ((0.5, 0, 1), "(-0.12499999999978528, 1)"),
-    ((0.5, 1, 0), "(-0.12500000000791286, 0)"),
-    ((0.5, 1, 1), "(-0.0555555555548949, 1)"),
-    ((0.25, 0, 2), "(-0.06611570247969059, 2)"),
-    ((0.25, 2, 1), "(-0.03555555555569669, 1)"),
-    ((0.5, -1, 2), "(-0.05555555555627508, 2)"),
-    ((0.5, 0, 2), "(-0.05555555555627508, 2)"),
-    ((0.5, 2, 1), "(-0.03125000000027821, 1)"),
-    ((0.75, -1, 2), "(-0.06611570247969059, 2)"),
+    ((0.0, -1, 0), "(-0.22222222223404828, 0)"),
+    ((0.0, -1, 1), "(-0.07999999999716395, 1)"),
+    ((0.0, 0, 0), "(-2.0000000000133773, 0)"),
+    ((0.0, 0, 1), "(-0.22222222221350932, 1)"),
+    ((0.0, 1, 0), "(-0.22222222223404828, 0)"),
+    ((0.0, 1, 1), "(-0.07999999999716395, 1)"),
+    ((0.5, -1, 0), "(-0.5000000000283508, 0)"),
+    ((0.5, -1, 1), "(-0.12499999999705222, 1)"),
+    ((0.5, 0, 0), "(-0.5000000000283508, 0)"),
+    ((0.5, 0, 1), "(-0.12499999999705222, 1)"),
+    ((0.5, 1, 0), "(-0.12500000000541012, 0)"),
+    ((0.5, 1, 1), "(-0.05555555555421046, 1)"),
+    ((0.25, 0, 2), "(-0.06611570247856648, 2)"),
+    ((0.25, 2, 1), "(-0.0355555555553766, 1)"),
+    ((0.5, -1, 2), "(-0.055555555555584446, 2)"),
+    ((0.5, 0, 2), "(-0.055555555555584446, 2)"),
+    ((0.5, 2, 1), "(-0.03125000000002454, 1)"),
+    ((0.75, -1, 2), "(-0.06611570247856648, 2)"),
 ]
 
 
