@@ -9,7 +9,7 @@ with integer angular label m.  The normalized eigenfunctions are
 
     psi(r, theta) = C e^{-rho/2} rho^{|m+nu|} M(-n_r, 2|m+nu|+1, rho)
                       e^{i (m - m0) theta},
-    rho = alpha r,  alpha = sqrt(-8 mu E).
+    rho = alpha r,  alpha = sqrt(-8 mu E) = 2 mu kappa / (n_r + |m+nu| + 1/2).
 
 Regularity at the origin excludes m = 0 whenever nu = 0 and m0 != 0 (the
 radial factor would stay finite while the angular phase is undefined there),
@@ -210,17 +210,16 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
 
 def wavefunction(qn: QuantumNumbers,
                  problem: RelativeProblem) -> Callable[[float, float], complex]:
-    """The normalized eigenfunction psi(r, theta); energy, C, w and alpha are
-    computed once, here.
+    """The normalized eigenfunction psi(r, theta); C, w and the decay rate
+    alpha = 2 mu kappa / lambda are computed once, here.
 
     rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for w = 0, else 0.
     theta is accepted but irrelevant at the origin, where only the w = 0
     states are finite anyway.
     """
-    e = energy(qn, problem)
     c = normalization_constant(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
-    alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
+    alpha = 2.0 * problem.reduced_mass * problem.kappa / _lambda(qn, problem.nu)
 
     def psi(r: float, theta: float) -> complex:
         if r < 0.0:

@@ -61,9 +61,10 @@ The oracles need nothing outside the standard library: the root-finder
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
-from .bound import QuantumNumbers, effective_exponent, energy, wavefunction
+from .bound import QuantumNumbers, effective_exponent, wavefunction
 from .errors import DomainError
 from .reduction import RelativeProblem
 
@@ -76,27 +77,17 @@ _TAIL_ACTION = 12.0
 # The Frobenius series of the outward start converges in a few dozen terms
 # on the shooting domain; more than this many is a DomainError.
 _SERIES_MAX_TERMS = 200
-# Shooting domain: the outward solution starts no nearer the origin than
-# _R_START in units of the closed-form inverse decay scale 1/alpha, the
-# inward one starts no farther out than _R_MAX outer classical turning
-# points of e_guess, and every integration keeps the local error below
-# _ODE_TOL (relative to the state for the outward leg, to g for the inward).
-# _R_MAX must exceed 4: a trial energy in [1.5, 0.5] e_guess has its turning
-# point at most 4 times that of e_guess, so every inward leg starts past its
-# turning point.
+# The outward solution starts no nearer the origin than _R_START in units
+# of the closed-form inverse decay scale 1/alpha, and every integration
+# keeps the local error below _ODE_TOL (relative to the state for the
+# outward leg, to g for the inward).
 _R_START = 1e-6
-_R_MAX = 60.0
 _ODE_TOL = 1e-10
 # Relative energy tolerance of the root-find, near the noise floor the
 # _ODE_TOL integrations leave in the matching Wronskian.
 _ROOT_RTOL = 1e-10
-# The root-find starts from a node bracket at most this share of |e_guess|
-# wide.  Across the whole initial window the Wronskian is curved enough that
-# the root-find needs 6-11 shots; a node-count narrowing step costs one shot
-# too, an outward and an inward leg.
-_ROOT_WINDOW = 0.5
+# The step caps of the node-count narrowing and of the root-find.
 _MAX_NARROWING = 60
-# The root-find's step cap.
 _ROOT_MAXITER = 100
 # quad_norm's trapezoid rule: the first sum's panel count, the relative
 # agreement of two successive sums that ends the halving, and the panel cap.
@@ -210,10 +201,10 @@ def _integrate(w: float, e: float, x0: float, x1: float, y0: float,
 
 def _log_derivative(w: float, e: float, s0: float, s1: float, g0: float) -> float:
     """Integrate the Riccati equation g_s = k^2 - 2/s + w^2/s^2 - g^2 - g/s,
-    k^2 = -2e, for g = R_s / R from s0 to s1 (either direction) at trial
-    energy e, with the Cash-Karp 5(4) pair and local error tolerance
-    _ODE_TOL relative to g at the step's start, and return g at s1.  The
-    first step is a tenth of the decay length 1/k.
+    k^2 = -2e, for g = R_s / R inward from s0 to s1 < s0 at trial energy e,
+    with the Cash-Karp 5(4) pair and local error tolerance _ODE_TOL relative
+    to g at the step's start, and return g at s1.  The first step is a tenth
+    of the decay length 1/k.
 
     This is the inward leg: past the outer turning point the decaying R is
     positive, convex and falling, so g < 0 throughout and tends to -k far
@@ -229,14 +220,13 @@ def _log_derivative(w: float, e: float, s0: float, s1: float, g0: float) -> floa
     fabs = math.fabs
     k2 = -2.0 * e
     w2 = w * w
-    direction = 1.0 if s1 >= s0 else -1.0
     s, g = s0, g0
-    h = 0.1 / math.sqrt(k2) * direction
-    span = abs(s1 - s0)
+    h = -0.1 / math.sqrt(k2)
+    span = s0 - s1
     u1 = 1.0 / s
     p1 = k2 + u1 * (w2 * u1 - 2.0)
-    while (s1 - s) * direction > 0.0:
-        last = (s + h - s1) * direction >= 0.0
+    while s > s1:
+        last = s + h <= s1
         if last:
             h = s1 - s
         f1 = p1 - g * (g + u1)
@@ -320,26 +310,26 @@ def _regular_series(w: float, e: float, s: float) -> tuple[float, float]:
                       f"{_SERIES_MAX_TERMS} terms (w = {w}, e = {e})")
 
 
-def _tail_start(e: float, w: float, s_max: float) -> float:
+def _tail_start(e: float, w: float) -> float:
     """Where the inward leg starts: the first s_tp + d, d = k^-1 1.25^j with
     k = sqrt(-2e) and s_tp the outer turning point, at which the chord
-    (d / 2) sqrt(q_s(s_tp + d)) reaches _TAIL_ACTION, capped at s_max.
-    q_s = k^2 - 2/s + w^2/s^2 vanishes at s_tp and its root rises concavely
-    past it, so the chord bounds the WKB action from below.  (Where q_s has
-    no root, s_tp = -1/e and q_s > 0 throughout.)"""
+    (d / 2) sqrt(q_s(s_tp + d)) reaches _TAIL_ACTION.  q_s = k^2 - 2/s +
+    w^2/s^2 vanishes at s_tp and its root rises concavely past it, so the
+    chord bounds the WKB action from below; q_s tends to k^2 far out, so the
+    chord grows like k d / 2 and the search ends.  (Where q_s has no root,
+    s_tp = -1/e and q_s > 0 throughout.)"""
     s_tp = _outer_turning_point(e, w)
     k2 = -2.0 * e
     d = 1.0 / math.sqrt(k2)
-    while s_tp + d < s_max:
-        s = s_tp + d
-        if 0.5 * d * math.sqrt(max(k2 - 2.0 / s + w * w / (s * s), 0.0)) >= _TAIL_ACTION:
-            return s
+    s = s_tp + d
+    while 0.5 * d * math.sqrt(max(k2 - 2.0 / s + w * w / (s * s), 0.0)) < _TAIL_ACTION:
         d *= 1.25
-    return s_max
+        s = s_tp + d
+    return s
 
 
 def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
-    """The matching shot, e -> (nodes, W), memoized, on the shooting domain
+    """The matching shot, e -> (nodes, W), memoized, with the outward start
     set by the predicted energy e_guess.
 
     W is the normalized Wronskian of the outward and inward solutions at the
@@ -355,14 +345,13 @@ def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
     """
     s0 = _outward_start(w, e_guess)
     x0 = math.log(s0)
-    s_max = _R_MAX * _outer_turning_point(e_guess, w)
     shots: dict[float, tuple[int, float]] = {}
 
     def shot(e: float) -> tuple[int, float]:
         if e not in shots:
             s_tp = _outer_turning_point(e, w)
             nodes, yo, dyo = _integrate(w, e, x0, math.log(s_tp), *_regular_series(w, e, s0))
-            s_in = _tail_start(e, w, s_max)
+            s_in = _tail_start(e, w)
             # WKB slope of the solution that decays outward (grows inward)
             q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
             # R_x / R of the inward solution at the turning point
@@ -408,8 +397,8 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
 
     Returns (e, nodes measured at the lower end of the root bracket).  The
     search window [1.5 e_guess, 0.5 e_guess] around the predicted energy is
-    halved by node count, from its midpoint e_guess on, until it holds level
-    n_r alone and is at most _ROOT_WINDOW |e_guess| wide; each step keeps
+    halved by node count, from its midpoint e_guess on, until its ends count
+    n_r and n_r + 1 nodes, so that it holds level n_r alone; each step keeps
     the half whose ends count at most n_r and more than n_r nodes, so the
     end it drops is never shot.  The Wronskian's signs at the two ends then
     differ, and the Illinois method finds its zero between them.
@@ -429,7 +418,7 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
                 f"({n_lo}, {n_hi}) vs target {n_r}"
             )
         # For high states the first half-window also holds level n_r + 1.
-        if n_lo == n_r and n_hi == n_r + 1 and hi - lo <= _ROOT_WINDOW * abs(e_guess):
+        if n_lo == n_r and n_hi == n_r + 1:
             break
     else:
         raise DomainError(f"node counts never isolated level {n_r}")
@@ -487,14 +476,14 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     bound.wavefunction, built once, as (|psi| rho / alpha)^2, which stays
     O(1) at any mu and kappa.
     """
-    e = energy(qn, problem)
-    alpha = math.sqrt(-8.0 * problem.reduced_mass * e)
-    if alpha == 0.0:
-        raise DomainError(f"norm quadrature: the decay rate sqrt(-8 mu E) underflows to 0 "
-                          f"at mu = {problem.reduced_mass}, kappa = {problem.kappa}")
     psi = wavefunction(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
     lam = qn.n_r + w + 0.5
+    alpha = 2.0 * problem.reduced_mass * problem.kappa / lam
+    if alpha < sys.float_info.min:
+        raise DomainError(f"norm quadrature: the decay rate 2 mu kappa / lambda underflows to 0 "
+                          f"or a subnormal at mu = {problem.reduced_mass}, "
+                          f"kappa = {problem.kappa}")
 
     def integrand(x: float) -> float:
         rho = math.exp(x)

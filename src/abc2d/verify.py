@@ -152,9 +152,10 @@ def _grid(small: bool) -> tuple[tuple[float, ...], int]:
     return ((0.0, 0.5), 1) if small else ((0.0, 0.25, 0.5, 0.75), 2)
 
 
-def shooting_grid(small: bool) -> list[tuple[float, float, float, int, int]]:
+def shooting_grid(small: bool) -> list[tuple[float, int, int]]:
+    """(nu, m, n_r) of each shooting state, all at mu = kappa = 1."""
     nus, size = _grid(small)
-    return [(1.0, 1.0, nu, m, n_r) for nu in nus
+    return [(nu, m, n_r) for nu in nus
             for m in range(-size, size + 1) for n_r in range(size + 1)]
 
 
@@ -174,13 +175,14 @@ def norm_table(small: bool) -> dict[tuple[float, int, int], float]:
 def shooting_report(small: bool,
                     norms: dict[tuple[float, int, int], float]) -> list[ShootingRow]:
     """Per-state rows (case, n_r, m, closed_E, shoot_E, rel_err, norm, pass).
-    The oracle reads only (mu, kappa, |m + nu|, n_r): states that share them
-    share one shot, but each row keeps its own closed-form energy."""
-    shots: dict[tuple[float, float, float, int], tuple[float, int]] = {}
+    Every state is at mu = kappa = 1, so the oracle reads only (|m + nu|,
+    n_r): states that share them share one shot, but each row keeps its own
+    closed-form energy."""
+    shots: dict[tuple[float, int], tuple[float, int]] = {}
     rows = []
-    for mu, kappa, nu, m, n_r in shooting_grid(small):
-        problem = RelativeProblem.from_parameters(mu, kappa, nu)
-        key = (mu, kappa, bound.effective_exponent(m, problem.nu), n_r)
+    for nu, m, n_r in shooting_grid(small):
+        problem = RelativeProblem.from_parameters(1.0, 1.0, nu)
+        key = (bound.effective_exponent(m, problem.nu), n_r)
         if key not in shots:
             shots[key] = oracle.shoot_with_nodes(problem, m, n_r)
         shot, nodes = shots[key]
@@ -324,7 +326,7 @@ def check_limits() -> CheckResult:
     theta = math.pi
     p_half = scatter.ScatteringParams(1.0, 1e-8, scatter.FluxCase.HALF_INTEGER)
     ab = scatter.limit_ab(scatter.FluxCase.HALF_INTEGER, 1.0, theta)
-    worst = abs(scatter.sigma_sample(p_half, theta).sigma_total - ab) / ab
+    worst = abs(scatter.cross_sections(p_half, [theta])[0].sigma_total - ab) / ab
 
     # classical limit: mu = 1, v_c = k, beta = kappa/v_c^2
     mu, k, beta = 1.0, 1.0, 20.0
@@ -334,8 +336,8 @@ def check_limits() -> CheckResult:
     p_2 = scatter.ScatteringParams(k, beta, scatter.FluxCase.HALF_INTEGER)
     worst = max(
         worst,
-        abs(scatter.sigma_sample(p_c, theta).sigma_total - cl) / cl * 1e2,
-        abs(scatter.sigma_sample(p_2, theta).sigma_total - cl) / cl * 1e2,
+        abs(scatter.cross_sections(p_c, [theta])[0].sigma_total - cl) / cl * 1e2,
+        abs(scatter.cross_sections(p_2, [theta])[0].sigma_total - cl) / cl * 1e2,
     )
     # the factor 1e2 maps the 1e-8 classical tolerance onto the 1e-6 bound
     return _result("limits", worst, 1e-6,

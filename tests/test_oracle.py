@@ -52,12 +52,12 @@ class TestShooting:
         with pytest.raises(DomainError, match="shooting requires attraction"):
             shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
-    def test_truncated_domain_fails_to_bracket(self, monkeypatch):
-        # r_max below the turning point starts the inward leg inside it, which
-        # flips the Wronskian's sign and with it every node count
-        monkeypatch.setattr(oracle_mod, "_R_MAX", 0.8)
-        with pytest.raises(DomainError, match="no eigenvalue bracket"):
-            shoot_with_nodes(problem(0.0), 0, 0)
+    def test_window_that_misses_the_level_fails_to_bracket(self):
+        # the ground level at w = 0 is e = -2; a window [-0.75, -0.25] centred
+        # on -0.5 holds only energies above it, where every count is 1
+        with pytest.raises(DomainError, match=r"no eigenvalue bracket in \[-0.75, -0.5\]: "
+                                              r"node counts \(1, 1\) vs target 0"):
+            oracle_mod._solve_scaled(0.0, 0, -0.5)
 
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
@@ -74,9 +74,9 @@ class TestShooting:
         # the closed-form energy is an end of every root bracket, and a shot
         # that returned it bit for bit would witness nothing
         states = [*verify.shooting_grid(small=True), *verify.shooting_grid(small=False),
-                  *((1.0, 1.0, nu, m, n_r) for nu, m, n_r in BRACKET_END_STATES)]
-        for mu, kappa, nu, m, n_r in states:
-            p = RelativeProblem.from_parameters(mu, kappa, nu)
+                  *BRACKET_END_STATES]
+        for nu, m, n_r in states:
+            p = problem(nu)
             e = shoot_with_nodes(p, m, n_r)[0]
             assert e != energy(QuantumNumbers(n_r, m), p), (nu, m, n_r)
 
@@ -103,7 +103,10 @@ class TestShooting:
     def test_integration_budget(self, monkeypatch):
         # node-count bisection alone took 37 integrations per state, and node
         # counts taken apart from the matching Wronskian took up to 12; one
-        # matching shot per trial energy is one outward and one inward leg
+        # matching shot per trial energy is one outward and one inward leg.
+        # Narrowing on to a window at most |e_guess| / 2 wide, a width the
+        # first halving already gives but for rounding, took the full grid's
+        # 60 rows to 203 outward legs.
         calls = collections.Counter()
 
         def counting(name):
@@ -117,11 +120,14 @@ class TestShooting:
 
         for name in ("_integrate", "_log_derivative"):
             monkeypatch.setattr(oracle_mod, name, counting(name))
-        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
+        total = 0
+        for nu, m, n_r in verify.shooting_grid(small=False):
             calls.clear()
-            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
-            assert calls["_integrate"] <= 4, (alpha, m, n_r)
-            assert calls["_log_derivative"] <= 4, (alpha, m, n_r)
+            shoot_with_nodes(problem(nu), m, n_r)
+            assert calls["_integrate"] <= 4, (nu, m, n_r)
+            assert calls["_log_derivative"] <= 4, (nu, m, n_r)
+            total += calls["_integrate"]
+        assert total <= 194
 
     def test_each_outward_leg_is_integrated_once(self, monkeypatch):
         # a trial energy's node count and Wronskian share one leg from x0
@@ -133,12 +139,12 @@ class TestShooting:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "_integrate", counting)
-        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
+        for nu, m, n_r in verify.shooting_grid(small=True):
             calls.clear()
-            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+            shoot_with_nodes(problem(nu), m, n_r)
             x0 = min(args[2] for args in calls)
             starts = collections.Counter(args[1] for args in calls if args[2] == x0)
-            assert max(starts.values()) == 1, (alpha, m, n_r, starts)
+            assert max(starts.values()) == 1, (nu, m, n_r, starts)
 
     def test_nontrivial_units(self):
         p = problem(0.5, mu=2.5, kappa=0.6)
@@ -158,8 +164,8 @@ class TestShooting:
         # call per step attempt and no exp.
         counting = _CountingMath()
         monkeypatch.setattr(oracle_mod, "math", counting)
-        for mu, kappa, alpha, m, n_r in verify.shooting_grid(small=True):
-            shoot_with_nodes(RelativeProblem.from_parameters(mu, kappa, alpha), m, n_r)
+        for nu, m, n_r in verify.shooting_grid(small=True):
+            shoot_with_nodes(problem(nu), m, n_r)
         assert counting.exps <= 24_894
         assert 0 < counting.fabs_calls <= 0.55 * 19_361
 
@@ -253,10 +259,9 @@ class TestLegEnds:
         # by a fine midpoint sum, is at least _TAIL_ACTION
         e_guess = -0.5 / (n_r + w + 0.5) ** 2
         e = factor * e_guess
-        s_max = oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w)
         s_tp = oracle_mod._outer_turning_point(e, w)
-        s_in = oracle_mod._tail_start(e, w, s_max)
-        assert s_tp < s_in < s_max
+        s_in = oracle_mod._tail_start(e, w)
+        assert s_tp < s_in
         n = 20_000
         h = (s_in - s_tp) / n
         action = h * math.fsum(
@@ -276,8 +281,7 @@ class TestLegEnds:
         e_guess = -0.5 / (w + 0.5) ** 2
         e = factor * e_guess
         s_tp = oracle_mod._outer_turning_point(e, w)
-        s_in = oracle_mod._tail_start(
-            e, w, oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w))
+        s_in = oracle_mod._tail_start(e, w)
         slope = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in)
 
         def riccati():
@@ -295,7 +299,7 @@ class TestLegEnds:
         # has a maximum in the allowed region at these non-eigenvalues, and
         # there g = R_s / R turns positive
         s_tp = oracle_mod._outer_turning_point(e, w)
-        s_in = oracle_mod._tail_start(e, w, oracle_mod._R_MAX * s_tp)
+        s_in = oracle_mod._tail_start(e, w)
         g0 = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in) / s_in
         with pytest.raises(DomainError, match="is not negative"):
             oracle_mod._log_derivative(w, e, s_in, 0.05 * s_tp, g0)
@@ -422,9 +426,16 @@ class TestQuadNorm:
         assert abs(quad_norm(QuantumNumbers(n_r, m), p) - 1.0) <= 1e-13
 
     def test_decay_rate_underflow_is_a_domain_error(self):
-        # E = -mu kappa^2 / (2 lambda^2) underflows to -0.0, so alpha = 0
+        # alpha = 2 mu kappa / lambda = 2e-320 is subnormal
         with pytest.raises(DomainError, match="underflows to 0"):
             quad_norm(QuantumNumbers(0, 0), problem(0.5, mu=1e-160, kappa=1e-160))
+
+    @pytest.mark.parametrize("n_r,m", [(0, 0), (3, 2)])
+    def test_decay_rate_from_mu_kappa_over_lambda(self, n_r, m):
+        # E = -mu kappa^2 / (2 lambda^2) is subnormal here, and alpha taken as
+        # sqrt(-8 mu E) put the norms at 1.0000111 and 0.99952
+        p = problem(0.5, mu=1e-10, kappa=1e-150)
+        assert abs(quad_norm(QuantumNumbers(n_r, m), p) - 1.0) <= 1e-12
 
 
 class TestIllinois:
@@ -595,7 +606,7 @@ def test_matched_shot_keeps_node_counts(w, n_r):
     e_guess = -0.5 / (n_r + w + 0.5) ** 2
     alpha = math.sqrt(-8.0 * e_guess)
     s0 = oracle_mod._R_START / alpha
-    x1 = math.log(oracle_mod._R_MAX * oracle_mod._outer_turning_point(e_guess, w))
+    x1 = math.log(60.0 * oracle_mod._outer_turning_point(e_guess, w))
     c1 = -2.0 / (2.0 * w + 1.0)
     start = (math.log(s0), x1, 1.0 + c1 * s0, w * (1.0 + c1 * s0) + c1 * s0)
     shot = oracle_mod._shots(w, e_guess)
