@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from . import bound, scatter, verify
 from .errors import DomainError
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+
+# An artifact's column layout: each column's name and the type of its values.
+Columns = tuple[tuple[str, type], ...]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,58 +139,120 @@ def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _cell(value) -> str:
-    """Text of one value: a float to 17 significant digits, a tuple as a
-    spectrum level's members ``n_r:m;...``."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ";".join(f"{n_r}:{m}" for n_r, m in value)
-    return str(value)
+# Each column kind has one cell format per output format.  JSON writes a
+# float by repr and an int in decimal, as json.dumps does, and quotes text as
+# it is, which is valid JSON for the branch names.  A tuple is a level's
+# members, rendered to text before the row is formatted (_MEMBERS).
+_CELL = {"csv": {float: "%.17g", int: "%d", str: "%s", tuple: "%s"},
+         "json": {float: "%r", int: "%d", str: '"%s"', tuple: "%s"}}
+# A level's (n_r, m) members as text: "n_r:m;..." in CSV; in JSON the
+# indented list of [n_r, m] arrays that json.dumps writes in a row object.
+_MEMBERS = {
+    "csv": lambda members: ";".join([f"{n_r}:{m}" for n_r, m in members]),
+    "json": lambda members: "[\n%s\n      ]" % ",\n".join(
+        [f"        [\n          {n_r},\n          {m}\n        ]" for n_r, m in members]),
+}
 
 
-def _checked(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[tuple]:
-    """The rows as they pass; a non-finite float in one is a domain error."""
-    for row in rows:
-        for value in row:
-            if isinstance(value, float) and not math.isfinite(value):
-                name = columns[row.index(value)]
-                raise DomainError(f"non-finite result {name} = {value}")
-        yield row
+def _row_layout(fmt: str, columns: Columns,
+                records: bool) -> tuple[str, Callable[[tuple], tuple], bool]:
+    """(row format, values, scan) of one artifact's rows in ``fmt``.
+
+    ``row format % values(row)`` is a row's text: a CSV line, or in JSON the
+    row's object (keys sorted, if ``records``) or array at depth 2, followed by
+    ",\n".  ``scan`` is true where a row's text alone tells whether the row is
+    finite: every cell is a float, whose finite ``%.17g`` or repr text holds
+    no "n" (only digits, ".", "e" and signs) while inf and nan do, and the
+    format's own text holds no "n".  Elsewhere every float is checked directly.
+    """
+    names = [name for name, _ in columns]
+    kinds = [kind for _, kind in columns]
+    cells = [_CELL[fmt][kind] for kind in kinds]
+    order = list(range(len(columns)))
+    if fmt == "csv":
+        row_format = ",".join(cells) + "\n"
+    elif records:
+        order.sort(key=names.__getitem__)
+        row_format = "    {\n%s\n    },\n" % ",\n".join(
+            f'      "{names[i]}": {cells[i]}' for i in order)
+    else:
+        row_format = "    [\n%s\n    ],\n" % ",\n".join("      " + cell for cell in cells)
+    scan = set(kinds) == {float} and "n" not in row_format % ((0.0,) * len(kinds))
+    if tuple not in kinds and order == sorted(order):
+        return row_format, tuple, scan
+    members = _MEMBERS[fmt]
+
+    def values(row: tuple) -> tuple:
+        return tuple(members(row[i]) if kinds[i] is tuple else row[i] for i in order)
+
+    return row_format, values, scan
 
 
-def _emit(args: argparse.Namespace, params: dict, columns: tuple[str, ...],
+def _check_finite(columns: Columns, row: tuple) -> None:
+    """A non-finite float in the row is a domain error naming its column."""
+    for (name, kind), value in zip(columns, row):
+        if kind is float and not math.isfinite(value):
+            raise DomainError(f"non-finite result {name} = {value}")
+
+
+def _emit(args: argparse.Namespace, params: dict, columns: Columns,
           rows: Iterable[tuple], key: str = "rows", records: bool = True) -> int:
     """Write one artifact in ``args.format`` to ``args.out`` (stdout if None).
 
+    ``columns`` is the layout: each column's name and kind (float, int, str,
+    or tuple for a level's (n_r, m) members).  Each row is rendered by one
+    %-format built from it (``_row_layout``).
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
-    JSON: ``{"params": ..., key: rows}``, each row an object keyed by column
-    if ``records``, else an array; a level's (n_r, m) members become [n_r, m]
-    arrays.
+    JSON: the text of ``json.dumps({"params": ..., key: rows}, sort_keys=True,
+    indent=2)``, each row an object keyed by column if ``records``, else an
+    array; a level's members become [n_r, m] arrays.  It is rendered row by
+    row and takes at least one row; every command refuses an empty artifact
+    before it gets here.
     ``rows`` may be any iterable, a generator included, and is read once:
-    each row is checked and, for CSV, rendered to its line and dropped, so
-    memory is bounded by the text plus one row; JSON keeps every row until it
-    is dumped.  Every row is rendered before anything is written, so a
-    non-finite float anywhere in the rows is a domain error raised before
-    anything is written, and ``--out`` is left as it was.
+    each row is rendered to its text and dropped, so memory is bounded by the
+    text plus one row.  A non-finite float in a row is a domain error naming
+    its column, found in the rendered text where that is sure (see
+    ``_row_layout``); every row is rendered before anything is written, so
+    it is raised with nothing written and ``--out`` left as it was.
     """
-    rows = _checked(columns, rows)
+    row_format, values, scan = _row_layout(args.format, columns, records)
     if args.format == "json":
-        body = [dict(zip(columns, row)) for row in rows] if records else list(rows)
-        lines = [json.dumps({"params": params, key: body}, sort_keys=True, indent=2), "\n"]
+        params_text = '  "params": ' + json.dumps(params, sort_keys=True,
+                                                  indent=2).replace("\n", "\n  ")
+        body = f'  "{key}": [\n'
+        if key < "params":
+            lines, tail = ["{\n" + body], "  ],\n" + params_text + "\n}\n"
+        else:
+            lines, tail = ["{\n" + params_text + ",\n" + body], "  ]\n}\n"
     else:
-        lines = [f"# {name}={_cell(value)}\n" for name, value in params.items()]
-        lines.append(",".join(columns) + "\n")
-        lines += [",".join(map(_cell, row)) + "\n" for row in rows]
+        lines = [f"# {name}={value:.17g}\n" if isinstance(value, float)
+                 else f"# {name}={value}\n" for name, value in params.items()]
+        lines.append(",".join(name for name, _ in columns) + "\n")
+    for row in rows:
+        text = row_format % values(row)
+        if not scan or "n" in text:
+            _check_finite(columns, row)
+        lines.append(text)
+    if args.format == "json":
+        lines[-1] = lines[-1][:-2] + "\n"  # the last row takes no comma
+        lines.append(tail)
     _write(args.out, lines)
     return EXIT_OK
 
 
+def _floats(*names: str) -> Columns:
+    return tuple((name, float) for name in names)
+
+
 # -- spectrum --------------------------------------------------------------------
+
+_SPECTRUM_COLUMNS = (("index", int), ("energy", float), ("branch", str), ("N", int),
+                     ("degeneracy", int), ("members", tuple))
+
 
 def run_spectrum(args: argparse.Namespace) -> int:
     """The level table.  Levels stream from bound.iter_levels through _emit,
-    so a CSV table's memory is bounded by its text plus one level."""
+    so a table's memory is bounded by its text plus one level."""
     problem = _problem_from_args(args)
     levels = bound.iter_levels(problem, args.levels)
     params = {
@@ -197,13 +262,13 @@ def run_spectrum(args: argparse.Namespace) -> int:
     }
     rows = ((i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, lv.members)
             for i, lv in enumerate(levels))
-    return _emit(args, params, ("index", "energy", "branch", "N", "degeneracy", "members"),
-                 rows, key="levels")
+    return _emit(args, params, _SPECTRUM_COLUMNS, rows, key="levels")
 
 
 # -- cross sections --------------------------------------------------------------
 
 _CASES = {case.value: case for case in scatter.FluxCase}
+_XSECTION_COLUMNS = _floats("theta", "sigma_total", "sigma_coulomb", "sigma_cross")
 
 
 def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
@@ -228,8 +293,7 @@ def run_xsection(args: argparse.Namespace) -> int:
         "command": "xsection", "case": p.flux_case.value, "k": p.k, "beta": p.beta,
         "thetas": args.thetas, "theta_min": args.theta_min, "theta_max": args.theta_max,
     }
-    return _emit(args, params, ("theta", "sigma_total", "sigma_coulomb", "sigma_cross"),
-                 rows)
+    return _emit(args, params, _XSECTION_COLUMNS, rows)
 
 
 # -- fields ----------------------------------------------------------------------
@@ -249,7 +313,7 @@ def run_field(args: argparse.Namespace) -> int:
             "alpha": problem.alpha_flux, "n_r": args.nr, "m": args.m,
             "extent": args.extent, "points": args.points,
         }
-        columns = ("x", "y", "re", "im")
+        columns = _floats("x", "y", "re", "im")
     else:
         p = _params_from_args(args)
         xs, ys, values = scatter.sample_scattering_field(
@@ -261,7 +325,7 @@ def run_field(args: argparse.Namespace) -> int:
             "k": p.k, "beta": p.beta, "xi_min": args.xi_min, "xi_max": args.xi_max,
             "eta_min": args.eta_min, "eta_max": args.eta_max, "nx": args.nx, "ny": args.ny,
         }
-        columns = ("xi", "eta", "re", "im")
+        columns = _floats("xi", "eta", "re", "im")
     rows = ((x, y, v.real, v.imag) for x, line in zip(xs, values) for y, v in zip(ys, line))
     return _emit(args, params, columns, rows, records=False)
 
@@ -289,8 +353,8 @@ def run_verify(args: argparse.Namespace) -> int:
                      "rel_err, norm, pass")
         for r in rows:
             lines.append(
-                f"# {r.case},{r.n_r},{r.m},{_cell(r.closed_energy)},"
-                f"{_cell(r.shoot_energy)},{r.rel_err:.3e},{_cell(r.norm)},"
+                f"# {r.case},{r.n_r},{r.m},{r.closed_energy:.17g},"
+                f"{r.shoot_energy:.17g},{r.rel_err:.3e},{r.norm:.17g},"
                 f"{'pass' if r.passed else 'FAIL'}"
             )
         for r in results:

@@ -13,10 +13,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import abc2d
-from abc2d import cli, oracle, verify
+from abc2d import bound, cli, oracle, scatter, verify
 from abc2d.bound import QuantumNumbers, eval_bound_wavefunction
 from abc2d.cli import build_parser, main
 from abc2d.reduction import RelativeProblem
@@ -206,14 +206,46 @@ def test_verify_golden_digests(grid, fmt, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_spectrum_table_memory_is_bounded_by_its_text(tmp_path):
+# sha256 of `xsection` stdout: each case in both formats on a 64-angle sweep,
+# and a 4,096-angle integer-flux sweep as the benchmark's tables run it;
+# recorded from the writer that checked and formatted each value on its own.
+XSECTION_SWEEP = ["--k", "1.3", "--beta", "0.8", "--thetas", "64"]
+XSECTION_DIGESTS = [
+    (["--case", "coulomb"] + XSECTION_SWEEP,
+     "c21852a00dcf514c68a86f1e500b8e9c6b81a1e9eaa0aa718c4de7fcb14c61d1"),
+    (["--case", "coulomb", "--format", "json"] + XSECTION_SWEEP,
+     "02b0f153b7756158d7d3fdbb9448061ab85f077c232b85b71460b6ac3cc4349a"),
+    (["--case", "integer"] + XSECTION_SWEEP,
+     "6121329c9d8b78b35c22cc20cd7a9fd5ae163aba2a78c6df92d72569edb623e1"),
+    (["--case", "integer", "--format", "json"] + XSECTION_SWEEP,
+     "1c6ce0fe9003cd9d488b9c35c4655a152a1efe0c1cc1012c05feb915460cddee"),
+    (["--case", "half"] + XSECTION_SWEEP,
+     "fec411f5e096206fdda3ec56766d2e3a59a7a332bdeaba4f0ac78a942811c248"),
+    (["--case", "half", "--format", "json"] + XSECTION_SWEEP,
+     "57b7349602ca2ee9d27b22454d570cddb5ef328c6a64430b3449b57641d4f462"),
+    (["--case", "integer", "--k", "0.7", "--beta", "40", "--thetas", "4096"],
+     "b52e0c723d21578b2004067ac625ad5e88ae92fdafbd86a64e4d07f0e1a5a791"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", XSECTION_DIGESTS)
+def test_xsection_golden_digests(argv, digest, capsys):
+    assert main(["xsection"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_table_memory_is_bounded_by_its_text(tmp_path, fmt):
     # members grow quadratically with the level count; a writer that keeps
     # every level, or joins the whole text, peaks at many times the file
-    # size (12.9x here when it did both)
-    path = tmp_path / "levels.csv"
+    # size (12.9x here in CSV when it did both; 7.2x in JSON when one
+    # json.dumps call took every row)
+    path = tmp_path / f"levels.{fmt}"
     tracemalloc.start()
     try:
-        assert main(["spectrum", "--alpha", "0.5", "--levels", "300", "--out", str(path)]) == 0
+        assert main(["spectrum", "--alpha", "0.5", "--levels", "300", "--format", fmt,
+                     "--out", str(path)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -830,6 +862,42 @@ class TestNonFiniteResults:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and quantity in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("command,column", [
+        *(("xsection", name) for name in scatter.CrossSectionSample._fields),
+        *(("field", name) for name in ("xi", "eta", "re", "im")),
+        ("spectrum", "energy"),
+    ])
+    def test_non_finite_row_is_refused_column_by_column(self, command, column, bad, fmt,
+                                                        tmp_path, capsys, monkeypatch):
+        # one row, non-finite in this column alone, from the function that
+        # computes the artifact
+        def row(names):
+            return [bad if name == column else 0.5 for name in names]
+
+        if command == "xsection":
+            sample = scatter.CrossSectionSample(*row(scatter.CrossSectionSample._fields))
+            monkeypatch.setattr(scatter, "cross_sections", lambda p, thetas: [sample])
+            argv = ["xsection", "--case", "coulomb", "--thetas", "1"]
+        elif command == "field":
+            xi, eta, re_, im = row(("xi", "eta", "re", "im"))
+            monkeypatch.setattr(scatter, "sample_scattering_field",
+                                lambda *args: ([xi], [eta], [[complex(re_, im)]]))
+            argv = ["field", "--kind", "scatter", "--case", "coulomb"]
+        else:
+            level = bound.SpectrumLevel(bad, bound.BRANCH_UNSPLIT, 0, ((0, 0),))
+            monkeypatch.setattr(bound, "iter_levels", lambda problem, n: iter([level]))
+            argv = ["spectrum"]
+        err = f"abc2d: non-finite result {column} = {bad}\n"
+        assert main(argv + ["--format", fmt]) == 2
+        assert capsys.readouterr() == ("", err)
+        path = tmp_path / "artifact.out"
+        path.write_bytes(b"old,bytes\n")
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert path.read_bytes() == b"old,bytes\n"
+
 
 # -- the CLI input domain ------------------------------------------------------------
 
@@ -931,3 +999,49 @@ def test_every_input_ends_in_a_result_or_an_exit_code(argv):
         assert "nan" not in text and "inf" not in text, argv
     else:
         assert out.getvalue() == "", argv
+
+
+# -- rendered text against the standard library --------------------------------------
+
+# The fuzz test's command shapes, drawn where most runs exit 0.
+_MODERATE = st.floats(0.1, 10.0).map(repr)
+_SIGNED = st.floats(-10.0, 10.0).map(repr)
+_RENDERED_ARGV = st.one_of(
+    _argv("spectrum", {"--levels": _small_int(1, 30)},
+          {"--mu": _MODERATE, "--kappa": _MODERATE, "--alpha": _SIGNED}),
+    _argv("xsection", {"--case": _CASE, "--thetas": _small_int(1, 16)},
+          {"--k": _MODERATE, "--beta": _MODERATE,
+           "--theta-min": st.floats(0.01, 6.27).map(repr),
+           "--theta-max": st.floats(0.01, 6.27).map(repr)}),
+    _argv("field", {"--kind": st.just("bound"), "--points": _small_int(2, 5)},
+          {"--mu": _MODERATE, "--kappa": _MODERATE, "--alpha": _SIGNED,
+           "--nr": _small_int(0, 3), "--m": _small_int(-3, 3), "--extent": _MODERATE}),
+    _argv("field", {"--kind": st.just("scatter"), "--case": _CASE,
+                    "--nx": _small_int(2, 5), "--ny": _small_int(2, 5)},
+          {"--k": _MODERATE, "--beta": _MODERATE, "--xi-min": _SIGNED, "--xi-max": _SIGNED,
+           "--eta-min": _SIGNED, "--eta-max": _SIGNED}),
+)
+# The CSV columns that are not floats: the spectrum's ints, branch and members.
+_NOT_FLOAT = {"index", "branch", "N", "degeneracy", "members"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RENDERED_ARGV)
+def test_rendered_text_matches_the_standard_library(argv):
+    # the writer builds its text by hand; json's encoder and float
+    # formatting are the oracles for it
+    texts = {}
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--format", fmt])
+        assume(code == 0)
+        texts[fmt] = out.getvalue()
+    text = texts["json"]
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    _, columns, rows = parse_csv(texts["csv"])
+    floats = [i for i, name in enumerate(columns) if name not in _NOT_FLOAT]
+    assert rows and floats
+    for row in rows:
+        for i in floats:
+            assert format(float(row[i]), ".17g") == row[i], (argv, columns[i])
