@@ -30,7 +30,7 @@ import cmath
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import DomainError
 from .reduction import RelativeProblem
@@ -128,9 +128,10 @@ def iter_levels(problem: RelativeProblem, n_levels: int) -> Iterator[SpectrumLev
     minus member (n_r, n_r - N-) while n_r < N-, then the plus member
     (n_r, N+ - n_r) while n_r <= N+.  The m = 0 member is left out where
     is_acceptable rejects it (nu = 0, m0 != 0), and a level left empty (the
-    integer-flux N = 0 level) is skipped.  The energy is taken from the
-    smallest n_r + |m + nu| among the members, the principal N from the
-    lower rung.  The cost is proportional to the number of members yielded.
+    integer-flux N = 0 level) is skipped.  The energy and the principal N
+    are taken from the lower rung, the energy from that rung's lambda as the
+    walk computes it: N + nu + 1/2 on the plus rung, N - nu + 1/2 on the
+    minus.  The cost is proportional to the number of members yielded.
     The walk keeps only the level it is building and O(N) ints, so a caller
     that drops each level once used holds memory bounded by what it keeps
     from the levels plus one level.
@@ -157,25 +158,26 @@ def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
         else:
             branch = BRANCH_PLUS if take_plus else BRANCH_MINUS
         principal = n_plus if take_plus else n_minus
-        # Members have n_r < minus_end on the minus rung, n_r < plus_end on the plus.
+        # Members have n_r < minus_end on the minus rung, n_r < plus_end on the
+        # plus.  A taken plus rung is no shorter than the minus one, so the
+        # pairs interleave by n_r and its tail follows: zip draws from the
+        # minus rung first and stops when that runs out, losing no member.
         minus_end = n_minus if take_minus else 0
         plus_end = n_plus + (not drop_m0) if take_plus else 0
-        members: list[tuple[int, int]] = []
-        for n_r in range(max(minus_end, plus_end)):
-            if n_r < minus_end:
-                members.append((n_r, n_r - n_minus))
-            if n_r < plus_end:
-                members.append((n_r, n_plus - n_r))
+        minus = zip(range(minus_end), range(-n_minus, minus_end - n_minus))
+        plus = zip(range(plus_end), range(n_plus, n_plus - plus_end, -1))
+        members = tuple(chain(chain.from_iterable(zip(minus, plus)), plus)
+                        if take_plus else minus)
         n_plus += take_plus
         n_minus += take_minus
         if not members:
             continue
-        lam = min(n_r + abs(m + nu) for n_r, m in members) + 0.5
+        lam = lam_plus if take_plus else lam_minus
         yield SpectrumLevel(
             energy=prefactor / (lam * lam),
             branch=branch,
             principal_n=principal,
-            members=tuple(members),
+            members=members,
         )
 
 

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable
+from itertools import chain
 
 from . import bound, scatter, verify
 from .errors import DomainError
@@ -147,10 +148,14 @@ _CELL = {"csv": {float: "%.17g", int: "%d", str: "%s", tuple: "%s"},
          "json": {float: "%r", int: "%d", str: '"%s"', tuple: "%s"}}
 # A level's (n_r, m) members as text: "n_r:m;..." in CSV; in JSON the
 # indented list of [n_r, m] arrays that json.dumps writes in a row object.
+# Each is one %-format over the members' ints in order: a member's format,
+# ending in its separator, repeated once per member with the last one cut.
+_JSON_MEMBER = "\n        [\n          %d,\n          %d\n        ],"
 _MEMBERS = {
-    "csv": lambda members: ";".join([f"{n_r}:{m}" for n_r, m in members]),
-    "json": lambda members: "[\n%s\n      ]" % ",\n".join(
-        [f"        [\n          {n_r},\n          {m}\n        ]" for n_r, m in members]),
+    "csv": lambda members: (("%d:%d;" * len(members))[:-1]
+                            % tuple(chain.from_iterable(members))),
+    "json": lambda members: (("[" + (_JSON_MEMBER * len(members))[:-1] + "\n      ]")
+                             % tuple(chain.from_iterable(members))),
 }
 
 

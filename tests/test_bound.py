@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,6 +187,37 @@ class TestSpectrum:
         assert calls == []
         assert all(type(n_r) is int and type(m) is int
                    for lv in levels for n_r, m in lv.members)
+
+
+class TestRungLambda:
+    """Each level's energy comes from its rung's lambda, N +- nu + 1/2."""
+
+    @staticmethod
+    def check(p, n_levels=300):
+        prefactor = -p.reduced_mass * (p.kappa * p.kappa) / 2.0
+        levels = spectrum(p, n_levels)
+        for lv in levels:
+            # the lower rung's lambda, N +- nu + 1/2 as the walk rounds it; the
+            # merged levels at nu = 0 and 1/2 take the plus rung's
+            sign = -1 if lv.branch == BRANCH_MINUS else 1
+            lam = lv.principal_n + sign * p.nu + 0.5
+            assert lv.energy == prefactor / (lam * lam), lv.principal_n
+            exact = lv.principal_n + sign * Fraction(p.nu) + Fraction(1, 2)
+            assert abs(Fraction(lam) - exact) <= Fraction(math.ulp(lam))
+        energies = [lv.energy for lv in levels]
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+
+    @given(st.integers(min_value=-3, max_value=3),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.3, max_value=3.0))
+    def test_random_split_flux(self, m0, nu, kappa):
+        self.check(problem(nu, m0=m0, mu=1.3, kappa=kappa))
+
+    # 0.5 - 2**-54, the largest double below 1/2, is snapped to 1/2
+    @pytest.mark.parametrize("nu", [1e-11, 0.5 - 2**-54, 0.5 - 1e-11, 0.5 + 1e-11,
+                                    1.0 - 1e-11])
+    def test_flux_near_the_merged_cases(self, nu):
+        self.check(problem(nu, mu=1.3, kappa=0.7))
 
 
 class TestSpectrumAgainstEnumeration:

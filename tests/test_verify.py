@@ -1,6 +1,9 @@
-"""verify's power-law fits: the standard-library slope against numpy's."""
+"""verify's power-law fits, the standard-library slope against numpy's, and
+the memory its gamma check keeps across calls."""
 
+import gc
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -67,3 +70,16 @@ def test_each_oracle_input_is_computed_once_per_run(monkeypatch):
         assert {name: len(log) for name, log in calls.items()} == {
             "quad_norm": 18, "shoot_with_nodes": 8}, run
         assert all(len(set(log)) == len(log) for log in calls.values()), run
+
+
+def test_gamma_functional_holds_no_memory_across_calls():
+    # A long-lived process that repeats the check keeps no blocks from its
+    # ln_gamma calls: after one warm-up call, 60 more leave the count of
+    # allocated blocks, taken after a collection, all but where it was.
+    verify.check_gamma_functional(40)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(60):
+        verify.check_gamma_functional(40)
+    gc.collect()
+    assert sys.getallocatedblocks() - before <= 30
