@@ -14,16 +14,20 @@ them against closed-form identities:
 products are carried with exact-residual multiplication, and all the terms,
 residuals included, are added in one correctly rounded ``math.fsum``, keeping
 exp(ln_gamma) within 1e-13 of Gamma over the |z| <= 50 disk.  ``kummer_m``
-sums the Taylor series for |z| <= 40 and switches to the two-sector large-|z|
-expansion beyond.  The Taylor sum monitors its own cancellation (sum of |terms| vs |result|); when
+takes one path per argument and never transforms it: the two-sector large-|z|
+expansion for |z| > 40 where its optimal truncation reaches ~1e-13 (smallest
+kept term vs sum), the Taylor series everywhere else, Re z < 0 included, so
+the two sides of Kummer's transformation are independent sums.  The Taylor
+sum monitors its own cancellation (sum of |terms| vs |result|); when
 double precision cannot deliver ~1e-13, the series is re-summed in binary
 fixed point: Python integers scaled by 2**bits, with the bits the
 cancellation costs plus 84 guard bits, and one correctly rounded conversion
 back to a complex double.  That keeps purely imaginary arguments of moderate
 size (the oscillatory scattering regime) at full accuracy.  A float sum that
 has not finished within its term cap is re-summed the same way, or refused
-with DomainError; a partial sum is never returned.  The regime split
-follows Pearson, Olver & Porter, Numer. Algorithms 74 (2017), section 3.
+with DomainError; a partial sum is never returned.  The result is within
+~1e-12 relative wherever ``kummer_m`` returns.  The regime split follows
+Pearson, Olver & Porter, Numer. Algorithms 74 (2017), section 3.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ _LN_TWO = 0.6931471805599453
 _TAYLOR_RADIUS = 40.0
 _TAYLOR_MAX_TERMS = 500
 _TAYLOR_RTOL = 1e-16
-# Re-sum in fixed point when the float series has lost more than this.
+# Re-sum in fixed point when the float series has lost more than this; the
+# asymptotic expansion gives way to the Taylor sum when its truncation
+# estimate exceeds it.
 _CONDITION_LIMIT = 1e-13
 # Bits the fixed-point re-sum keeps beyond those the cancellation costs:
 # 84 > 25 log2(10), so the result keeps 25 significant digits.  The result
@@ -277,12 +283,13 @@ def _taylor_fixed(a: complex, b: complex, z: complex, bits: int,
     return complex(sr / one, si / one)
 
 
-def _asymptotic_sum(ratio_fn, z: complex) -> complex:
+def _asymptotic_sum(ratio_fn, z: complex) -> tuple[complex, float]:
     """Sum an asymptotic series with optimal truncation (stop at smallest term).
 
-    A NaN term (parameters so large that the ratios overflow) is returned at
-    once as the sum, for the caller's finiteness check to report; the loop
-    would otherwise run on to the cap of about |z| terms.
+    Returns the sum and |last kept term| / |sum|, an estimate of its relative
+    truncation error.  A NaN term (parameters so large that the ratios overflow) ends
+    the sum with an infinite estimate; the loop would otherwise run on to the
+    cap of about |z| terms.
     """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
@@ -292,65 +299,64 @@ def _asymptotic_sum(ratio_fn, z: complex) -> complex:
         term = term * ratio_fn(n) / z
         mag = abs(term)
         if math.isnan(mag):
-            return term
+            return total, math.inf
         if mag > prev and n > 2:
             break
         total += term
         prev = mag
         if mag <= 1e-17 * abs(total):
             break
-    return total
+    return total, prev / abs(total)
 
 
-def _asymptotic(a: complex, b: complex, z: complex) -> complex:
+def _asymptotic(a: complex, b: complex, z: complex) -> tuple[complex, float]:
     """Two-sector large-|z| expansion of M(a,b,z) with Gamma prefactors.
 
     M ~ Gamma(b) [ e^{+-i pi a} z^{-a}/Gamma(b-a) * S_p
                  + e^z z^{a-b}/Gamma(a) * S_e ],
-    upper sign for -pi/2 < arg z <= pi, lower for arg z <= -pi/2; on the
-    positive real axis the sectors are averaged (cos pi a).  Prefactors are
-    assembled in log space to dodge overflow.
+    upper sign for Im z > 0, lower for Im z < 0 (DLMF 13.7.2): the sign
+    switches on the positive real axis, the Stokes line of the z^{-a} term,
+    where the sectors are averaged (cos pi a).  Prefactors are assembled in
+    log space to dodge overflow.  Returns the value and the larger of the
+    two sums' truncation estimates.
     """
     log_z = cmath.log(z)
     ln_b = ln_gamma(b)
-    result = 0.0 + 0.0j
-    if not _is_nonpositive_integer(a):
-        s_e = _asymptotic_sum(lambda n: (b - a + n) * (1.0 - a + n) / (n + 1), z)
-        result += cmath.exp(ln_b - ln_gamma(a) + z + (a - b) * log_z) * s_e
+    s_e, error = _asymptotic_sum(lambda n: (b - a + n) * (1.0 - a + n) / (n + 1), z)
+    result = cmath.exp(ln_b - ln_gamma(a) + z + (a - b) * log_z) * s_e
     if not _is_nonpositive_integer(b - a):
-        s_p = _asymptotic_sum(lambda n: -(a + n) * (a - b + 1.0 + n) / (n + 1), z)
+        s_p, error_p = _asymptotic_sum(lambda n: -(a + n) * (a - b + 1.0 + n) / (n + 1), z)
+        error = max(error, error_p)
         pre = ln_b - ln_gamma(b - a) - a * log_z
         if z.imag == 0.0 and z.real > 0.0:
             result += cmath.exp(pre) * cmath.cos(cmath.pi * a) * s_p
         else:
-            sign = 1.0 if cmath.phase(z) > -0.5 * math.pi else -1.0
+            sign = math.copysign(1.0, z.imag)
             result += cmath.exp(pre + sign * 1j * cmath.pi * a) * s_p
-    return result
+    return result, error
 
 
 def kummer_m(a: complex, b: complex, z: complex) -> complex:
     """Confluent hypergeometric function M(a, b, z) = 1F1(a; b; z).
 
-    Exact degree-n polynomial when a is a non-positive integer -n.  Kummer's
-    transformation M(a,b,z) = e^z M(b-a, b, -z) is applied first for
-    Re z < 0.  Target accuracy ~1e-12 relative for |z| <= 50 with parameters
-    of moderate size; raises DomainError when b is a non-positive integer or
-    z is not finite.
+    One path per argument: the large-|z| expansion for |z| > _TAYLOR_RADIUS
+    when a is not a non-positive integer and the expansion's truncation
+    estimate is within _CONDITION_LIMIT, the checked Taylor sum otherwise
+    (an exact polynomial when a is a non-positive integer -n).  Target
+    accuracy ~1e-12 relative wherever it returns; raises DomainError when b
+    is a non-positive integer, z is not finite, or the Taylor sum cannot
+    finish.
     """
     a, b, z = complex(a), complex(b), complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"M(a, b, z) needs a finite argument, got z = {z}")
     if _is_nonpositive_integer(b):
         raise DomainError(f"lower parameter pole at b = {b.real}")
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if _is_nonpositive_integer(a):
-        return _taylor_checked(a, b, z)
-    if z.real < 0.0:
-        return cmath.exp(z) * kummer_m(b - a, b, -z)
-    if abs(z) <= _TAYLOR_RADIUS:
-        return _taylor_checked(a, b, z)
-    return _asymptotic(a, b, z)
+    if abs(z) > _TAYLOR_RADIUS and not _is_nonpositive_integer(a):
+        value, error = _asymptotic(a, b, z)
+        if error <= _CONDITION_LIMIT:
+            return value
+    return _taylor_checked(a, b, z)
 
 
 def _log2_term_sum_bound(a: complex, b: complex, z: complex) -> int:

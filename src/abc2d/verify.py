@@ -8,7 +8,8 @@ reports.
 The checks:
   gamma_identities   |Gamma|^2 closed forms vs ln_gamma
   gamma_functional   reflection and recurrence identities (mod 2 pi i)
-  kummer_transform   M(a,b,z) = e^z M(b-a,b,-z) on random triples
+  kummer_transform   M(a,b,z) = e^z M(b-a,b,-z) on random triples, both
+                     sides summed directly, Taylor and large-|z| paths
   kummer_polynomial  terminating series vs exact rational Horner evaluation
   shooting           ODE eigenvalues vs closed-form energies, node counts
   norm_quadrature    numerical norm of every low state = 1; shooting reads
@@ -111,17 +112,36 @@ def check_gamma_functional(points: int = 100) -> CheckResult:
 
 
 def check_kummer_transform(points: int = 100) -> CheckResult:
+    """M(a, b, z) = e^z M(b - a, b, -z) on random triples.
+
+    kummer_m evaluates each side directly, so the row compares two
+    independent sums.  Three triples in four have |z| <= 20 and take the
+    Taylor path, in the left half plane with the cancellation the fixed-point
+    re-sum absorbs.  Every fourth has |z| in [45, 100], one quadrant of arg z
+    after another, and takes the large-|z| expansion, so both of its sectors
+    are compared with each other in all four quadrants.
+
+    The row cannot see an error that scales M uniformly, nor one in the
+    asymptotic coefficients: the transformation maps the two asymptotic sums
+    of one side onto those of the other term by term.  Those need a witness
+    of their own, such as the integral representation.
+    """
     rng = random.Random(23)
     worst = 0.0
-    for _ in range(points):
+    for j in range(points):
         a = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
         b = complex(rng.uniform(0.3, 5.0), rng.uniform(-2.0, 2.0))
-        z = cmath.rect(rng.uniform(0.1, 20.0), rng.uniform(-math.pi, math.pi))
+        if j % 4 == 3:
+            z = cmath.rect(rng.uniform(45.0, 100.0),
+                           0.5 * math.pi * (j // 4 % 4 - 2 + rng.random()))
+        else:
+            z = cmath.rect(rng.uniform(0.1, 20.0), rng.uniform(-math.pi, math.pi))
         lhs = specfn.kummer_m(a, b, z)
         rhs = cmath.exp(z) * specfn.kummer_m(b - a, b, -z)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return _result("kummer_transform", worst, 1e-10,
-                   f"{points} random triples, |z| <= 20")
+                   f"{points} random triples, |z| <= 20 and one in four "
+                   "in [45, 100]")
 
 
 def check_kummer_polynomial() -> CheckResult:

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -199,10 +200,15 @@ def test_field_golden_digests(argv, digest, capsys):
 # again when node-count narrowing stopped as soon as the window held level
 # n_r alone: in JSON, only shoot_E and rel_err of 6 of its 60 rows moved,
 # shoot_E by at most 3 ulp, and the shooting worst stayed at 8.710e-11.
+# All three were re-recorded again when kummer_m stopped applying Kummer's
+# transformation to itself and the kummer_transform row drew one triple in
+# four at |z| in [45, 100]: in JSON on both grids only that row's worst and
+# detail moved, its worst from 4.873e-16 to 8.072e-15 (small) and from
+# 5.807e-15 to 1.191e-14 (full).
 VERIFY_DIGESTS = [
-    ("small", "table", "f8d0923e15bbdc8b911d307c92067c04160918b93ec3267927d45080efeb180a"),
-    ("small", "json", "9e32f7e0996c77f4bc575dfa7ffadeb46dd861f55afd13c2eceaee9dc81a52f3"),
-    ("full", "table", "70d98dfe784a984fd344b5813ecd6998666219011a4c3c9a2958ab7af949463d"),
+    ("small", "table", "bf32b122a14123f1597855321fb611ea02010690a929333a2d1cd328cdb0db1d"),
+    ("small", "json", "33cfcee719fcd6d666155bb691a2604ac62251a8c7b8dece4d681c1f21ea1b72"),
+    ("full", "table", "d18e4141a5e4a62489669c6fa1d2503cdb857b4fbf0f17da4b06c2c52c75c4fa"),
 ]
 
 
@@ -461,6 +467,43 @@ class TestFieldCommand:
         for x, y, re, im in rows:
             v = eval_bound_wavefunction(qn, problem, math.hypot(x, y), math.atan2(y, x))
             assert (re, im) == (v.real, v.imag)
+
+    @pytest.mark.parametrize("beta", [10.0, 20.0])
+    @pytest.mark.parametrize("case", ["coulomb", "half"])
+    def test_scatter_dump_beyond_the_taylor_radius_matches_mpmath(self, case, beta, tmp_path):
+        # k eta^2 in [42.25, 49]: the large-|z| expansion cannot reach 1e-13
+        # at this beta, so the Kummer factor is the Taylor sum
+        out = tmp_path / "f.json"
+        assert main(["field", "--kind", "scatter", "--case", case, "--k", "1",
+                     "--beta", str(beta), "--xi-min", "1", "--xi-max", "2",
+                     "--eta-min", "6.5", "--eta-max", "7", "--nx", "2", "--ny", "2",
+                     "--format", "json", "--out", str(out)]) == 0
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            if case == "half":
+                c = (2 / mp.sqrt(mp.pi) * mp.exp(mp.pi * b / 2 - 1j * mp.pi / 4)
+                     * mp.gamma(1 - 1j * b))
+            else:
+                c = mp.exp(mp.pi * b / 2) * mp.gamma(0.5 - 1j * b) / mp.sqrt(mp.pi)
+            for xi, eta, re, im in json.loads(out.read_text())["rows"]:
+                z = 1j * mp.mpf(eta) ** 2
+                plane = mp.exp(1j * (mp.mpf(xi) ** 2 - mp.mpf(eta) ** 2) / 2)
+                if case == "half":
+                    ref = c * plane * eta * mp.hyp1f1(0.5 + 1j * b, 1.5, z)
+                else:
+                    ref = c * plane * mp.hyp1f1(1j * b, 0.5, z)
+                assert abs(complex(re, im) - complex(ref)) <= 1e-12 * abs(complex(ref))
+
+    def test_scatter_dump_past_both_series_exits_two(self, capsys):
+        # at beta = 100 neither the expansion nor the Taylor sum reaches
+        # 1e-13 at k eta^2 = 306.25
+        assert main(["field", "--kind", "scatter", "--case", "coulomb", "--k", "1",
+                     "--beta", "100", "--xi-min", "1", "--xi-max", "2",
+                     "--eta-min", "17", "--eta-max", "17.5", "--nx", "2", "--ny", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("abc2d: M(100j, (0.5+0j), 306.25j): the Taylor series "
+                                "has not converged after 1000 terms\n")
 
     def test_json_embeds_params(self, tmp_path):
         out = tmp_path / "f.json"

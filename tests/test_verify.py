@@ -1,15 +1,17 @@
-"""verify's power-law fits, the standard-library slope against numpy's, and
-the memory its gamma check keeps across calls."""
+"""verify's power-law fits, the standard-library slope against numpy's, the
+memory its gamma check keeps across calls, and the Kummer rows' reach."""
 
 import gc
+import inspect
 import math
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from abc2d import verify
+from abc2d import specfn, verify
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +85,48 @@ def test_gamma_functional_holds_no_memory_across_calls():
         verify.check_gamma_functional(40)
     gc.collect()
     assert sys.getallocatedblocks() - before <= 30
+
+
+@pytest.mark.parametrize("points", [40, 100])
+def test_kummer_transform_reaches_the_expansion_in_every_quadrant(points, monkeypatch):
+    # the large-|z| expansion's value is returned in all four quadrants
+    quadrants = set()
+    expansion = specfn._asymptotic
+
+    def recording(a, b, z):
+        value, error = expansion(a, b, z)
+        if error <= specfn._CONDITION_LIMIT:
+            quadrants.add((z.real > 0.0, z.imag > 0.0))
+        return value, error
+
+    monkeypatch.setattr(specfn, "_asymptotic", recording)
+    assert verify.check_kummer_transform(points).passed
+    assert len(quadrants) == 4
+
+
+def _mutated_specfn(old: str, new: str) -> types.ModuleType:
+    """A copy of specfn with one line of its source replaced."""
+    source = inspect.getsource(specfn)
+    assert source.count(old) == 1
+    module = types.ModuleType("abc2d.specfn_mutant")
+    module.__package__ = "abc2d"
+    exec(compile(source.replace(old, new), "<specfn mutant>", "exec"), module.__dict__)
+    return module
+
+
+def test_kummer_transform_fails_a_shifted_taylor_parameter(monkeypatch):
+    checked = specfn._taylor_checked
+    monkeypatch.setattr(specfn, "_taylor_checked",
+                        lambda a, b, z: checked(a, b + 1e-3, z))
+    assert not verify.check_kummer_transform(40).passed
+
+
+def test_kummer_transform_fails_the_quadrant_sector_rule(monkeypatch):
+    # the upper sign down to arg z = -pi/2, where it belongs only to Im z > 0;
+    # the unmutated copy passes
+    line = "sign = math.copysign(1.0, z.imag)"
+    monkeypatch.setattr(verify, "specfn", _mutated_specfn(line, line))
+    assert verify.check_kummer_transform(40).passed
+    monkeypatch.setattr(verify, "specfn", _mutated_specfn(
+        line, "sign = 1.0 if cmath.phase(z) > -0.5 * math.pi else -1.0"))
+    assert not verify.check_kummer_transform(40).passed
