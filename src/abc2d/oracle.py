@@ -6,20 +6,23 @@ Two oracles that share no special-function code with the closed forms:
 
       R'' + R'/r + [2 mu E + 2 mu kappa / r - (m+nu)^2 / r^2] R = 0
 
-  in two forms, each stepped by a Cash-Karp 5(4) embedded pair with per-step
-  error control.  The outward solution, which oscillates, is integrated in
-  the log radial variable x = ln s (s the Coulomb-unit radius), where the
-  equation collapses to R_xx = (w^2 - 2 e^x - 2 e e^{2x}) R with no
-  first-derivative term and no stiffness at the origin; the state is
-  renormalized whenever it grows large (the ODE is linear).  The inward
-  solution, which decays outward without a node, is integrated as its
-  log-derivative g = R_s / R, by the Riccati equation
+  for both legs of a matching shot by one Riccati equation.  In Coulomb
+  units (radius s, energy e, w = |m + nu|) it is R_xx = q R in x = ln s,
+  q = w^2 - 2 s - 2 e s^2, and v = R_x / R = s R_s / R obeys
 
-      g_s = k^2 - 2/s + w^2/s^2 - g^2 - g/s,   k^2 = -2e,
+      v_s = (q - v^2) / s,
 
-  in s itself, where g tends to the constant -k (Johnson, *J. Comput. Phys.*
-  13, 445, 1973).  Integrated inward it is stable, each stage is one scalar
-  rational expression, and it needs no exp and no rescaling.
+  which one Cash-Karp 5(4) embedded pair integrates in s itself: each stage
+  is one scalar rational expression, with no exp and no rescaling (Johnson,
+  *J. Comput. Phys.* 13, 445, 1973).  The inward solution, which decays
+  outward without a node, keeps v near -sqrt(q), where the equation
+  integrated inward is stable.  The outward solution oscillates, and v has
+  a pole at each of its zeros: wherever |v| > 1.25 sigma, sigma =
+  sqrt(max(|q|, 1)), a step carries u = 1/v instead, by u_s = (1 - q u^2) /
+  s, and u passes through each zero of R, so the zeros are u's sign
+  changes.  Both forms hold each step's local error to one tolerance in the
+  scaled Pruefer angle, d psi = sigma dv / (sigma^2 + v^2) (Pryce,
+  *Numerical Solution of Sturm-Liouville Problems*, 1993).
 
   The outward solution starts from its Frobenius series R = s^w sum c_k s^k,
   summed at a quarter of the inner classical turning point (at most s = 2w).
@@ -30,19 +33,20 @@ Two oracles that share no special-function code with the closed forms:
   its admixed growing mode is damped by at least e^-24 and its steps cover
   no more decaying tail than that.
 
-  Each trial energy takes one matching shot (Pryce, *Numerical Solution of
-  Sturm-Liouville Problems*, 1993): the outward leg runs from the series
-  start to the outer turning point, the inward leg from the decaying tail to
-  the same point, and each is integrated once.  The shot returns the
-  normalized Wronskian W of the two legs there, zero exactly at an
-  eigenvalue, and the eigenvalue index: the outward leg's interior nodes,
-  plus one where W and R differ in sign.  R starts positive and the inward
-  solution has no node, so W has the sign (-1)^nodes at every trial energy.
-  Node counts bracket level n_r alone, n_r nodes at the lower end and
-  n_r + 1 at the upper, so W changes sign across the bracket, and the
-  Illinois method finds its zero.  The reported node count is the one
-  measured at the lower bracket end, so it checks the level assignment
-  independently of the root-find.
+  Each trial energy takes one matching shot (Pryce): the outward leg runs
+  from the series start to the outer turning point, the inward leg from the
+  decaying tail to the same point, and each is integrated once.  The shot
+  returns the normalized Wronskian W of the two legs there, zero exactly at
+  an eigenvalue, and the eigenvalue index: the outward leg's zeros, plus one
+  where W's sign is not (-1)^zeros, the sign of R at the turning point.  R
+  starts positive and the inward solution has no node, so W has the sign
+  (-1)^nodes at every trial energy.  Node counts bracket level n_r alone,
+  n_r nodes at the lower end and n_r + 1 at the upper, so W changes sign
+  across the bracket, and the Illinois method finds its zero.  The node
+  count returned with the eigenvalue is the lower end's, n_r by
+  construction, so it checks nothing by itself: the level assignment is
+  checked by a node-count bracket existing at all (DomainError otherwise)
+  and by the energy agreeing with the closed form.
 
 * ``quad_norm`` integrates |psi|^2 over the plane with the trapezoid rule in
   x = ln(alpha r), halving the step until two sums agree; the angular
@@ -68,8 +72,6 @@ from .bound import QuantumNumbers, effective_exponent, wavefunction
 from .errors import DomainError
 from .reduction import RelativeProblem
 
-# The state (R, R_x) is renormalized once it exceeds this magnitude.
-_RESCALE_AT = 1e100
 # The inward solution starts where a lower bound on the WKB action from the
 # outer turning point reaches this value, so the admixed growing mode is
 # damped by at least e^-24 on the way in.
@@ -78,11 +80,10 @@ _TAIL_ACTION = 12.0
 # on the shooting domain; more than this many is a DomainError.
 _SERIES_MAX_TERMS = 200
 # The outward solution starts no nearer the origin than _R_START in units
-# of the closed-form inverse decay scale 1/alpha, and every integration
-# keeps the local error below _ODE_TOL (relative to the state for the
-# outward leg, to g for the inward).
+# of the closed-form inverse decay scale 1/alpha, and every leg holds each
+# step's local error in the scaled Pruefer angle to _ODE_TOL.
 _R_START = 1e-6
-_ODE_TOL = 1e-10
+_ODE_TOL = 1e-11
 # Relative energy tolerance of the root-find, near the noise floor the
 # _ODE_TOL integrations leave in the matching Wronskian.
 _ROOT_RTOL = 1e-10
@@ -104,172 +105,106 @@ def _outer_turning_point(e: float, w: float) -> float:
     return (1.0 + math.sqrt(disc)) / (-2.0 * e)
 
 
-def _integrate(w: float, e: float, x0: float, x1: float, y0: float,
-               dy0: float) -> tuple[int, float, float]:
-    """Integrate R_xx = q R, q = w^2 - 2 e^x - 2 e e^{2x}, from x0 to x1
-    (either direction) at trial energy e, with the Cash-Karp 5(4) pair and
-    local error tolerance _ODE_TOL.
+def _riccati(w: float, e: float, s0: float, s1: float,
+             v0: float) -> tuple[int, float, bool]:
+    """Integrate v = s R_s / R = R_x / R from v(s0) = v0 to s1 (either
+    direction) at trial energy e, by v_s = (q - v^2) / s with q = w^2 - 2 s
+    - 2 e s^2, using the Cash-Karp 5(4) pair.
 
-    Returns (sign changes of R, R, R_x) with the final pair rescaled by an
-    arbitrary positive factor.
+    Where |v| > 1.25 sigma, sigma = sqrt(max(|q|, 1)), a step carries
+    u = 1 / v instead, by u_s = (1 - q u^2) / s: v has a pole at each zero
+    of R, and u passes through it, changing sign.  Each step holds its local
+    error to _ODE_TOL in the scaled Pruefer angle, d psi = sigma dv /
+    (sigma^2 + v^2) = -sigma du / (1 + sigma^2 u^2), at the step's start.
+    The first step is a tenth of min(s0, 1/k), k = sqrt(-2e).
 
-    Stage 5 is evaluated at x + h, the start of the next step, so an
-    accepted step hands its q on as the next step's stage 1.
+    Returns (zeros of R passed, v at s1 or u where the last step carried u,
+    whether it did).  A non-finite v0 raises DomainError.  A stage that is
+    not finite is never accepted, as its error estimate is not finite
+    either: the step shrinks until it underflows, which raises DomainError
+    too.  Stage 5 is evaluated at s + h, so an accepted step hands its q on
+    as the next step's stage 1.
     """
-    exp = math.exp
+    if not math.isfinite(v0):
+        raise DomainError(f"log-derivative start {v0} at s = {s0} is not finite "
+                          f"(w = {w}, e = {e})")
+    fabs, sqrt = math.fabs, math.sqrt
     w2 = w * w
     te = 2.0 * e
-    direction = 1.0 if x1 >= x0 else -1.0
-    x = x0
-    y, dy = y0, dy0
-    h = 1e-4 * direction
+    direction = 1.0 if s1 >= s0 else -1.0
+    s, y, inverted = s0, v0, False
     nodes = 0
-    span = abs(x1 - x0)
-    s = exp(x)
-    q1 = w2 - 2.0 * s - te * s * s
-    while (x1 - x) * direction > 0.0:
-        last = (x + h - x1) * direction >= 0.0
-        if last:
-            h = x1 - x
-        k1y = dy
-        k1d = q1 * y
-
-        yy = y + h * 0.2 * k1y
-        dd = dy + h * 0.2 * k1d
-        s = exp(x + 0.2 * h)
-        k2y = dd
-        k2d = (w2 - 2.0 * s - te * s * s) * yy
-
-        yy = y + h * (3.0 / 40.0 * k1y + 9.0 / 40.0 * k2y)
-        dd = dy + h * (3.0 / 40.0 * k1d + 9.0 / 40.0 * k2d)
-        s = exp(x + 0.3 * h)
-        k3y = dd
-        k3d = (w2 - 2.0 * s - te * s * s) * yy
-
-        yy = y + h * (0.3 * k1y - 0.9 * k2y + 1.2 * k3y)
-        dd = dy + h * (0.3 * k1d - 0.9 * k2d + 1.2 * k3d)
-        s = exp(x + 0.6 * h)
-        k4y = dd
-        k4d = (w2 - 2.0 * s - te * s * s) * yy
-
-        yy = y + h * (-11.0 / 54.0 * k1y + 2.5 * k2y - 70.0 / 27.0 * k3y
-                      + 35.0 / 27.0 * k4y)
-        dd = dy + h * (-11.0 / 54.0 * k1d + 2.5 * k2d - 70.0 / 27.0 * k3d
-                       + 35.0 / 27.0 * k4d)
-        s = exp(x + h)
-        q5 = w2 - 2.0 * s - te * s * s
-        k5y = dd
-        k5d = q5 * yy
-
-        yy = y + h * (1631.0 / 55296.0 * k1y + 175.0 / 512.0 * k2y
-                      + 575.0 / 13824.0 * k3y + 44275.0 / 110592.0 * k4y
-                      + 253.0 / 4096.0 * k5y)
-        dd = dy + h * (1631.0 / 55296.0 * k1d + 175.0 / 512.0 * k2d
-                       + 575.0 / 13824.0 * k3d + 44275.0 / 110592.0 * k4d
-                       + 253.0 / 4096.0 * k5d)
-        s = exp(x + 0.875 * h)
-        k6y = dd
-        k6d = (w2 - 2.0 * s - te * s * s) * yy
-
-        y5 = y + h * (37.0 / 378.0 * k1y + 250.0 / 621.0 * k3y
-                      + 125.0 / 594.0 * k4y + 512.0 / 1771.0 * k6y)
-        d5 = dy + h * (37.0 / 378.0 * k1d + 250.0 / 621.0 * k3d
-                       + 125.0 / 594.0 * k4d + 512.0 / 1771.0 * k6d)
-        y4 = y + h * (2825.0 / 27648.0 * k1y + 18575.0 / 48384.0 * k3y
-                      + 13525.0 / 55296.0 * k4y + 277.0 / 14336.0 * k5y + 0.25 * k6y)
-        d4 = dy + h * (2825.0 / 27648.0 * k1d + 18575.0 / 48384.0 * k3d
-                       + 13525.0 / 55296.0 * k4d + 277.0 / 14336.0 * k5d + 0.25 * k6d)
-
-        scale = abs(y5) + abs(h * d5) + 1e-300
-        err = max(abs(y5 - y4), abs(h * (d5 - d4))) / (scale * _ODE_TOL)
-        if err <= 1.0:
-            x = x1 if last else x + h
-            q1 = q5
-            prev = y
-            y, dy = y5, d5
-            if prev != 0.0 and y != 0.0 and (prev < 0.0) != (y < 0.0):
-                nodes += 1
-            m = max(abs(y), abs(dy))
-            if m > _RESCALE_AT:
-                y /= m
-                dy /= m
-        h *= max(0.2, min(5.0, 0.9 * err**-0.2)) if err > 0.0 else 5.0
-        if abs(h) < 1e-14 * span:
-            raise DomainError("step size underflow in radial integration")
-    return nodes, y, dy
-
-
-def _log_derivative(w: float, e: float, s0: float, s1: float, g0: float) -> float:
-    """Integrate the Riccati equation g_s = k^2 - 2/s + w^2/s^2 - g^2 - g/s,
-    k^2 = -2e, for g = R_s / R inward from s0 to s1 < s0 at trial energy e,
-    with the Cash-Karp 5(4) pair and local error tolerance _ODE_TOL relative
-    to g at the step's start, and return g at s1.  The first step is a tenth
-    of the decay length 1/k.
-
-    This is the inward leg: past the outer turning point the decaying R is
-    positive, convex and falling, so g < 0 throughout and tends to -k far
-    out.  Integrated inward the equation is stable, errors decaying like
-    e^{-2k |ds|}.  An accepted g >= 0 raises DomainError.  A g that is not
-    finite is never accepted, as its error estimate is not finite either:
-    the step shrinks until it underflows, which raises DomainError too.
-
-    Each stage splits f = p(s) - g (g + 1/s), p = k^2 - 2/s + w^2/s^2;
-    stage 5 is evaluated at s + h, so an accepted step hands its p and 1/s
-    on as the next step's stage 1.
-    """
-    fabs = math.fabs
-    k2 = -2.0 * e
-    w2 = w * w
-    s, g = s0, g0
-    h = -0.1 / math.sqrt(k2)
-    span = s0 - s1
-    u1 = 1.0 / s
-    p1 = k2 + u1 * (w2 * u1 - 2.0)
-    while s > s1:
-        last = s + h <= s1
+    h = 0.1 * direction * min(s0, 1.0 / sqrt(-te))
+    span = abs(s1 - s0)
+    q1 = w2 - s * (2.0 + te * s)
+    while (s1 - s) * direction > 0.0:
+        last = (s + h - s1) * direction >= 0.0
         if last:
             h = s1 - s
-        f1 = p1 - g * (g + u1)
+        sig2 = max(abs(q1), 1.0)
+        # whether |v| > 1.25 sigma
+        big = y * y * sig2 < 0.64 if inverted else y * y > 1.5625 * sig2
+        if big != inverted:
+            y, inverted = 1.0 / y, big
+        f1 = ((1.0 - q1 * y * y) if inverted else (q1 - y * y)) / s
 
-        gg = g + h * 0.2 * f1
-        u = 1.0 / (s + 0.2 * h)
-        f2 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+        yy = y + h * 0.2 * f1
+        t = s + 0.2 * h
+        q = w2 - t * (2.0 + te * t)
+        f2 = ((1.0 - q * yy * yy) if inverted else (q - yy * yy)) / t
 
-        gg = g + h * (3.0 / 40.0 * f1 + 9.0 / 40.0 * f2)
-        u = 1.0 / (s + 0.3 * h)
-        f3 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+        yy = y + h * (3.0 / 40.0 * f1 + 9.0 / 40.0 * f2)
+        t = s + 0.3 * h
+        q = w2 - t * (2.0 + te * t)
+        f3 = ((1.0 - q * yy * yy) if inverted else (q - yy * yy)) / t
 
-        gg = g + h * (0.3 * f1 - 0.9 * f2 + 1.2 * f3)
-        u = 1.0 / (s + 0.6 * h)
-        f4 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+        yy = y + h * (0.3 * f1 - 0.9 * f2 + 1.2 * f3)
+        t = s + 0.6 * h
+        q = w2 - t * (2.0 + te * t)
+        f4 = ((1.0 - q * yy * yy) if inverted else (q - yy * yy)) / t
 
-        gg = g + h * (-11.0 / 54.0 * f1 + 2.5 * f2 - 70.0 / 27.0 * f3 + 35.0 / 27.0 * f4)
-        u5 = 1.0 / (s + h)
-        p5 = k2 + u5 * (w2 * u5 - 2.0)
-        f5 = p5 - gg * (gg + u5)
+        yy = y + h * (-11.0 / 54.0 * f1 + 2.5 * f2 - 70.0 / 27.0 * f3 + 35.0 / 27.0 * f4)
+        t5 = s + h
+        q5 = w2 - t5 * (2.0 + te * t5)
+        f5 = ((1.0 - q5 * yy * yy) if inverted else (q5 - yy * yy)) / t5
 
-        gg = g + h * (1631.0 / 55296.0 * f1 + 175.0 / 512.0 * f2 + 575.0 / 13824.0 * f3
+        yy = y + h * (1631.0 / 55296.0 * f1 + 175.0 / 512.0 * f2 + 575.0 / 13824.0 * f3
                       + 44275.0 / 110592.0 * f4 + 253.0 / 4096.0 * f5)
-        u = 1.0 / (s + 0.875 * h)
-        f6 = k2 + u * (w2 * u - 2.0) - gg * (gg + u)
+        t = s + 0.875 * h
+        q = w2 - t * (2.0 + te * t)
+        f6 = ((1.0 - q * yy * yy) if inverted else (q - yy * yy)) / t
 
-        g5 = g + h * (37.0 / 378.0 * f1 + 250.0 / 621.0 * f3 + 125.0 / 594.0 * f4
+        y5 = y + h * (37.0 / 378.0 * f1 + 250.0 / 621.0 * f3 + 125.0 / 594.0 * f4
                       + 512.0 / 1771.0 * f6)
-        g4 = g + h * (2825.0 / 27648.0 * f1 + 18575.0 / 48384.0 * f3
+        y4 = y + h * (2825.0 / 27648.0 * f1 + 18575.0 / 48384.0 * f3
                       + 13525.0 / 55296.0 * f4 + 277.0 / 14336.0 * f5 + 0.25 * f6)
-        err = fabs(g5 - g4) / (-_ODE_TOL * g + 1e-300)
+        angle = (1.0 + sig2 * y * y) if inverted else (sig2 + y * y)
+        err = fabs(y5 - y4) * sqrt(sig2) / (angle * _ODE_TOL)
         if err <= 1.0:
             s = s1 if last else s + h
-            u1, p1 = u5, p5
-            g = g5
-            if not g < 0.0:
-                raise DomainError(f"inward log-derivative {g} at s = {s} is not negative "
-                                  f"(w = {w}, e = {e})")
+            q1 = q5
+            if inverted and (y < 0.0) != (y5 < 0.0):
+                nodes += 1
+            y = y5
         # a NaN err shrinks the step, as an infinite one does
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
         if abs(h) < 1e-14 * span:
             raise DomainError("step size underflow in radial integration")
-    return g
+    return nodes, y, inverted
+
+
+def _leg_end(nodes: int, y: float, inverted: bool) -> tuple[float, float]:
+    """(R, R_x) at the end of a _riccati leg from R > 0 that returned
+    (nodes, y, inverted), as a unit vector: R has the sign (-1)^nodes, and
+    R_x has R's sign where u = R / R_x >= 0."""
+    if not inverted:
+        r, rx = 1.0, y
+    elif y < 0.0:
+        r, rx = -y, -1.0
+    else:
+        r, rx = y, 1.0
+    scale = (-1.0 if nodes % 2 else 1.0) / math.hypot(r, rx)
+    return r * scale, rx * scale
 
 
 def _outward_start(w: float, e_guess: float) -> float:
@@ -333,31 +268,37 @@ def _shots(w: float, e_guess: float) -> Callable[[float], tuple[int, float]]:
     set by the predicted energy e_guess.
 
     W is the normalized Wronskian of the outward and inward solutions at the
-    outer turning point, zero exactly at an eigenvalue: the outward leg
-    gives (R, R_x) there, and the inward Riccati leg the inward solution's
-    v = R_x / R = s g, so its (R, R_x) is (1, v).  nodes counts the
-    regular solution's zeros on the whole half-line: past the turning point
-    q > 0, so R crosses zero at most once more than the outward leg's sign
-    changes.  R starts positive and the inward solution is positive without
-    a node, so W is positive below the lowest level and changes sign at
-    each eigenvalue: its sign is (-1)^nodes, and the extra zero is there
-    exactly where W and R at the turning point differ in sign.
+    outer turning point, zero exactly at an eigenvalue, from the (R, R_x)
+    that _leg_end gives for each leg there.  Past the turning point the
+    solution that decays outward is positive, convex and falling, so the
+    inward leg must end with v < 0 and no zero of R passed; otherwise
+    DomainError.  nodes counts the regular solution's zeros on the whole
+    half-line: past the turning point q > 0, so R crosses zero at most once
+    more than on the outward leg.  R starts positive and the inward solution
+    is positive without a node, so W is positive below the lowest level and
+    changes sign at each eigenvalue: its sign is (-1)^nodes, and the extra
+    zero is there exactly where W's sign is not R's at the turning point.
     """
     s0 = _outward_start(w, e_guess)
-    x0 = math.log(s0)
     shots: dict[float, tuple[int, float]] = {}
 
     def shot(e: float) -> tuple[int, float]:
         if e not in shots:
             s_tp = _outer_turning_point(e, w)
-            nodes, yo, dyo = _integrate(w, e, x0, math.log(s_tp), *_regular_series(w, e, s0))
+            y, dy = _regular_series(w, e, s0)
+            nodes, yo, inv_o = _riccati(w, e, s0, s_tp, dy / y)
             s_in = _tail_start(e, w)
             # WKB slope of the solution that decays outward (grows inward)
             q = max(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in, 0.0)
-            # R_x / R of the inward solution at the turning point
-            v = s_tp * _log_derivative(w, e, s_in, s_tp, -math.sqrt(q) / s_in)
-            wr = (dyo - v * yo) / (math.hypot(yo, dyo) * math.hypot(1.0, v))
-            shots[e] = nodes + ((wr < 0.0) != (yo < 0.0)), wr
+            n_in, yi, inv_i = _riccati(w, e, s_in, s_tp, -math.sqrt(q))
+            if n_in or not yi < 0.0:
+                raise DomainError(f"inward log-derivative at s = {s_tp} is not negative "
+                                  f"({n_in} nodes, {'u' if inv_i else 'v'} = {yi}; "
+                                  f"w = {w}, e = {e})")
+            ro, rxo = _leg_end(nodes, yo, inv_o)
+            ri, rxi = _leg_end(0, yi, inv_i)
+            wr = rxo * ri - ro * rxi
+            shots[e] = nodes + ((wr < 0.0) != (nodes % 2 == 1)), wr
         return shots[e]
 
     return shot
@@ -367,10 +308,14 @@ def _illinois(f: Callable[[float], float], a: float, fa: float, b: float, fb: fl
               xtol: float, rtol: float) -> float:
     """Zero of f between a and b, where fa = f(a) and fb = f(b) differ in
     sign.  Each step replaces an end by the secant point c, and halves the
-    f value of an end kept twice in a row (the Illinois rule).  Returns c
-    once |b - a| <= 2 (xtol + rtol |c|), or an end where f is zero; more
-    than _ROOT_MAXITER steps raise DomainError."""
-    side = 0  # which end the last step replaced: -1 for a, 1 for b
+    f value of an end kept twice in a row (the Illinois rule).  The end
+    with the smaller |f| counts as replaced by the step before the first,
+    so when the first secant point lands on its side the other end's f is
+    halved at once: an end within noise of the root would otherwise draw
+    the secant points to its side twice.  Returns c once |b - a| <= 2 (xtol
+    + rtol |c|), or an end where f is zero; more than _ROOT_MAXITER steps
+    raise DomainError."""
+    side = -1 if abs(fa) < abs(fb) else 1  # which end the last step replaced
     for _ in range(_ROOT_MAXITER):
         if fa == 0.0 or fb == 0.0:
             return a if fa == 0.0 else b
@@ -395,8 +340,9 @@ def _illinois(f: Callable[[float], float], a: float, fa: float, b: float, fb: fl
 def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
     """Find the Coulomb-unit eigenvalue with n_r interior nodes.
 
-    Returns (e, nodes measured at the lower end of the root bracket).  The
-    search window [1.5 e_guess, 0.5 e_guess] around the predicted energy is
+    Returns (e, nodes measured at the lower end of the root bracket), and
+    that count is n_r whenever this returns.  The search window
+    [1.5 e_guess, 0.5 e_guess] around the predicted energy is
     halved by node count, from its midpoint e_guess on, until its ends count
     n_r and n_r + 1 nodes, so that it holds level n_r alone; each step keeps
     the half whose ends count at most n_r and more than n_r nodes, so the
@@ -429,7 +375,9 @@ def _solve_scaled(w: float, n_r: int, e_guess: float) -> tuple[float, int]:
 
 def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float, int]:
     """(ODE eigenvalue with n_r interior nodes in physical units, node count
-    measured at the lower bracket end)."""
+    measured at the lower bracket end).  The count is n_r whenever this
+    returns, since the bracket search accepts no other; the level is checked
+    by a bracket existing at all and by the energy itself."""
     if problem.kappa <= 0.0:
         raise DomainError("shooting requires attraction (kappa > 0)")
     if n_r < 0:

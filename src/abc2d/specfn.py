@@ -344,12 +344,15 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
     estimate is within _CONDITION_LIMIT, the checked Taylor sum otherwise
     (an exact polynomial when a is a non-positive integer -n).  Target
     accuracy ~1e-12 relative wherever it returns; raises DomainError when b
-    is a non-positive integer, z is not finite, or the Taylor sum cannot
-    finish.
+    is a non-positive integer, a, b or z is not finite, or the Taylor sum
+    cannot finish.
     """
     a, b, z = complex(a), complex(b), complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"M(a, b, z) needs a finite argument, got z = {z}")
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        name, value = ("b", b) if cmath.isfinite(a) else ("a", a)
+        raise DomainError(f"M(a, b, z) needs a finite parameter, got {name} = {value}")
     if _is_nonpositive_integer(b):
         raise DomainError(f"lower parameter pole at b = {b.real}")
     if abs(z) > _TAYLOR_RADIUS and not _is_nonpositive_integer(a):

@@ -11,7 +11,9 @@ The checks:
   kummer_transform   M(a,b,z) = e^z M(b-a,b,-z) on random triples, both
                      sides summed directly, Taylor and large-|z| paths
   kummer_polynomial  terminating series vs exact rational Horner evaluation
-  shooting           ODE eigenvalues vs closed-form energies, node counts
+  shooting           ODE eigenvalues vs closed-form energies, each found in
+                     a bracket whose ends count n_r and n_r + 1 nodes (the
+                     node count returned is n_r by construction)
   norm_quadrature    numerical norm of every low state = 1; shooting reads
                      its norms from the same table, one quad_norm per state
   degeneracy         spectrum vs brute-force level enumeration and tables

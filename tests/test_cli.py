@@ -206,9 +206,9 @@ def test_field_golden_digests(argv, digest, capsys):
 # detail moved, its worst from 4.873e-16 to 8.072e-15 (small) and from
 # 5.807e-15 to 1.191e-14 (full).
 VERIFY_DIGESTS = [
-    ("small", "table", "bf32b122a14123f1597855321fb611ea02010690a929333a2d1cd328cdb0db1d"),
-    ("small", "json", "33cfcee719fcd6d666155bb691a2604ac62251a8c7b8dece4d681c1f21ea1b72"),
-    ("full", "table", "d18e4141a5e4a62489669c6fa1d2503cdb857b4fbf0f17da4b06c2c52c75c4fa"),
+    ("small", "table", "527cb96916488a6525050ddf1c5d8ca94da71628f1a885c993c5bba5482e8567"),
+    ("small", "json", "2c9eaef3c054af8f475993f508b0fe5d6d626cbb2fb2e096efd7671c1abb18f2"),
+    ("full", "table", "f1db88f194dbdc096aa5dc953cab2ac0d451c809c53cc5a92d180edb36881e44"),
 ]
 
 

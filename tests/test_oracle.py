@@ -3,11 +3,12 @@ import inspect
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 import abc2d.oracle as oracle_mod
 from abc2d import verify
-from abc2d.bound import QuantumNumbers, energy
+from abc2d.bound import QuantumNumbers, effective_exponent, energy
 from abc2d.errors import DomainError
 from abc2d.oracle import quad_norm, shoot_with_nodes
 from abc2d.reduction import RelativeProblem
@@ -39,8 +40,8 @@ class TestShooting:
         e = shoot_with_nodes(problem(0.25), -1, 1)[0]
         assert e == pytest.approx(E_NU025_M_MINUS1_NR1, rel=1e-6)
 
-    # at w = |m + nu| near 14 and above, (R, R_x) passes _RESCALE_AT on the
-    # way out and is renormalized: 4 times for m = 14, 7 times for m = 20
+    # at w = |m + nu| near 14 and above, R grows by over a hundred orders
+    # of magnitude on the way out, while v = R_x / R stays near w
     @pytest.mark.parametrize("nu,m,n_r", [(0.0, 1, 2), (0.25, -2, 1), (0.75, 0, 2),
                                           (0.25, 14, 0), (0.25, 20, 1)])
     def test_node_counts(self, nu, m, n_r):
@@ -108,42 +109,36 @@ class TestShooting:
         # first halving already gives but for rounding, took the full grid's
         # 60 rows to 203 outward legs.
         calls = collections.Counter()
+        riccati = oracle_mod._riccati
 
-        def counting(name):
-            leg = getattr(oracle_mod, name)
+        def counting(w, e, s0, s1, v0):
+            calls["outward" if s1 > s0 else "inward"] += 1
+            return riccati(w, e, s0, s1, v0)
 
-            def counted(*args):
-                calls[name] += 1
-                return leg(*args)
-
-            return counted
-
-        for name in ("_integrate", "_log_derivative"):
-            monkeypatch.setattr(oracle_mod, name, counting(name))
+        monkeypatch.setattr(oracle_mod, "_riccati", counting)
         total = 0
         for nu, m, n_r in verify.shooting_grid(small=False):
             calls.clear()
             shoot_with_nodes(problem(nu), m, n_r)
-            assert calls["_integrate"] <= 4, (nu, m, n_r)
-            assert calls["_log_derivative"] <= 4, (nu, m, n_r)
-            total += calls["_integrate"]
+            assert calls["outward"] <= 4, (nu, m, n_r)
+            assert calls["inward"] <= 4, (nu, m, n_r)
+            total += calls["outward"]
         assert total <= 194
 
     def test_each_outward_leg_is_integrated_once(self, monkeypatch):
-        # a trial energy's node count and Wronskian share one leg from x0
+        # a trial energy's node count and Wronskian share one leg from s0
         calls = []
-        integrate = oracle_mod._integrate
+        riccati = oracle_mod._riccati
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return integrate(*args, **kwargs)
+            return riccati(*args)
 
-        monkeypatch.setattr(oracle_mod, "_integrate", counting)
+        monkeypatch.setattr(oracle_mod, "_riccati", counting)
         for nu, m, n_r in verify.shooting_grid(small=True):
             calls.clear()
             shoot_with_nodes(problem(nu), m, n_r)
-            x0 = min(args[2] for args in calls)
-            starts = collections.Counter(args[1] for args in calls if args[2] == x0)
+            starts = collections.Counter(args[1] for args in calls if args[2] < args[3])
             assert max(starts.values()) == 1, (nu, m, n_r, starts)
 
     def test_nontrivial_units(self):
@@ -153,34 +148,31 @@ class TestShooting:
         assert e == pytest.approx(closed, rel=1e-6)
 
     def test_step_budget(self, monkeypatch):
-        # each q evaluation in _integrate is one exp: starting the outward
-        # legs at a quarter of the inner turning point (not 1e-6 / alpha)
-        # and the inward legs at a WKB action of 12 (not 40 nominal e-folds)
-        # took the small grid from 235,355 to 138,181 of them, and one
-        # matching shot per trial energy, with no leg run on past the turning
-        # point to count nodes, to 121,738.  Of those the outward legs made
-        # 24,894; the inward legs, linear in x = ln s, made 19,361 step
-        # attempts of five exps each.  The Riccati leg in s makes one fabs
-        # call per step attempt and no exp.
+        # the shots verify takes on the small grid, one per distinct
+        # (|m + nu|, n_r): the stepper makes one fabs call per step attempt
+        # and no exp, in at most 9,249 attempts
+        shots = {(effective_exponent(m, nu), n_r): (nu, m, n_r)
+                 for nu, m, n_r in verify.shooting_grid(small=True)}
+        assert len(shots) == 8
         counting = _CountingMath()
         monkeypatch.setattr(oracle_mod, "math", counting)
-        for nu, m, n_r in verify.shooting_grid(small=True):
+        for nu, m, n_r in shots.values():
             shoot_with_nodes(problem(nu), m, n_r)
-        assert counting.exps <= 24_894
-        assert 0 < counting.fabs_calls <= 0.55 * 19_361
+        assert counting.exps == 0
+        assert 0 < counting.fabs_calls <= 9_249
 
-    def test_flipped_damping_term_fails_the_shooting_check(self, monkeypatch):
-        # the inward leg with the sign of its -g/s term flipped integrates
-        # another equation; the small grid must end in a DomainError or a
-        # failing shooting row, within ten times the step attempts the
-        # unmutated legs make on it
-        src = inspect.getsource(oracle_mod._log_derivative)
-        for term in ["(g + u1)", "(gg + u)", "(gg + u5)"]:
+    def test_flipped_square_term_fails_the_shooting_check(self, monkeypatch):
+        # the legs with the sign of v^2 flipped in v_s = (q - v^2) / s
+        # integrate another equation; the small grid must end in a
+        # DomainError or a failing shooting row, within ten times the step
+        # attempts the unmutated legs make on it
+        src = inspect.getsource(oracle_mod._riccati)
+        for term in ["(q1 - y * y)", "(q - yy * yy)", "(q5 - yy * yy)"]:
             assert term in src
-            src = src.replace(term, term.replace("+", "-"))
-        namespace = dict(vars(oracle_mod), math=_CountingMath(limit=10 * 5_874))
+            src = src.replace(term, term.replace("-", "+"))
+        namespace = dict(vars(oracle_mod), math=_CountingMath(limit=10 * 9_249))
         exec(src, namespace)
-        monkeypatch.setattr(oracle_mod, "_log_derivative", namespace["_log_derivative"])
+        monkeypatch.setattr(oracle_mod, "_riccati", namespace["_riccati"])
         try:
             result = verify.check_shooting(verify.shooting_report(True, verify.norm_table(True)))
         except DomainError:
@@ -225,10 +217,10 @@ class TestLegEnds:
     @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
     def test_series_start_matches_integration_from_the_origin(self, w, factor, monkeypatch):
         # (R, R_x) at the outward start, from the Frobenius series and from
-        # Cash-Karp run out from the two-term start at 1e-6 / alpha.  At the
-        # shooting tolerance of 1e-10 that path is itself off the series by
-        # up to 3.3e-11 at w = 0.25 (the series is within 1.4e-16 of a
-        # 50-digit sum), so it runs here at 1e-13.
+        # the Riccati leg run out from the two-term start at 1e-6 / alpha.
+        # At the shooting tolerance that path is itself off the series by up
+        # to 2.5e-12 (the series is within 1.4e-16 of a 50-digit sum), so it
+        # runs here at 1e-13.
         monkeypatch.setattr(oracle_mod, "_ODE_TOL", 1e-13)
         e_guess = -0.5 / (w + 0.5) ** 2
         e = factor * e_guess
@@ -236,11 +228,12 @@ class TestLegEnds:
         s0 = oracle_mod._outward_start(w, e_guess)
         assert s0 > 1e3 * s_tiny
         c1 = -2.0 / (2.0 * w + 1.0)
-        _, y, dy = oracle_mod._integrate(w, e, math.log(s_tiny), math.log(s0), 1.0 + c1 * s_tiny,
-                                         w * (1.0 + c1 * s_tiny) + c1 * s_tiny)
+        nodes, y, inverted = oracle_mod._riccati(w, e, s_tiny, s0,
+                                                 w + c1 * s_tiny / (1.0 + c1 * s_tiny))
+        assert nodes == 0
+        r, rx = oracle_mod._leg_end(nodes, y, inverted)
         ys, dys = oracle_mod._regular_series(w, e, s0)
-        sine = abs(y * dys - dy * ys) / (math.hypot(y, dy) * math.hypot(ys, dys))
-        assert sine <= 1e-11
+        assert abs(r * dys - rx * ys) / math.hypot(ys, dys) <= 1e-11
 
     def test_w_zero_keeps_the_tiny_start(self):
         e_guess = -2.0
@@ -271,45 +264,91 @@ class TestLegEnds:
 
     @pytest.mark.parametrize("w", [0.0, 0.25, 1.0, 2.75, 12.0, 45.0])
     @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
-    def test_riccati_leg_matches_the_linear_leg(self, w, factor, monkeypatch):
-        # v = R_x / R of the inward solution at the outer turning point,
-        # from the Riccati leg in s and from R_xx = q R in x = ln s, both
-        # started from the WKB slope at the tail start.  With both at 1e-13
-        # they agree within 4.5e-13.  At the shooting tolerance of 1e-10 the
-        # Riccati leg is within 2.5e-10 of that reference, as the linear leg
-        # at 1e-10 is.
+    def test_legs_match_whittaker_functions(self, w, factor, monkeypatch):
+        # (R, R_x) of each leg at the outer turning point, the inward one
+        # from the WKB slope at the tail start and the outward one from the
+        # series start, against mpmath's Whittaker functions, and the
+        # outward leg's zeros.  The error is the sine of the angle between
+        # the two (R, R_x).  At the shooting tolerance the inward legs are
+        # within 4.6e-11 and the outward within 4.9e-10, at w = 45, e =
+        # e_guess / 2, past 19 zeros; at 1e-13 both are within 5.7e-12.
         e_guess = -0.5 / (w + 0.5) ** 2
         e = factor * e_guess
         s_tp = oracle_mod._outer_turning_point(e, w)
         s_in = oracle_mod._tail_start(e, w)
-        slope = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in)
+        s0 = oracle_mod._outward_start(w, e_guess)
+        v_in, v_out, zeros = _whittaker_legs(w, e, s_tp)
 
-        def riccati():
-            return s_tp * oracle_mod._log_derivative(w, e, s_in, s_tp, slope / s_in)
+        def errors():
+            nodes, y, inverted = oracle_mod._riccati(
+                w, e, s_in, s_tp, -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in))
+            assert nodes == 0 and y < 0.0
+            r, rx = oracle_mod._leg_end(nodes, y, inverted)
+            inward = abs(r * v_in - rx) / math.hypot(1.0, v_in)
+            ys, dys = oracle_mod._regular_series(w, e, s0)
+            nodes, y, inverted = oracle_mod._riccati(w, e, s0, s_tp, dys / ys)
+            assert nodes == zeros
+            r, rx = oracle_mod._leg_end(nodes, y, inverted)
+            return inward, abs(r * v_out - rx) / math.hypot(1.0, v_out)
 
-        v_shooting = riccati()
+        inward, outward = errors()
+        assert inward <= 1e-10
+        assert outward <= 1e-9
         monkeypatch.setattr(oracle_mod, "_ODE_TOL", 1e-13)
-        _, y, dy = oracle_mod._integrate(w, e, math.log(s_in), math.log(s_tp), 1.0, slope)
-        assert riccati() == pytest.approx(dy / y, rel=1e-11)
-        assert v_shooting == pytest.approx(dy / y, rel=3e-10)
+        assert max(errors()) <= 1e-11
 
     @pytest.mark.parametrize("w,e", [(0.0, -0.125), (0.25, -0.05), (2.75, -0.02)])
-    def test_log_derivative_that_turns_positive_is_a_domain_error(self, w, e):
-        # run on inside the turning point, the solution that decays outward
-        # has a maximum in the allowed region at these non-eigenvalues, and
-        # there g = R_s / R turns positive
+    def test_log_derivative_that_turns_positive_is_a_domain_error(self, w, e, monkeypatch):
+        # matched at a twentieth of the outer turning point, the solution
+        # that decays outward has a maximum in the allowed region at these
+        # non-eigenvalues, so v turns positive on the inward leg
         s_tp = oracle_mod._outer_turning_point(e, w)
         s_in = oracle_mod._tail_start(e, w)
-        g0 = -math.sqrt(w * w - 2.0 * s_in - 2.0 * e * s_in * s_in) / s_in
+        monkeypatch.setattr(oracle_mod, "_outer_turning_point", lambda e, w: 0.05 * s_tp)
+        monkeypatch.setattr(oracle_mod, "_tail_start", lambda e, w: s_in)
         with pytest.raises(DomainError, match="is not negative"):
-            oracle_mod._log_derivative(w, e, s_in, 0.05 * s_tp, g0)
+            oracle_mod._shots(w, e)(e)
 
-    @pytest.mark.parametrize("g0", [-1e200, -math.inf, math.nan])
-    def test_non_finite_log_derivative_is_a_domain_error(self, g0):
-        # g^2 overflows or g is not finite, so no step's error estimate is
-        # finite: the step shrinks until it underflows
+    # a finite start such as -1e200 is no such case: carried as u = 1/v it
+    # is a zero of R at the start, and a leg integrates it as one
+    @pytest.mark.parametrize("v0", [-math.inf, math.nan])
+    def test_non_finite_log_derivative_is_a_domain_error(self, v0):
+        with pytest.raises(DomainError, match="is not finite"):
+            oracle_mod._riccati(1.0, -0.1, 40.0, 10.0, v0)
+
+    @pytest.mark.parametrize("w,e", [(1.0, math.nan), (math.nan, -0.1)])
+    def test_non_finite_stage_is_a_step_size_underflow(self, w, e):
+        # from a finite start every stage is NaN, so no step's error
+        # estimate is finite and the step shrinks until it underflows
         with pytest.raises(DomainError, match="step size underflow"):
-            oracle_mod._log_derivative(1.0, -0.1, 40.0, 10.0, g0)
+            oracle_mod._riccati(w, e, 40.0, 10.0, -1.0)
+
+
+def _whittaker_legs(w, e, s):
+    """v = R_x / R at s of the solution that decays outward and of the
+    regular one, and the regular one's zeros on (0, s], from mpmath.
+
+    With k = sqrt(-2e), kappa = 1/k and z = 2ks the two are
+    W_{kappa,w}(z) / sqrt(s) and M_{kappa,w}(z) / sqrt(s), so v is
+    z W'/W - 1/2 and z M'/M - 1/2, with z W' = (z/2 - kappa) W - W_{kappa+1,w}
+    and z M' = (z/2 - kappa) M + (1/2 + w + kappa) M_{kappa+1,w} (DLMF
+    13.15).  M is e^{-z/2} z^{w+1/2} 1F1(a; 2w + 1; z), a = w + 1/2 - kappa,
+    which has ceil(-a) positive zeros for a < 0 and none otherwise (DLMF
+    13.9(i)), and the sign (-1)^ceil(-a) far out.  Past s, the outer
+    turning point, R crosses zero at most once, and does so exactly where
+    its sign at s is not that one.
+    """
+    with mp.workdps(30):
+        k = mp.sqrt(-2 * mp.mpf(e))
+        kappa, z = 1 / k, 2 * k * mp.mpf(s)
+        base = z / 2 - kappa - mp.mpf(1) / 2
+        regular = mp.whitm(kappa, w, z)
+        v_in = base - mp.whitw(kappa + 1, w, z) / mp.whitw(kappa, w, z)
+        v_out = base + (mp.mpf(1) / 2 + w + kappa) * mp.whitm(kappa + 1, w, z) / regular
+        a = w + mp.mpf(1) / 2 - kappa
+        total = int(mp.ceil(-a)) if a < 0 else 0
+        zeros = total - ((regular < 0) != (total % 2 == 1))
+    return float(v_in), float(v_out), zeros
 
 
 class TestQuadNorm:
@@ -469,6 +508,22 @@ class TestIllinois:
         assert abs(x - root) <= 2.0 * (xtol + rtol * root)
         assert len(points) <= 12
 
+    def test_far_end_is_halved_at_the_first_repeat(self):
+        # a is near the root of the convex x^2 - 2, so the secant points from
+        # b = 3 land on a's side; with a counted as the end last replaced,
+        # f(b) is halved at the first step that keeps b, and the root is
+        # bracketed after two evaluations instead of the textbook rule's four
+        points = []
+
+        def f(x):
+            points.append(x)
+            return x * x - 2.0
+
+        a = 1.41421
+        x = oracle_mod._illinois(f, a, a * a - 2.0, 3.0, 7.0, 1e-12, 1e-10)
+        assert abs(x - math.sqrt(2.0)) <= 2.0 * (1e-12 + 1e-10 * x)
+        assert len(points) == 4
+
     def test_step_cap_is_a_domain_error(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_ROOT_MAXITER", 3)
         with pytest.raises(DomainError, match="did not converge in 3 steps"):
@@ -491,24 +546,24 @@ def test_ode_path_is_independent_of_hypergeometric_code():
 # form, the most from 3.6e-12 to 3.9e-11 at (0.0, 0, 1), all below the new
 # largest.
 GOLDEN_SHOTS = [
-    ((0.0, -1, 0), "(-0.22222222223404828, 0)"),
-    ((0.0, -1, 1), "(-0.07999999999716395, 1)"),
-    ((0.0, 0, 0), "(-2.0000000000133773, 0)"),
-    ((0.0, 0, 1), "(-0.22222222221350932, 1)"),
-    ((0.0, 1, 0), "(-0.22222222223404828, 0)"),
-    ((0.0, 1, 1), "(-0.07999999999716395, 1)"),
-    ((0.5, -1, 0), "(-0.5000000000283508, 0)"),
-    ((0.5, -1, 1), "(-0.12499999999705222, 1)"),
-    ((0.5, 0, 0), "(-0.5000000000283508, 0)"),
-    ((0.5, 0, 1), "(-0.12499999999705222, 1)"),
-    ((0.5, 1, 0), "(-0.12500000000541012, 0)"),
-    ((0.5, 1, 1), "(-0.05555555555421046, 1)"),
-    ((0.25, 0, 2), "(-0.06611570247856648, 2)"),
-    ((0.25, 2, 1), "(-0.0355555555553766, 1)"),
-    ((0.5, -1, 2), "(-0.055555555555584446, 2)"),
-    ((0.5, 0, 2), "(-0.055555555555584446, 2)"),
-    ((0.5, 2, 1), "(-0.03125000000002454, 1)"),
-    ((0.75, -1, 2), "(-0.06611570247856648, 2)"),
+    ((0.0, -1, 0), "(-0.22222222222221585, 0)"),
+    ((0.0, -1, 1), "(-0.08000000000008156, 1)"),
+    ((0.0, 0, 0), "(-1.9999999999928535, 0)"),
+    ((0.0, 0, 1), "(-0.2222222222192728, 1)"),
+    ((0.0, 1, 0), "(-0.22222222222221585, 0)"),
+    ((0.0, 1, 1), "(-0.08000000000008156, 1)"),
+    ((0.5, -1, 0), "(-0.5000000000018172, 0)"),
+    ((0.5, -1, 1), "(-0.12499999999989773, 1)"),
+    ((0.5, 0, 0), "(-0.5000000000018172, 0)"),
+    ((0.5, 0, 1), "(-0.12499999999989773, 1)"),
+    ((0.5, 1, 0), "(-0.12499999999992058, 0)"),
+    ((0.5, 1, 1), "(-0.055555555555628536, 1)"),
+    ((0.25, 0, 2), "(-0.0661157024793533, 2)"),
+    ((0.25, 2, 1), "(-0.035555555555581785, 1)"),
+    ((0.5, -1, 2), "(-0.05555555555557769, 2)"),
+    ((0.5, 0, 2), "(-0.05555555555557769, 2)"),
+    ((0.5, 2, 1), "(-0.03125000000003431, 1)"),
+    ((0.75, -1, 2), "(-0.0661157024793533, 2)"),
 ]
 
 

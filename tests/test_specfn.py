@@ -157,6 +157,22 @@ class TestKummer:
         with pytest.raises(DomainError, match="lower parameter pole at b"):
             kummer_m(0.5, b, 1.0)
 
+    # unchecked, a non-finite parameter escapes as OverflowError from the
+    # Taylor term bound or as ValueError from a math domain error
+    @pytest.mark.parametrize("a,b,z,name", [
+        (math.inf, 1.0, 1.0, "a"), (math.nan, 1.0, 1.0, "a"), (math.inf, 1.0, 0.0, "a"),
+        (complex(1.0, math.nan), 1.0, 50.0, "a"), (1.0, math.inf, 1.0, "b"),
+        (1.0, complex(math.nan, 1.0), 1.0, "b"),
+    ])
+    def test_non_finite_parameter_is_a_domain_error(self, a, b, z, name):
+        with pytest.raises(DomainError, match=f"needs a finite parameter, got {name} = "):
+            kummer_m(a, b, z)
+
+    @pytest.mark.parametrize("z", [math.inf, complex(0.0, -math.inf), math.nan])
+    def test_non_finite_argument_is_a_domain_error(self, z):
+        with pytest.raises(DomainError, match="needs a finite argument, got z = "):
+            kummer_m(0.5, 1.5, z)
+
     def test_termination_term_count(self):
         # degree-n polynomial: leading 1 plus n products, the (n+1)-th vanishes
         for n in (0, 1, 3, 7):
