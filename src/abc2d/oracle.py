@@ -54,7 +54,8 @@ Two oracles that share no special-function code with the closed forms:
   real x axis and negligible at both ends of the range, so the rule converges
   geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014).
 
-The ODE path never touches the confluent hypergeometric code, so agreement
+The ODE path never touches the confluent hypergeometric code, and both
+oracles read w = |m + nu| off the Hamiltonian, not from bound, so agreement
 with the closed-form energies is a genuine cross-check.
 
 The oracles need nothing outside the standard library: the root-finder
@@ -68,7 +69,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from .bound import QuantumNumbers, effective_exponent, wavefunction
+from .bound import QuantumNumbers, wavefunction
 from .errors import DomainError
 from .reduction import RelativeProblem
 
@@ -382,7 +383,7 @@ def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float,
         raise DomainError("shooting requires attraction (kappa > 0)")
     if n_r < 0:
         raise ValueError("n_r must be non-negative")
-    w = effective_exponent(m, problem.nu)
+    w = abs(m + problem.nu)
     lam = n_r + w + 0.5
     # the closed-form energy only centres the search window
     e_scaled, nodes = _solve_scaled(w, n_r, -1.0 / (2.0 * lam * lam))
@@ -425,7 +426,7 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     O(1) at any mu and kappa.
     """
     psi = wavefunction(qn, problem)
-    w = effective_exponent(qn.m, problem.nu)
+    w = abs(qn.m + problem.nu)
     lam = qn.n_r + w + 0.5
     alpha = 2.0 * problem.reduced_mass * problem.kappa / lam
     if alpha < sys.float_info.min:

@@ -255,6 +255,16 @@ class TestSpectrumAgainstEnumeration:
 
         assert not self.check_with(monkeypatch, drop).passed
 
+    def test_oracle_pins_the_energy_of_every_listed_level(self, monkeypatch):
+        # the last of the 18 listed levels lies past the enumeration box, so
+        # only the merged ladders see its energy
+        def shift(levels):
+            lv = levels[-1]
+            levels[-1] = dataclasses.replace(lv, energy=lv.energy * (1.0 + 1e-12))
+            return levels
+
+        assert not self.check_with(monkeypatch, shift).passed
+
     @pytest.mark.parametrize("index", [0, 9])
     def test_oracle_rejects_swapped_branches(self, monkeypatch, index):
         def swap(levels):

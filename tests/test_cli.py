@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -505,6 +507,20 @@ class TestFieldCommand:
         assert captured.err == ("abc2d: M(100j, (0.5+0j), 306.25j): the Taylor series "
                                 "has not converged after 1000 terms\n")
 
+    def test_scatter_dump_in_the_large_beta_band_exits_two(self, capsys):
+        # README's refusal band: on this grid beta = 43 passes and beta = 60
+        # does not, at k eta^2 = 324 in the Coulomb factor
+        argv = ["field", "--kind", "scatter", "--case", "coulomb", "--k", "1",
+                "--xi-min", "0", "--xi-max", "1", "--eta-min", "17", "--eta-max", "18",
+                "--nx", "2", "--ny", "2"]
+        assert main(argv + ["--beta", "43"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--beta", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("abc2d: M(60j, (0.5+0j), 324j): the Taylor series "
+                                "has not converged after 1000 terms\n")
+
     def test_json_embeds_params(self, tmp_path):
         out = tmp_path / "f.json"
         assert main(["field", "--kind", "scatter", "--case", "coulomb",
@@ -527,8 +543,8 @@ class TestVerifyCommand:
         assert "FAIL" not in text and "all" in text
 
     def test_energy_perturbation_is_caught(self, tmp_path, monkeypatch):
-        # the closed form is off by 1e-3 relative; oracle.quad_norm imports
-        # energy directly, so the shooting oracle keeps the true energies
+        # the closed form is off by 1e-3 relative; the shooting oracle never
+        # calls bound.energy, so it keeps the true energies
         real = verify.bound.energy
         monkeypatch.setattr(verify.bound, "energy",
                             lambda qn, problem: real(qn, problem) * (1.0 + 1e-3))
@@ -554,6 +570,41 @@ class TestVerifyCommand:
         failed = [line.split(",")[:3] for line in out.splitlines()
                   if line.startswith("# ") and line.endswith(",FAIL")]
         assert failed == [["# HalfInteger", "0", "-1"], ["# HalfInteger", "1", "-1"]]
+
+    def test_perturbed_norm_fails_the_norm_row(self, capsys, monkeypatch):
+        # a shooting row prints its state's norm but passes on the energy
+        # alone, so the norm_quadrature row is what fails the run
+        real = verify.oracle.quad_norm
+
+        def perturbed(qn, problem):
+            if (problem.nu, qn.n_r, qn.m) == (0.5, 1, -1):
+                return 1.0 + 2e-6
+            return real(qn, problem)
+
+        monkeypatch.setattr(verify.oracle, "quad_norm", perturbed)
+        assert main(["verify", "--grid", "small"]) == 3
+        rows = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("shooting ", "norm_quadrature "))}
+        assert rows == {"shooting": "PASS", "norm_quadrature": "FAIL"}
+
+    def test_oracle_takes_w_from_the_hamiltonian(self, tmp_path):
+        # a copy of the package whose bound.effective_exponent returns
+        # |m - nu|: the closed forms move, the shots must not
+        package = tmp_path / "src" / "abc2d"
+        shutil.copytree(Path(abc2d.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = (package / "bound.py").read_text()
+        assert source.count("return abs(m + nu)") == 1
+        (package / "bound.py").write_text(
+            source.replace("return abs(m + nu)", "return abs(m - nu)"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "abc2d", "verify", "--grid", "small", "--format", "json"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(package.parent)})
+        assert proc.returncode == 3, proc.stderr
+        failed = {check["name"] for check in json.loads(proc.stdout)["checks"]
+                  if not check["passed"]}
+        assert {"shooting", "degeneracy"} <= failed
 
     def test_root_find_nonconvergence_exits_two(self, capsys, monkeypatch):
         # the shooting root-find gets one step, too few for any sign change
@@ -1125,3 +1176,24 @@ def test_spectrum_csv_and_json_carry_the_walks_levels(argv):
         assert (obj["index"], obj["N"], obj["degeneracy"]) == ints
         assert cells["branch"] == obj["branch"] == lv.branch
         assert float(cells["energy"]) == obj["energy"] == lv.energy
+
+
+def _readme_cli_lines():
+    """The abc2d command lines of README's CLI section, without their
+    trailing comments."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    return [line.partition("#")[0].strip() for block in blocks
+            for line in block.splitlines() if line.startswith("abc2d ")]
+
+
+def test_readme_has_cli_examples():
+    assert _readme_cli_lines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
+    # one example writes --out sweep.csv into the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
