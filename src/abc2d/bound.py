@@ -27,6 +27,7 @@ Level structure by case (d = degeneracy at level N):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from itertools import chain, islice
 
 from .errors import DomainError
 from .reduction import RelativeProblem
+from .scatter import linspace
 from .specfn import kummer_m
 
 # Branch labels on spectrum levels.
@@ -210,33 +212,60 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
     return math.exp(log_front + log_root)
 
 
-def wavefunction(qn: QuantumNumbers,
-                 problem: RelativeProblem) -> Callable[[float, float], complex]:
-    """The normalized eigenfunction psi(r, theta); C, w and the decay rate
-    alpha = 2 mu kappa / lambda are computed once, here.
-
-    rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for w = 0, else 0.
-    theta is accepted but irrelevant at the origin, where only the w = 0
-    states are finite anyway.
-    """
+def _factors(qn: QuantumNumbers, problem: RelativeProblem
+             ) -> tuple[Callable[[float], complex], Callable[[float], complex]]:
+    """(radial, phase) of psi(r, theta) = radial(r) * phase(theta); C, w and
+    the decay rate alpha = 2 mu kappa / lambda are computed once, here.
+    rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for w = 0, else 0."""
     c = normalization_constant(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
     alpha = 2.0 * problem.reduced_mass * problem.kappa / _lambda(qn, problem.nu)
 
-    def psi(r: float, theta: float) -> complex:
-        if r < 0.0:
-            raise ValueError("r must be non-negative")
+    def radial(r: float) -> complex:
         rho = alpha * r
         radial_power = rho**w
         poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
+        return c * math.exp(-0.5 * rho) * radial_power * poly
+
+    def phase(theta: float) -> complex:
         try:
-            phase = cmath.exp(1j * (qn.m - problem.m0) * theta)
+            return cmath.exp(1j * (qn.m - problem.m0) * theta)
         except ValueError:
             raise DomainError(f"the angular phase (m - m0) theta overflows at m = {qn.m}, "
                               f"theta = {theta}") from None
-        return c * math.exp(-0.5 * rho) * radial_power * poly * phase
+
+    return radial, phase
+
+
+def wavefunction(qn: QuantumNumbers,
+                 problem: RelativeProblem) -> Callable[[float, float], complex]:
+    """The normalized eigenfunction psi(r, theta) = radial(r) * phase(theta)
+    (_factors).  theta is accepted but irrelevant at the origin, where only
+    the w = 0 states are finite anyway."""
+    radial, phase = _factors(qn, problem)
+
+    def psi(r: float, theta: float) -> complex:
+        if r < 0.0:
+            raise ValueError("r must be non-negative")
+        return radial(r) * phase(theta)
 
     return psi
+
+
+def sample_bound_field(
+    qn: QuantumNumbers, problem: RelativeProblem, span: tuple[float, float], points: int
+) -> tuple[list[float], list[float], list[list[complex]]]:
+    """(xs, ys, values): psi on the grid xs = ys = linspace(*span, points),
+    values[i][j] at r = hypot(xs[i], ys[j]), theta = atan2(ys[j], xs[i]),
+    equal bit for bit to wavefunction's.  The radial factor is evaluated once
+    per distinct r, through a cache that lives for this call."""
+    radial, phase = _factors(qn, problem)
+    radial = functools.cache(radial)
+    xs = ys = linspace(*span, points)
+    if len(xs) < 2:
+        raise ValueError("grid needs at least 2 points per axis")
+    return xs, ys, [[radial(math.hypot(x, y)) * phase(math.atan2(y, x)) for y in ys]
+                    for x in xs]
 
 
 def eval_bound_wavefunction(

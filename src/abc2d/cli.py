@@ -201,7 +201,8 @@ def _check_finite(columns: Columns, row: tuple) -> None:
 
 
 def _emit(args: argparse.Namespace, params: dict, columns: Columns,
-          rows: Iterable[tuple], key: str = "rows", records: bool = True) -> int:
+          rows: Iterable[tuple] = (), key: str = "rows",
+          grid: tuple[list[float], list[float], list[list[complex]]] | None = None) -> int:
     """Write one artifact in ``args.format`` to ``args.out`` (stdout if None).
 
     ``columns`` is the layout: each column's name and kind (float, int, str,
@@ -209,18 +210,22 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
     %-format built from it (``_row_layout``).
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
     JSON: the text of ``json.dumps({"params": ..., key: rows}, sort_keys=True,
-    indent=2)``, each row an object keyed by column if ``records``, else an
-    array; a level's members become [n_r, m] arrays.  It is rendered row by
+    indent=2)``, each row an object keyed by column, or an array in a field
+    dump; a level's members become [n_r, m] arrays.  It is rendered row by
     row and takes at least one row; every command refuses an empty artifact
     before it gets here.
     ``rows`` may be any iterable, a generator included, and is read once:
     each row is rendered to its text and dropped, so memory is bounded by the
-    text plus one row.  A non-finite float in a row is a domain error naming
-    its column, found in the rendered text where that is sure (see
-    ``_row_layout``); every row is rendered before anything is written, so
-    it is raised with nothing written and ``--out`` left as it was.
+    text plus one row.  A field dump gives ``grid`` = (xs, ys, values)
+    instead, the rows (xs[i], ys[j], re, im) of values[i][j]: each y cell is
+    rendered once per column, and each line of the grid is one %-format of its
+    x cell's text and the column texts over that line's (re, im) pairs.
+    A non-finite float is a domain error naming the first non-finite column of
+    the first such row, found in the rendered text where that is sure (see
+    ``_row_layout``); every row is rendered before anything is written, so it
+    is raised with nothing written and ``--out`` left as it was.
     """
-    row_format, values, scan = _row_layout(args.format, columns, records)
+    row_format, values, scan = _row_layout(args.format, columns, records=grid is None)
     if args.format == "json":
         params_text = '  "params": ' + json.dumps(params, sort_keys=True,
                                                   indent=2).replace("\n", "\n  ")
@@ -233,11 +238,25 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
         lines = [f"# {name}={value:.17g}\n" if isinstance(value, float)
                  else f"# {name}={value}\n" for name, value in params.items()]
         lines.append(",".join(name for name, _ in columns) + "\n")
-    for row in rows:
-        text = row_format % values(row)
-        if not scan or "n" in text:
-            _check_finite(columns, row)
-        lines.append(text)
+    if grid is None:
+        for row in rows:
+            text = row_format % values(row)
+            if not scan or "n" in text:
+                _check_finite(columns, row)
+            lines.append(text)
+    else:
+        # a float row format holds one % per cell: split off the x and y cells
+        head, x_format, y_format, rest = re.split("(?=%)", row_format, maxsplit=3)
+        xs, ys, field = grid
+        y_rests = [y_format % y + rest for y in ys]
+        for x, line in zip(xs, field):
+            x_text = head + x_format % x
+            text = ((x_text + x_text.join(y_rests))
+                    % tuple([part for v in line for part in (v.real, v.imag)]))
+            if not scan or "n" in text:
+                for y, v in zip(ys, line):
+                    _check_finite(columns, (x, y, v.real, v.imag))
+            lines.append(text)
     if args.format == "json":
         lines[-1] = lines[-1][:-2] + "\n"  # the last row takes no comma
         lines.append(tail)
@@ -304,14 +323,14 @@ def run_xsection(args: argparse.Namespace) -> int:
 # -- fields ----------------------------------------------------------------------
 
 def run_field(args: argparse.Namespace) -> int:
+    """A field dump: (xs, ys, values) from the kind's sample_*_field, which
+    evaluates each separated factor once per distinct argument, to _emit."""
     if args.kind == "bound":
         problem = _problem_from_args(args)
-        psi = bound.wavefunction(bound.QuantumNumbers(args.nr, args.m), problem)
-        xs = ys = scatter.linspace(*_span(-args.extent, args.extent, "--extent"),
-                                   args.points)
-        if len(xs) < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        values = [[psi(math.hypot(x, y), math.atan2(y, x)) for y in ys] for x in xs]
+        qn = bound.QuantumNumbers(args.nr, args.m)
+        bound.normalization_constant(qn, problem)  # a bad state is refused before --extent
+        xs, ys, values = bound.sample_bound_field(
+            qn, problem, _span(-args.extent, args.extent, "--extent"), args.points)
         params = {
             "command": "field", "kind": "bound",
             "mu": problem.reduced_mass, "kappa": problem.kappa,
@@ -331,8 +350,7 @@ def run_field(args: argparse.Namespace) -> int:
             "eta_min": args.eta_min, "eta_max": args.eta_max, "nx": args.nx, "ny": args.ny,
         }
         columns = _floats("xi", "eta", "re", "im")
-    rows = ((x, y, v.real, v.imag) for x, line in zip(xs, values) for y, v in zip(ys, line))
-    return _emit(args, params, columns, rows, records=False)
+    return _emit(args, params, columns, grid=(xs, ys, values))
 
 
 # -- verification ----------------------------------------------------------------

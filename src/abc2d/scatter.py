@@ -226,8 +226,9 @@ def to_parabolic(r: float, theta: float) -> tuple[float, float]:
 def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[list[complex]]:
     """psi0 at every node of the grid xis x etas, row-major in xi.
 
-    Each separated factor is evaluated once: the prefactor c1 or c2 per call,
-    the Kummer factor per eta and the integer-flux s-wave per distinct r.
+    Each separated factor is evaluated once per distinct argument: the
+    prefactor c1 or c2 per call, the Kummer factor per eta, the integer-flux
+    s-wave per distinct r (a cache for this call) and the plane wave per node.
     """
     k, b = p.k, p.beta
     if p.flux_case is FluxCase.HALF_INTEGER:

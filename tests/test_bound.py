@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abc2d import bound, verify
 from abc2d.bound import (
@@ -16,10 +16,13 @@ from abc2d.bound import (
     eval_bound_wavefunction,
     is_acceptable,
     normalization_constant,
+    sample_bound_field,
     spectrum,
+    wavefunction,
 )
 from abc2d.errors import DomainError
 from abc2d.reduction import RelativeProblem
+from abc2d.specfn import kummer_m
 
 C00_NU0 = 1.5957691216057307       # 4 / sqrt(2 pi)
 C00_NU_HALF = 0.56418958354775629  # 1 / sqrt(pi)
@@ -276,6 +279,69 @@ class TestSpectrumAgainstEnumeration:
         assert not self.check_with(monkeypatch, swap).passed
 
 
+# One flux alpha = m0 + nu per draw from each of the five spectral regimes:
+# pure Coulomb, integer flux, split below and above nu = 1/2, half flux.
+_M0 = st.integers(min_value=-3, max_value=3)
+_REGIME_ALPHA = st.one_of(
+    st.just(0.0),
+    _M0.filter(bool).map(float),
+    st.builds(float.__add__, _M0.map(float),
+              st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)),
+    st.builds(float.__add__, _M0.map(float),
+              st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True)),
+    _M0.map(lambda m0: m0 + 0.5),
+)
+_U = Fraction(1, 2**53)  # unit roundoff of a double
+# The walk rounds lambda = (N +- nu) + 1/2 twice, over terms of one sign.
+_LAMBDA_REL = (1 + _U) ** 2 - 1
+# energy = (-mu * (kappa * kappa) / 2) / (lambda * lambda): two roundings in
+# the prefactor (its halving is exact), lambda's own error twice and one
+# rounding in lambda * lambda below the line, one in the division; about 8 u.
+_ENERGY_REL = (1 + _U) ** 3 / ((1 - _LAMBDA_REL) ** 2 * (1 - _U)) - 1
+
+
+class TestSpectrumAgainstExactArithmetic:
+    """Every level of bound.spectrum against rational arithmetic: the member
+    set of the k-th lowest exact lambda = n_r + |m + nu| + 1/2, and the energy
+    -mu kappa^2 / (2 lambda^2) within the walk's rounding bound."""
+
+    @staticmethod
+    def exact_levels(p, n_levels):
+        """(lambda, members) of the n_levels lowest levels, lambda a Fraction.
+
+        nu = a / d is a dyadic rational, so d (n_r + |m + nu|) = n_r d +
+        |m d + a| is an int: the states are grouped by it exactly.  Every
+        state with n_r + |m + nu| <= cap is enumerated, and the cap holds the
+        n_levels lowest levels of each regime.
+        """
+        a, d = p.nu.as_integer_ratio()
+        cap = n_levels + 1
+        groups = {}
+        for m in range(-cap - 1, cap + 2):
+            if p.nu == 0.0 and m == 0 and p.m0 != 0:
+                continue
+            w = abs(m * d + a)
+            for n_r in range(cap + 1):
+                if n_r * d + w <= cap * d:
+                    groups.setdefault(n_r * d + w, []).append((n_r, m))
+        keys = sorted(groups)[:n_levels]
+        assert len(keys) == n_levels
+        return [(Fraction(key, d) + Fraction(1, 2), tuple(sorted(groups[key])))
+                for key in keys]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=0.05, max_value=20.0),
+           _REGIME_ALPHA, st.integers(min_value=1, max_value=60))
+    def test_levels_match_rational_arithmetic(self, mu, kappa, alpha, n_levels):
+        p = RelativeProblem.from_parameters(mu, kappa, alpha)
+        levels = spectrum(p, n_levels)
+        assert len(levels) == n_levels
+        for i, (lv, (lam, members)) in enumerate(zip(levels, self.exact_levels(p, n_levels))):
+            assert lv.members == members, i
+            exact = -Fraction(mu) * Fraction(kappa) ** 2 / (2 * lam * lam)
+            assert abs(Fraction(lv.energy) - exact) <= _ENERGY_REL * abs(exact), i
+
+
 class TestNormalization:
     def test_coulomb_ground_constant(self):
         assert normalization_constant(QuantumNumbers(0, 0), problem(0.0)) == \
@@ -327,3 +393,49 @@ class TestWavefunction:
         vals = [eval_bound_wavefunction(qn, p, r, 0.0).real for r in rs]
         flips = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
         assert flips == 2
+
+
+# One state per spectral regime, flux alpha = m0 + nu: pure Coulomb, integer
+# flux, split below and above nu = 1/2, and half flux.
+GRID_STATES = [
+    (0.0, QuantumNumbers(1, 0)),
+    (2.0, QuantumNumbers(2, -1)),
+    (1.3, QuantumNumbers(0, 2)),
+    (-1.2, QuantumNumbers(1, 1)),
+    (-2.5, QuantumNumbers(2, 0)),
+]
+# (span, points): odd counts put a node at the origin, even ones do not.
+BOUND_GRIDS = [((-3.0, 3.0), 7), ((-3.0, 3.0), 8), ((-1.5, 2.5), 5), ((-2.0, 2.0), 6)]
+
+
+class TestSampleBoundField:
+    @pytest.mark.parametrize("span,points", BOUND_GRIDS)
+    @pytest.mark.parametrize("alpha,qn", GRID_STATES, ids=lambda v: str(v))
+    def test_matches_pointwise_evaluation_exactly(self, alpha, qn, span, points):
+        p = RelativeProblem.from_parameters(0.8, 1.3, alpha)
+        psi = wavefunction(qn, p)
+        xs, ys, values = sample_bound_field(qn, p, span, points)
+        assert len(xs) == len(ys) == points
+        assert [len(line) for line in values] == [points] * points
+        for x, line in zip(xs, values):
+            for y, v in zip(ys, line):
+                assert v == psi(math.hypot(x, y), math.atan2(y, x)), (x, y)
+
+    @pytest.mark.parametrize("span,points", BOUND_GRIDS)
+    @pytest.mark.parametrize("alpha,qn", GRID_STATES, ids=lambda v: str(v))
+    def test_kummer_once_per_distinct_radius(self, alpha, qn, span, points, monkeypatch):
+        calls = []
+
+        def counting(a, b, z):
+            calls.append(z)
+            return kummer_m(a, b, z)
+
+        monkeypatch.setattr(bound, "kummer_m", counting)
+        p = RelativeProblem.from_parameters(0.8, 1.3, alpha)
+        xs, ys, _ = sample_bound_field(qn, p, span, points)
+        assert len(calls) <= len({math.hypot(x, y) for x in xs for y in ys})
+
+    def test_grid_shape_checked(self):
+        for points in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                sample_bound_field(QuantumNumbers(0, 0), problem(0.0), (-1.0, 1.0), points)

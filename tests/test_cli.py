@@ -163,9 +163,14 @@ def test_out_file_matches_the_golden_digest(tmp_path, capsys):
 # sha256 of `field` stdout: each scattering case on a 21 x 21 grid of extent
 # +-4, where the Kummer factors reach the fixed-point re-sum, and bound states
 # in the integer and split regimes; recorded from the dump that built its rows
-# in one loop per kind.
+# in one loop per kind.  The last three (a half-flux bound state on an even
+# grid in JSON, and an asymmetric 10 x 8 integer-flux grid in both formats)
+# were recorded from that dump too, before it rendered each grid coordinate
+# once per axis.
 FIELD_SCATTER = ["--k", "1.3", "--beta", "0.8", "--xi-min", "-4", "--xi-max", "4",
                  "--eta-min", "-4", "--eta-max", "4", "--nx", "21", "--ny", "21"]
+FIELD_ASYMMETRIC = ["--k", "1.3", "--beta", "0.8", "--xi-min", "-1.3", "--xi-max", "2.9",
+                    "--nx", "10", "--eta-min", "-0.7", "--eta-max", "3.1", "--ny", "8"]
 FIELD_DIGESTS = [
     (["--kind", "scatter", "--case", "coulomb"] + FIELD_SCATTER,
      "846def40ba29d095f1324492490506e09b658c02776033e1cb41116889884839"),
@@ -181,6 +186,13 @@ FIELD_DIGESTS = [
     (["--kind", "bound", "--alpha", "0.3", "--nr", "2", "--m", "-1",
       "--extent", "4", "--points", "21"],
      "c7f6336bd9b80104452c39c55be53f15a7cb1789a38c382d29e4b6417553a4a0"),
+    (["--kind", "bound", "--alpha", "1.5", "--nr", "1", "--m", "-2",
+      "--extent", "3", "--points", "20", "--format", "json"],
+     "8f242cac5bacaf3912b3e7e15c7149a78ec80381ffd255a622ae64a2bc72c3ae"),
+    (["--kind", "scatter", "--case", "integer"] + FIELD_ASYMMETRIC,
+     "690bcf2405dc274576bca68488ec90f3f2597d40347a7b5206a9592c973fe64b"),
+    (["--kind", "scatter", "--case", "integer", "--format", "json"] + FIELD_ASYMMETRIC,
+     "b38e1685af6708145681e3abedcb2efe945f9ecfdef707a9fd629f5623eeddff"),
 ]
 
 
@@ -997,6 +1009,36 @@ class TestNonFiniteResults:
         path.write_bytes(b"old,bytes\n")
         assert main(argv + ["--format", fmt, "--out", str(path)]) == 2
         assert capsys.readouterr() == ("", err)
+        assert path.read_bytes() == b"old,bytes\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("xis,etas,cell,err", [
+        # im on line 1 comes before the xi of line 2
+        ([0.5, math.nan], [0.5, 1.5, 2.5], (0, 2, complex(0.5, math.inf)), "im = inf"),
+        # the eta of column 3 comes before an re later on line 1 and on line 2
+        ([0.5, 1.5], [0.5, 1.5, -math.inf, 2.5], (0, 3, complex(math.nan, 0.5)),
+         "eta = -inf"),
+        # an re in column 2 comes before the eta of column 3
+        ([0.5, 1.5], [0.5, 1.5, math.nan], (0, 1, complex(-math.inf, 0.5)), "re = -inf"),
+    ])
+    def test_first_non_finite_row_in_row_order_is_refused(self, xis, etas, cell, err, fmt,
+                                                          tmp_path, capsys, monkeypatch):
+        # a grid of several rows, non-finite in more than one: the message
+        # names the first non-finite column of the first non-finite row
+        values = [[complex(0.5, 0.5)] * len(etas) for _ in xis]
+        line, column, value = cell
+        values[line][column] = value
+        if line + 1 < len(xis):
+            values[line + 1][column] = value
+        monkeypatch.setattr(scatter, "sample_scattering_field",
+                            lambda *args: (xis, etas, values))
+        argv = ["field", "--kind", "scatter", "--case", "coulomb", "--format", fmt]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"abc2d: non-finite result {err}\n")
+        path = tmp_path / "artifact.out"
+        path.write_bytes(b"old,bytes\n")
+        assert main(argv + ["--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"abc2d: non-finite result {err}\n")
         assert path.read_bytes() == b"old,bytes\n"
 
 
