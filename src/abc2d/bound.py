@@ -30,8 +30,8 @@ import cmath
 import functools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import DomainError
 from .reduction import RelativeProblem
@@ -44,20 +44,28 @@ BRANCH_MINUS = "minus"
 BRANCH_UNSPLIT = "unsplit"
 
 
-@dataclass(frozen=True, slots=True)
-class QuantumNumbers:
-    """Radial node count n_r >= 0 and integer angular label m."""
-
+class _QuantumNumbersFields(NamedTuple):
     n_r: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.n_r < 0:
+
+class QuantumNumbers(_QuantumNumbersFields):
+    """Radial node count n_r >= 0 and integer angular label m."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_r: int, m: int) -> "QuantumNumbers":
+        if n_r < 0:
             raise ValueError("n_r must be non-negative")
+        return tuple.__new__(cls, (n_r, m))
+
+    @classmethod
+    def _make(cls, fields) -> "QuantumNumbers":
+        """Build from an iterable of the fields through __new__'s check."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class SpectrumLevel:
+class SpectrumLevel(NamedTuple):
     """One degenerate energy level with its member states."""
 
     energy: float
@@ -195,8 +203,9 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
     n_r = qn.n_r
     two_lam = 2.0 * n_r + 2.0 * w + 1.0
     front = 4.0 * problem.reduced_mass * problem.kappa
-    if front == 0.0:
-        raise DomainError(f"normalization: 4 mu kappa underflows to 0 at mu = "
+    if front == 0.0 or front == math.inf:
+        outcome = "underflows to 0" if front == 0.0 else "overflows to inf"
+        raise DomainError(f"normalization: 4 mu kappa {outcome} at mu = "
                           f"{problem.reduced_mass}, kappa = {problem.kappa}")
     log_front = (
         math.log(front)
@@ -220,16 +229,18 @@ def _factors(qn: QuantumNumbers, problem: RelativeProblem
     c = normalization_constant(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
     alpha = 2.0 * problem.reduced_mass * problem.kappa / _lambda(qn, problem.nu)
+    a, b = complex(-qn.n_r), complex(2.0 * w + 1.0)
+    turns = 1j * (qn.m - problem.m0)
 
     def radial(r: float) -> complex:
         rho = alpha * r
         radial_power = rho**w
-        poly = kummer_m(complex(-qn.n_r), complex(2.0 * w + 1.0), complex(rho))
+        poly = kummer_m(a, b, complex(rho))
         return c * math.exp(-0.5 * rho) * radial_power * poly
 
     def phase(theta: float) -> complex:
         try:
-            return cmath.exp(1j * (qn.m - problem.m0) * theta)
+            return cmath.exp(turns * theta)
         except ValueError:
             raise DomainError(f"the angular phase (m - m0) theta overflows at m = {qn.m}, "
                               f"theta = {theta}") from None

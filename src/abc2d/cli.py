@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -227,6 +226,8 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
     """
     row_format, values, scan = _row_layout(args.format, columns, records=grid is None)
     if args.format == "json":
+        import json
+
         params_text = '  "params": ' + json.dumps(params, sort_keys=True,
                                                   indent=2).replace("\n", "\n  ")
         body = f'  "{key}": [\n'
@@ -359,6 +360,8 @@ def run_verify(args: argparse.Namespace) -> int:
     results, rows = verify.run_all_checks(small=(args.grid == "small"))
     params = {"command": "verify", "grid": args.grid}
     if args.format == "json":
+        import json
+
         payload = {
             "params": params,
             "checks": [{"name": r.name, "passed": r.passed, "worst": r.worst,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -31,10 +31,7 @@ SNAP_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ParticlePair:
-    """Masses, charges and fluxes of the two particles."""
-
+class _ParticlePairFields(NamedTuple):
     mass1: float
     mass2: float
     charge1: float
@@ -42,30 +39,65 @@ class ParticlePair:
     flux1: float
     flux2: float
 
-    def __post_init__(self) -> None:
-        if not (self.mass1 > 0.0 and self.mass2 > 0.0):
+
+class ParticlePair(_ParticlePairFields):
+    """Masses, charges and fluxes of the two particles."""
+
+    __slots__ = ()
+
+    def __new__(cls, mass1: float, mass2: float, charge1: float, charge2: float,
+                flux1: float, flux2: float) -> "ParticlePair":
+        if not (mass1 > 0.0 and mass2 > 0.0):
             raise ValueError("masses must be positive")
+        return tuple.__new__(cls, (mass1, mass2, charge1, charge2, flux1, flux2))
+
+    @classmethod
+    def _make(cls, fields) -> "ParticlePair":
+        """Build from an iterable of the fields through __new__'s checks, which
+        NamedTuple's _make (and so _replace) would skip."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class RelativeProblem:
-    """Reduced relative-motion problem: (mu, kappa, alpha) plus the m0 + nu split,
-    which decompose_flux derives from alpha."""
-
+class _RelativeProblemFields(NamedTuple):
     reduced_mass: float
     kappa: float
     alpha_flux: float
-    m0: int = field(init=False)
-    nu: float = field(init=False)
+    m0: int
+    nu: float
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.reduced_mass, self.kappa, self.alpha_flux))):
+
+class RelativeProblem(_RelativeProblemFields):
+    """Reduced relative-motion problem: (mu, kappa, alpha) plus the m0 + nu split,
+    which decompose_flux derives from alpha.  It is built, copied, pickled and
+    replaced from the three inputs alone; m0 and nu cannot be given."""
+
+    __slots__ = ()
+
+    def __new__(cls, reduced_mass: float, kappa: float, alpha_flux: float) -> "RelativeProblem":
+        if not all(map(math.isfinite, (reduced_mass, kappa, alpha_flux))):
             raise ValueError("mu, kappa and alpha must be finite")
-        if not self.reduced_mass > 0.0:
+        if not reduced_mass > 0.0:
             raise ValueError("reduced mass must be positive")
-        m0, nu = decompose_flux(self.alpha_flux)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "nu", nu)
+        return tuple.__new__(cls, (reduced_mass, kappa, alpha_flux, *decompose_flux(alpha_flux)))
+
+    def __getnewargs__(self) -> tuple[float, float, float]:
+        return self[:3]
+
+    @classmethod
+    def _make(cls, fields) -> "RelativeProblem":
+        """Build from an iterable of all five fields; a split that does not
+        follow from alpha_flux is refused."""
+        fields = tuple(fields)
+        problem = cls(*fields[:3])
+        if fields != problem:
+            raise ValueError("m0 and nu must follow from alpha_flux")
+        return problem
+
+    def _replace(self, /, **changes) -> "RelativeProblem":
+        """A copy with some of the three inputs changed and the split derived anew."""
+        if changes.keys() & {"m0", "nu"}:
+            raise ValueError("m0 and nu follow from alpha_flux and cannot be replaced")
+        return type(self)(**dict(zip(self._fields, self[:3]), **changes))
 
     @classmethod
     def from_parameters(cls, mu: float, kappa: float, alpha: float) -> "RelativeProblem":

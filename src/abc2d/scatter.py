@@ -42,7 +42,6 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -71,19 +70,28 @@ class FluxCase(enum.Enum):
     HALF_INTEGER = "half"       # nu = 1/2
 
 
-@dataclass(frozen=True)
-class ScatteringParams:
-    """Wavenumber k, Coulomb strength parameter beta, and the flux case."""
-
+class _ScatteringParamsFields(NamedTuple):
     k: float
     beta: float
     flux_case: FluxCase
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and math.isfinite(self.beta)):
+
+class ScatteringParams(_ScatteringParamsFields):
+    """Wavenumber k, Coulomb strength parameter beta, and the flux case."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, beta: float, flux_case: FluxCase) -> "ScatteringParams":
+        if not (math.isfinite(k) and math.isfinite(beta)):
             raise ValueError("k and beta must be finite")
-        if not self.k > 0.0:
+        if not k > 0.0:
             raise ValueError("k must be positive")
+        return tuple.__new__(cls, (k, beta, flux_case))
+
+    @classmethod
+    def _make(cls, fields) -> "ScatteringParams":
+        """Build from an iterable of the fields through __new__'s checks."""
+        return cls(*fields)
 
 
 class CrossSectionSample(NamedTuple):

@@ -29,8 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import bound, oracle, scatter, specfn
 from .reduction import RelativeProblem, classify_case
@@ -38,8 +37,7 @@ from .reduction import RelativeProblem, classify_case
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst: float
@@ -47,8 +45,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ShootingRow:
+class ShootingRow(NamedTuple):
     """Per-state verification record: closed form vs ODE oracle, with the
     state's quadrature norm.  passed is rel_err < 1e-6; the norm is shown
     here and checked by the norm_quadrature row."""
@@ -71,6 +68,8 @@ def _result(name: str, worst: float, bnd: float, detail: str = "") -> CheckResul
 def _loglog_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x, summed exactly over the
     float logs as Fractions and rounded once."""
+    from fractions import Fraction
+
     us = [Fraction(math.log(x)) for x in xs]
     vs = [Fraction(math.log(y)) for y in ys]
     n, su = len(us), sum(us)
@@ -151,6 +150,8 @@ def check_kummer_transform(points: int = 100) -> CheckResult:
 
 def check_kummer_polynomial() -> CheckResult:
     """Terminating series against exact rational Horner evaluation."""
+    from fractions import Fraction
+
     rng = random.Random(31)
     worst = 0.0
     for _ in range(40):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -253,7 +252,7 @@ class TestSpectrumAgainstEnumeration:
     def test_oracle_rejects_dropped_member(self, monkeypatch, index):
         def drop(levels):
             lv = levels[index]
-            levels[index] = dataclasses.replace(lv, members=lv.members[:-1])
+            levels[index] = lv._replace(members=lv.members[:-1])
             return levels
 
         assert not self.check_with(monkeypatch, drop).passed
@@ -263,7 +262,7 @@ class TestSpectrumAgainstEnumeration:
         # only the merged ladders see its energy
         def shift(levels):
             lv = levels[-1]
-            levels[-1] = dataclasses.replace(lv, energy=lv.energy * (1.0 + 1e-12))
+            levels[-1] = lv._replace(energy=lv.energy * (1.0 + 1e-12))
             return levels
 
         assert not self.check_with(monkeypatch, shift).passed
@@ -272,8 +271,8 @@ class TestSpectrumAgainstEnumeration:
     def test_oracle_rejects_swapped_branches(self, monkeypatch, index):
         def swap(levels):
             a, b = levels[index], levels[index + 1]
-            levels[index] = dataclasses.replace(a, branch=b.branch)
-            levels[index + 1] = dataclasses.replace(b, branch=a.branch)
+            levels[index] = a._replace(branch=b.branch)
+            levels[index + 1] = b._replace(branch=a.branch)
             return levels
 
         assert not self.check_with(monkeypatch, swap).passed

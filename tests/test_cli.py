@@ -838,6 +838,22 @@ class TestDeterminismAndUsage:
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_loads_no_heavy_standard_module(self):
+        # every command pays for what importing the CLI loads: records are
+        # NamedTuples, and fractions and json are imported where they are used;
+        # abc2d.verify stays, since the benchmark's tracer wraps it at start
+        def loaded(statement):
+            script = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=SUBPROCESS_ENV)
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        bare = loaded("pass")
+        new = loaded("import abc2d.cli\nabc2d.cli.build_parser()") - bare
+        assert "abc2d.verify" in new
+        assert not new & {"dataclasses", "inspect", "fractions", "decimal", "json"}, sorted(new)
+
     def test_package_imports_only_the_standard_library(self):
         # a third-party import anywhere in the package would put it back on
         # the runtime path; relative imports are the package's own modules
@@ -968,6 +984,8 @@ class TestNonFiniteResults:
         (["field", "--kind", "bound", "--mu", "1e-300", "--kappa", "1e-300"], "4 mu kappa"),
         (["field", "--kind", "bound", "--alpha", "1.7976931348623157e308", "--extent", "2",
           "--points", "3", "--nr", "2", "--m", "1"], "(m - m0) theta"),
+        (["field", "--kind", "bound", "--mu", "1e200", "--kappa", "1e200", "--points", "5"],
+         "normalization: 4 mu kappa overflows to inf at mu = 1e+200, kappa = 1e+200"),
     ])
     def test_bound_domain_error_names_the_quantity(self, argv, quantity, capsys):
         assert main(argv) == 2

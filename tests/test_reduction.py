@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 
@@ -145,7 +144,7 @@ class TestRelativeProblem:
         assert abs(prob.m0 + prob.nu - alpha) < 1e-12 * max(1.0, abs(alpha))
 
     def test_replace_rederives_the_split(self):
-        prob = dataclasses.replace(RelativeProblem(1.0, 1.0, 2.75), alpha_flux=-0.5)
+        prob = RelativeProblem(1.0, 1.0, 2.75)._replace(alpha_flux=-0.5)
         assert (prob.m0, prob.nu) == (-1, 0.5)
         with pytest.raises(ValueError):
-            dataclasses.replace(prob, nu=0.25)
+            prob._replace(nu=0.25)
