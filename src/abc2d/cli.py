@@ -2,12 +2,13 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-axis span that overflows, a field grid axis of fewer than 2 points, a sweep
-of no angles, a field dump given a flag that only the other --kind reads, an
-unwritable --out and a stdout that its reader closed, as in ``abc2d spectrum
-| head -1``, included), 2 domain error (e.g. no bound states, unsupported flux
-case, --energy without --raw or --case/--k/--beta/--mu/--kappa/--alpha with
-it, a result that overflows to inf or nan), 3 verification failure.
+integer flag too large to convert to a float, an axis span that overflows, a
+field grid axis of fewer than 2 points, a sweep of no angles, a field dump
+given a flag that only the other --kind reads, an unwritable --out and a
+stdout that its reader closed, as in ``abc2d spectrum | head -1``, included),
+2 domain error (e.g. no bound states, unsupported flux case, --energy without
+--raw or --case/--k/--beta/--mu/--kappa/--alpha with it, a result that
+overflows to inf or nan), 3 verification failure.
 Numeric output uses 17 significant digits and every artifact embeds the
 parameters that produced it, so identical invocations give byte-identical
 files.
@@ -468,6 +469,12 @@ def main(argv: list[str] | None = None) -> int:
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{_flag(name)} must be finite, got {value}")
+            if isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{_flag(name)} must fit a float, got an integer "
+                                     f"of {len(str(abs(value)))} digits") from None
         _refuse_unread(args)
         for dest, default in _DEFAULTS.items():
             if dest in vars(args) and getattr(args, dest) is None:

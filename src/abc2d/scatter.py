@@ -239,27 +239,26 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
     s-wave per distinct r (a cache for this call) and the plane wave per node.
     """
     k, b = p.k, p.beta
+
+    def plane(xi: float, eta: float) -> complex:
+        return cmath.exp(1j * k * (0.5 * (xi * xi - eta * eta)))
+
     if p.flux_case is FluxCase.HALF_INTEGER:
         c = (2.0 * math.sqrt(k / math.pi)
              * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
         ms = [kummer_m(0.5 + 1j * b, 1.5, 1j * k * eta * eta) for eta in etas]
-    else:
-        c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
-        ms = [kummer_m(1j * b, 0.5, 1j * k * eta * eta) for eta in etas]
-
-    def plane(xi: float, eta: float) -> complex:
-        return cmath.exp(1j * k * (0.5 * (xi * xi - eta * eta)))
+        return [[c * plane(xi, eta) * eta * m for eta, m in zip(etas, ms)] for xi in xis]
+    c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
+    ms = [kummer_m(1j * b, 0.5, 1j * k * eta * eta) for eta in etas]
+    if p.flux_case is FluxCase.COULOMB_ONLY:
+        return [[c * plane(xi, eta) * m for eta, m in zip(etas, ms)] for xi in xis]
 
     @functools.cache
     def swave(r: float) -> complex:
         return cmath.exp(1j * k * r) * kummer_m(0.5 - 1j * b, 1.0, -2j * k * r)
 
-    if p.flux_case is FluxCase.HALF_INTEGER:
-        return [[c * plane(xi, eta) * eta * m for eta, m in zip(etas, ms)] for xi in xis]
-    if p.flux_case is FluxCase.INTEGER_FLUX:
-        return [[c * (plane(xi, eta) * m - swave(0.5 * (xi * xi + eta * eta)))
-                 for eta, m in zip(etas, ms)] for xi in xis]
-    return [[c * plane(xi, eta) * m for eta, m in zip(etas, ms)] for xi in xis]
+    return [[c * (plane(xi, eta) * m - swave(0.5 * (xi * xi + eta * eta)))
+             for eta, m in zip(etas, ms)] for xi in xis]
 
 
 def eval_scattering_field(p: ScatteringParams, xi: float, eta: float) -> complex:
@@ -355,14 +354,10 @@ def pde_residual(p: ScatteringParams, xi: float, eta: float, h: float) -> float:
     """|five-point Laplacian + (k^2 (xi^2+eta^2) + 4 beta k) psi0| at one point.
 
     Second-order accurate in h; used to verify the separated field actually
-    solves the parabolic-coordinate wave equation.
+    solves the parabolic-coordinate wave equation.  The stencil's row and
+    column are two grids of _field, one prefactor each.
     """
-    c = eval_scattering_field(p, xi, eta)
-    lap = (
-        eval_scattering_field(p, xi + h, eta)
-        + eval_scattering_field(p, xi - h, eta)
-        + eval_scattering_field(p, xi, eta + h)
-        + eval_scattering_field(p, xi, eta - h)
-        - 4.0 * c
-    ) / (h * h)
+    [right], [c], [left] = _field(p, [xi + h, xi, xi - h], [eta])
+    [[up, down]] = _field(p, [xi], [eta + h, eta - h])
+    lap = (right + left + up + down - 4.0 * c) / (h * h)
     return abs(lap + (p.k**2 * (xi * xi + eta * eta) + 4.0 * p.beta * p.k) * c)

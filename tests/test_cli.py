@@ -681,6 +681,25 @@ class TestDeterminismAndUsage:
         assert "finite" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["spectrum", "--levels"],
+        ["xsection", "--case", "coulomb", "--thetas"],
+        ["field", "--kind", "bound", "--nr"],
+        ["field", "--kind", "bound", "--m"],
+        ["field", "--kind", "bound", "--points"],
+        ["field", "--kind", "scatter", "--case", "coulomb", "--nx"],
+        ["field", "--kind", "scatter", "--case", "coulomb", "--ny"],
+    ], ids=lambda argv: argv[-1])
+    def test_integer_past_the_float_range_exits_one(self, argv, capsys):
+        # a 401-digit count; counts that fit a float but allocate a whole
+        # axis are not run here
+        assert main(argv + ["1" + "0" * 400]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"abc2d: invalid argument: {argv[-1]} ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["spectrum", "--levels", "2"],
         ["xsection", "--case", "coulomb", "--thetas", "3"],
         ["field", "--kind", "bound", "--points", "3"],
@@ -838,21 +857,35 @@ class TestDeterminismAndUsage:
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
 
+    @staticmethod
+    def _loaded(statement):
+        """The modules a fresh interpreter holds after running ``statement``."""
+        script = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
     def test_cli_import_loads_no_heavy_standard_module(self):
         # every command pays for what importing the CLI loads: records are
         # NamedTuples, and fractions and json are imported where they are used;
         # abc2d.verify stays, since the benchmark's tracer wraps it at start
-        def loaded(statement):
-            script = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
-            proc = subprocess.run([sys.executable, "-c", script],
-                                  capture_output=True, text=True, env=SUBPROCESS_ENV)
-            assert proc.returncode == 0, proc.stderr
-            return set(proc.stdout.split())
-
-        bare = loaded("pass")
-        new = loaded("import abc2d.cli\nabc2d.cli.build_parser()") - bare
+        bare = self._loaded("pass")
+        new = self._loaded("import abc2d.cli\nabc2d.cli.build_parser()") - bare
         assert "abc2d.verify" in new
         assert not new & {"dataclasses", "inspect", "fractions", "decimal", "json"}, sorted(new)
+
+    def test_package_import_loads_only_what_is_named(self):
+        # each name has one import path, its module's: the package re-exports
+        # nothing, so importing one module does not load the others
+        def ours(statement):
+            return {name for name in self._loaded(statement) if name.partition(".")[0] == "abc2d"}
+
+        assert ours("import abc2d") == {"abc2d"}
+        assert ours("from abc2d.specfn import kummer_m") == {
+            "abc2d", "abc2d.errors", "abc2d.specfn"}
+        assert {"abc2d.cli", "abc2d.bound", "abc2d.oracle"} <= ours(
+            "from abc2d import cli, bound, oracle")
 
     def test_package_imports_only_the_standard_library(self):
         # a third-party import anywhere in the package would put it back on

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abc2d import scatter, specfn
+from abc2d import scatter, specfn, verify
 from abc2d.errors import DomainError
 from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
@@ -445,6 +445,29 @@ class TestSampleScatteringField:
         if p.flux_case is FluxCase.INTEGER_FLUX:
             budget += len({0.5 * (x * x + e * e) for x in xis for e in etas})
         assert len(calls) <= budget
+
+
+# verify's pde_residual cases
+PDE_PARAMS = [ScatteringParams(1.0, 1.0, FluxCase.COULOMB_ONLY),
+              ScatteringParams(1.0, 0.7, FluxCase.INTEGER_FLUX),
+              ScatteringParams(1.0, 1.0, FluxCase.HALF_INTEGER)]
+
+
+class TestPdeResidual:
+    @pytest.mark.parametrize("h", (0.2, 0.1, 0.05, 0.025))
+    @pytest.mark.parametrize("p", PDE_PARAMS, ids=lambda p: p.flux_case.value)
+    def test_is_the_five_point_formula_bit_for_bit(self, p, h):
+        for xi, eta in verify._PDE_PROBES:
+            c = eval_scattering_field(p, xi, eta)
+            lap = (
+                eval_scattering_field(p, xi + h, eta)
+                + eval_scattering_field(p, xi - h, eta)
+                + eval_scattering_field(p, xi, eta + h)
+                + eval_scattering_field(p, xi, eta - h)
+                - 4.0 * c
+            ) / (h * h)
+            expected = abs(lap + (p.k**2 * (xi * xi + eta * eta) + 4.0 * p.beta * p.k) * c)
+            assert scatter.pde_residual(p, xi, eta, h) == expected
 
 
 class TestSampleDispatch:
