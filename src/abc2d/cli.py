@@ -2,7 +2,7 @@
 verification reports.
 
 Exit codes: 0 success, 1 usage error (a non-finite number in any flag, an
-integer flag too large to convert to a float, an axis span that overflows, a
+integer flag past sys.maxsize in size, an axis span that overflows, a
 field grid axis of fewer than 2 points, a sweep of no angles, a field dump
 given a flag that only the other --kind reads, an unwritable --out and a
 stdout that its reader closed, as in ``abc2d spectrum | head -1``, included),
@@ -469,12 +469,9 @@ def main(argv: list[str] | None = None) -> int:
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{_flag(name)} must be finite, got {value}")
-            if isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(f"{_flag(name)} must fit a float, got an integer "
-                                     f"of {len(str(abs(value)))} digits") from None
+            if isinstance(value, int) and abs(value) > sys.maxsize:
+                raise ValueError(f"{_flag(name)} must lie within +-{sys.maxsize}, got an "
+                                 f"integer of {len(str(abs(value)))} digits")
         _refuse_unread(args)
         for dest, default in _DEFAULTS.items():
             if dest in vars(args) and getattr(args, dest) is None:

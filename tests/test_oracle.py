@@ -41,13 +41,17 @@ class TestShooting:
         assert e == pytest.approx(E_NU025_M_MINUS1_NR1, rel=1e-6)
 
     # at w = |m + nu| near 14 and above, R grows by over a hundred orders
-    # of magnitude on the way out, while v = R_x / R stays near w
-    @pytest.mark.parametrize("nu,m,n_r", [(0.0, 1, 2), (0.25, -2, 1), (0.75, 0, 2),
-                                          (0.25, 14, 0), (0.25, 20, 1)])
-    def test_node_counts(self, nu, m, n_r):
-        e, nodes = shoot_with_nodes(problem(nu), m, n_r)
+    # of magnitude on the way out, while v = R_x / R stays near w; the last
+    # state takes mu and kappa away from 1
+    @pytest.mark.parametrize("nu,m,n_r,mu,kappa", [
+        (0.0, 1, 2, 1.0, 1.0), (0.25, -2, 1, 1.0, 1.0), (0.75, 0, 2, 1.0, 1.0),
+        (0.25, 14, 0, 1.0, 1.0), (0.25, 20, 1, 1.0, 1.0), (0.25, -1, 1, 1.3, 0.7),
+    ])
+    def test_node_counts(self, nu, m, n_r, mu, kappa):
+        p = problem(nu, mu, kappa)
+        e, nodes = shoot_with_nodes(p, m, n_r)
         assert nodes == n_r
-        assert e == pytest.approx(energy(QuantumNumbers(n_r, m), problem(nu)), rel=1e-9)
+        assert e == pytest.approx(energy(QuantumNumbers(n_r, m), p), rel=1e-9)
 
     def test_requires_attraction(self):
         with pytest.raises(DomainError, match="shooting requires attraction"):
@@ -456,12 +460,13 @@ class TestQuadNorm:
 
     # fractional w down to 0.1, large w, where the left end x = -40/(2w+2)
     # nears 0, and n_r up to 6, where rho = 8 lambda + 60 cuts the right tail
-    @pytest.mark.parametrize("nu,m,n_r", [
-        (0.0, 0, 0), (0.9, -1, 0), (0.25, -1, 3), (0.5, 2, 6),
-        (0.75, -3, 6), (0.25, 14, 0), (0.25, 20, 1),
+    @pytest.mark.parametrize("nu,m,n_r,mu,kappa", [
+        (0.0, 0, 0, 1.7, 0.8), (0.9, -1, 0, 1.7, 0.8), (0.25, -1, 3, 1.7, 0.8),
+        (0.5, 2, 6, 1.7, 0.8), (0.75, -3, 6, 1.7, 0.8), (0.25, 14, 0, 1.7, 0.8),
+        (0.25, 20, 1, 1.7, 0.8), (0.25, -1, 1, 1.3, 0.7),
     ])
-    def test_single_states_are_accurate(self, nu, m, n_r):
-        p = problem(nu, mu=1.7, kappa=0.8)
+    def test_single_states_are_accurate(self, nu, m, n_r, mu, kappa):
+        p = problem(nu, mu, kappa)
         assert abs(quad_norm(QuantumNumbers(n_r, m), p) - 1.0) <= 1e-13
 
     def test_decay_rate_underflow_is_a_domain_error(self):
