@@ -43,6 +43,18 @@ class TestAcceptability:
         assert is_acceptable(QuantumNumbers(0, 0), m0=2, nu=0.5)
 
 
+@pytest.mark.parametrize("call,args,error,message", [
+    (is_acceptable, (QuantumNumbers(0, 0), 0, -0.25), ValueError, "nu must lie in [0, 1)"),
+    (is_acceptable, (QuantumNumbers(0, 0), 0, 1.0), ValueError, "nu must lie in [0, 1)"),
+    (wavefunction(QuantumNumbers(0, 0), problem(0.0)), (-1e-300, 0.0), ValueError,
+     "r must be non-negative"),
+])
+def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 class TestEnergy:
     def test_coulomb_ground(self):
         assert energy(QuantumNumbers(0, 0), problem(0.0)) == pytest.approx(-2.0)
@@ -209,6 +221,7 @@ class TestRungLambda:
         energies = [lv.energy for lv in levels]
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
+    @settings(deadline=None)
     @given(st.integers(min_value=-3, max_value=3),
            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
            st.floats(min_value=0.3, max_value=3.0))

@@ -57,6 +57,18 @@ class TestShooting:
         with pytest.raises(DomainError, match="shooting requires attraction"):
             shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
 
+    # with no narrowing step the window never holds level n_r alone
+    @pytest.mark.parametrize("narrowing,args,error,message", [
+        (0, (problem(0.3), 0, 0), DomainError, "node counts never isolated level 0"),
+        (oracle_mod._MAX_NARROWING, (problem(0.3), 0, -1), ValueError,
+         "n_r must be non-negative"),
+    ])
+    def test_guards_refuse(self, narrowing, args, error, message, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_MAX_NARROWING", narrowing)
+        with pytest.raises(error) as exc:
+            shoot_with_nodes(*args)
+        assert str(exc.value) == message
+
     def test_window_that_misses_the_level_fails_to_bracket(self):
         # the ground level at w = 0 is e = -2; a window [-0.75, -0.25] centred
         # on -0.5 holds only energies above it, where every count is 1

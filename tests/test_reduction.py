@@ -118,6 +118,16 @@ class TestClassifyCase:
         assert predicates[tag]
 
 
+@pytest.mark.parametrize("call,args,error,message", [
+    (classify_case, (0, -0.25), ValueError, "nu must lie in [0, 1)"),
+    (classify_case, (1, 1.0), ValueError, "nu must lie in [0, 1)"),
+])
+def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 class TestRelativeProblem:
     def test_from_parameters(self):
         prob = RelativeProblem.from_parameters(1.0, 1.0, -0.5)

@@ -190,6 +190,16 @@ class TestHalfFluxCrossSection:
                 assert abs(amplitude_half_flux(p, theta)) ** 2 == pytest.approx(
                     sigma_sample(p, theta).sigma_total, rel=1e-12)
 
+    def test_flux_only_amplitude_at_beta_zero(self):
+        # beta Gamma(-i beta) -> i: |f|^2 is the Aharonov-Bohm value and sigma_2
+        thetas = [0.4, math.pi, 5.1]
+        for k in (1.0, 0.37):
+            p = ScatteringParams(k, 0.0, FluxCase.HALF_INTEGER)
+            for theta, s in zip(thetas, cross_sections(p, thetas)):
+                f2 = abs(amplitude_half_flux(p, theta)) ** 2
+                assert f2 == pytest.approx(limit_ab(FluxCase.HALF_INTEGER, k, theta), rel=1e-12)
+                assert f2 == pytest.approx(s.sigma_total, rel=1e-12)
+
     def test_flux_only_limit(self):
         p = ScatteringParams(1.0, 1e-8, FluxCase.HALF_INTEGER)
         assert sigma_sample(p, math.pi).sigma_total == pytest.approx(
@@ -372,6 +382,21 @@ class TestStationaryWave:
     def test_wrong_case(self):
         with pytest.raises(DomainError, match="stationary wave exists only for integer flux"):
             stationary_wave(P_C, 10.0)
+
+
+@pytest.mark.parametrize("call,args,error,message", [
+    (scattering_params, (RelativeProblem.from_parameters(1.0, 1.0, 0.0), 0.0), ValueError,
+     "scattering requires E > 0"),
+    (limit_ab, (FluxCase.HALF_INTEGER, 0.0, 1.0), ValueError, "k must be positive"),
+    (limit_classical, (1.0, 0.0, 1.0, 1.0), ValueError, "mu and v_c must be positive"),
+    (limit_classical, (1.0, 1.0, -1.0, 1.0), ValueError, "mu and v_c must be positive"),
+    (to_parabolic, (-1e-300, 0.0), ValueError, "r must be non-negative"),
+    (stationary_wave, (P_I, 0.0), ValueError, "r must be positive"),
+])
+def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
 
 
 class TestCurrent:
