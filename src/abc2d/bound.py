@@ -30,7 +30,7 @@ import cmath
 import functools
 import math
 from collections.abc import Callable, Iterator
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -66,17 +66,58 @@ class QuantumNumbers(_QuantumNumbersFields):
 
 
 class SpectrumLevel(NamedTuple):
-    """One degenerate energy level with its member states."""
+    """One degenerate energy level, as the ladder rungs it takes.
+
+    A rung is the antidiagonal n_r + |m| = N of one ladder: the plus rung's
+    members are (n_r, plus_n - n_r) and the minus rung's (n_r, n_r - minus_n),
+    for n_r below the rung's count.  A count is 0 where the level does not
+    take that rung; its N is then the ladder's next rung.
+    """
 
     energy: float
     branch: str
     principal_n: int
-    members: tuple[tuple[int, int], ...]  # (n_r, m) pairs in (n_r, m) order
+    plus_n: int
+    plus_count: int
+    minus_n: int
+    minus_count: int
 
     @property
     def degeneracy(self) -> int:
         """Number of member states."""
-        return len(self.members)
+        return self.plus_count + self.minus_count
+
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        """The (n_r, m) int pairs in (n_r, m) order, built on each read."""
+        zero = max(self.plus_n, self.minus_n) + 1
+        cells = self.member_cells(range(-zero, zero + 1), zero)
+        return tuple(zip(cells[::2], cells[1::2]))
+
+    def member_cells(self, table, zero: int) -> list:
+        """Each member's n_r and m cells, flat, in (n_r, m) order: for n_r = 0,
+        1, ... the minus member while n_r < minus_count, then the plus member
+        while n_r < plus_count.
+
+        ``table`` is any sliceable sequence with ``table[zero + i]`` the cell
+        of the int i for |i| <= max(plus_n, minus_n), and zero > 0: a range
+        gives the ints, a list of their strings the text.  The cells are
+        slices of it, placed by slice assignment.
+        """
+        plus_n, n_plus = self.plus_n, self.plus_count
+        minus_n, n_minus = self.minus_n, self.minus_count
+        both = min(n_plus, n_minus)
+        cells = [None] * (2 * (n_plus + n_minus))
+        end = 4 * both
+        cells[0:end:4] = cells[2:end:4] = table[zero:zero + both]
+        cells[1:end:4] = table[zero - minus_n:zero - minus_n + both]
+        cells[3:end:4] = table[zero + plus_n:zero + plus_n - both:-1]
+        # the longer rung's tail: the plus rung's, where the level takes both
+        cells[end::2] = table[zero + both:zero + max(n_plus, n_minus)]
+        cells[end + 1::2] = (table[zero + plus_n - both:zero + plus_n - n_plus:-1]
+                             if n_plus > both else
+                             table[zero - minus_n + both:zero - minus_n + n_minus])
+        return cells
 
 
 def effective_exponent(m: int, nu: float) -> float:
@@ -116,8 +157,8 @@ def energy(qn: QuantumNumbers, problem: RelativeProblem) -> float:
 def spectrum(problem: RelativeProblem, n_levels: int) -> list[SpectrumLevel]:
     """The n_levels lowest distinct levels, as a list: ``list(iter_levels(...))``.
 
-    It holds every level's members at once, so its memory grows with their
-    number, which is quadratic in n_levels; iter_levels holds one level.
+    Each level holds its two rungs, not its members, so the list takes a
+    constant amount of memory per level.
     """
     return list(iter_levels(problem, n_levels))
 
@@ -133,18 +174,17 @@ def iter_levels(problem: RelativeProblem, n_levels: int) -> Iterator[SpectrumLev
     (n_r, m) = (N - m, m), m = 0..N; the minus ladder (m < 0, N >= 1) has
     lambda = N - nu + 1/2 and members (N - |m|, m), m = -N..-1.  Each step
     takes the rung with the smaller lambda; equal rungs (same N at nu = 0,
-    plus N with minus N + 1 at nu = 1/2) make one level.  Members are
-    (n_r, m) int pairs, built in (n_r, m) order: for n_r = 0, 1, ... the
-    minus member (n_r, n_r - N-) while n_r < N-, then the plus member
-    (n_r, N+ - n_r) while n_r <= N+.  The m = 0 member is left out where
+    plus N with minus N + 1 at nu = 1/2) make one level.  A level is the
+    rungs it takes, each as its N and member count (SpectrumLevel); the
+    m = 0 member, the plus rung's last, is left out of its count where
     is_acceptable rejects it (nu = 0, m0 != 0), and a level left empty (the
     integer-flux N = 0 level) is skipped.  The energy and the principal N
     are taken from the lower rung, the energy from that rung's lambda as the
     walk computes it: N + nu + 1/2 on the plus rung, N - nu + 1/2 on the
-    minus.  The cost is proportional to the number of members yielded.
-    The walk keeps only the level it is building and O(N) ints, so a caller
-    that drops each level once used holds memory bounded by what it keeps
-    from the levels plus one level.
+    minus.  No member is built by the walk: SpectrumLevel.members builds a
+    level's (n_r, m) pairs when it is read, and member_cells any cells of
+    them, so the walk's cost is proportional to the number of levels and
+    its memory is constant.
     """
     if n_levels <= 0:
         raise ValueError("n_levels must be positive")
@@ -168,27 +208,16 @@ def _walk_ladders(problem: RelativeProblem) -> Iterator[SpectrumLevel]:
         else:
             branch = BRANCH_PLUS if take_plus else BRANCH_MINUS
         principal = n_plus if take_plus else n_minus
-        # Members have n_r < minus_end on the minus rung, n_r < plus_end on the
-        # plus.  A taken plus rung is no shorter than the minus one, so the
-        # pairs interleave by n_r and its tail follows: zip draws from the
-        # minus rung first and stops when that runs out, losing no member.
-        minus_end = n_minus if take_minus else 0
-        plus_end = n_plus + (not drop_m0) if take_plus else 0
-        minus = zip(range(minus_end), range(-n_minus, minus_end - n_minus))
-        plus = zip(range(plus_end), range(n_plus, n_plus - plus_end, -1))
-        members = tuple(chain(chain.from_iterable(zip(minus, plus)), plus)
-                        if take_plus else minus)
+        # The m = 0 member, the plus rung's last, is left out where
+        # is_acceptable rejects it (nu = 0, m0 != 0).
+        plus_count = n_plus + (not drop_m0) if take_plus else 0
+        minus_count = n_minus if take_minus else 0
+        if plus_count or minus_count:
+            lam = lam_plus if take_plus else lam_minus
+            yield SpectrumLevel(prefactor / (lam * lam), branch, principal,
+                                n_plus, plus_count, n_minus, minus_count)
         n_plus += take_plus
         n_minus += take_minus
-        if not members:
-            continue
-        lam = lam_plus if take_plus else lam_minus
-        yield SpectrumLevel(
-            energy=prefactor / (lam * lam),
-            branch=branch,
-            principal_n=principal,
-            members=members,
-        )
 
 
 def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> float:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable
-from itertools import chain
 
 from . import bound, scatter, verify
 from .errors import DomainError
@@ -142,20 +142,19 @@ def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
 
 # Each column kind has one cell format per output format.  JSON writes a
 # float by repr and an int in decimal, as json.dumps does, and quotes text as
-# it is, which is valid JSON for the branch names.  A tuple is a level's
-# members, rendered to text before the row is formatted (_MEMBERS).
+# it is, which is valid JSON for the branch names.  A tuple column is a
+# level's members, given as their text (_MEMBERS) and written as it is.
 _CELL = {"csv": {float: "%.17g", int: "%d", str: "%s", tuple: "%s"},
          "json": {float: "%r", int: "%d", str: '"%s"', tuple: "%s"}}
 # A level's (n_r, m) members as text: "n_r:m;..." in CSV; in JSON the
 # indented list of [n_r, m] arrays that json.dumps writes in a row object.
-# Each is one %-format over the members' ints in order: a member's format,
-# ending in its separator, repeated once per member with the last one cut.
-_JSON_MEMBER = "\n        [\n          %d,\n          %d\n        ],"
+# Each is one template, the literal pieces around the two cells of each
+# member: (before the first member, between n_r and m, between one member
+# and the next, after the last member).
 _MEMBERS = {
-    "csv": lambda members: (("%d:%d;" * len(members))[:-1]
-                            % tuple(chain.from_iterable(members))),
-    "json": lambda members: (("[" + (_JSON_MEMBER * len(members))[:-1] + "\n      ]")
-                             % tuple(chain.from_iterable(members))),
+    "csv": ("", ":", ";", ""),
+    "json": ("[\n        [\n          ", ",\n          ",
+             "\n        ],\n        [\n          ", "\n        ]\n      ]"),
 }
 
 
@@ -183,14 +182,9 @@ def _row_layout(fmt: str, columns: Columns,
     else:
         row_format = "    [\n%s\n    ],\n" % ",\n".join("      " + cell for cell in cells)
     scan = set(kinds) == {float} and "n" not in row_format % ((0.0,) * len(kinds))
-    if tuple not in kinds and order == sorted(order):
+    if order == sorted(order):
         return row_format, tuple, scan
-    members = _MEMBERS[fmt]
-
-    def values(row: tuple) -> tuple:
-        return tuple(members(row[i]) if kinds[i] is tuple else row[i] for i in order)
-
-    return row_format, values, scan
+    return row_format, operator.itemgetter(*order), scan
 
 
 def _check_finite(columns: Columns, row: tuple) -> None:
@@ -206,14 +200,15 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
     """Write one artifact in ``args.format`` to ``args.out`` (stdout if None).
 
     ``columns`` is the layout: each column's name and kind (float, int, str,
-    or tuple for a level's (n_r, m) members).  Each row is rendered by one
-    %-format built from it (``_row_layout``).
+    or tuple for a level's (n_r, m) members, which the row gives as their text
+    in ``args.format``).  Each row is rendered by one %-format built from it
+    (``_row_layout``).
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
     JSON: the text of ``json.dumps({"params": ..., key: rows}, sort_keys=True,
     indent=2)``, each row an object keyed by column, or an array in a field
-    dump; a level's members become [n_r, m] arrays.  It is rendered row by
-    row and takes at least one row; every command refuses an empty artifact
-    before it gets here.
+    dump; a level's members text is its list of [n_r, m] arrays.  It is
+    rendered row by row and takes at least one row; every command refuses an
+    empty artifact before it gets here.
     ``rows`` may be any iterable, a generator included, and is read once:
     each row is rendered to its text and dropped, so memory is bounded by the
     text plus one row.  A field dump gives ``grid`` = (xs, ys, values)
@@ -278,7 +273,10 @@ _SPECTRUM_COLUMNS = (("index", int), ("energy", float), ("branch", str), ("N", i
 
 def run_spectrum(args: argparse.Namespace) -> int:
     """The level table.  Levels stream from bound.iter_levels through _emit,
-    so a table's memory is bounded by its text plus one level."""
+    so a table's memory is bounded by its text plus one level.  A level's
+    members text is its member cells, sliced from one list of int strings,
+    between the pieces of the format's template, joined once.  The list
+    grows with the largest rung N the walk reaches, never with --levels."""
     problem = _problem_from_args(args)
     levels = bound.iter_levels(problem, args.levels)
     params = {
@@ -286,7 +284,21 @@ def run_spectrum(args: argparse.Namespace) -> int:
         "alpha": problem.alpha_flux, "m0": problem.m0, "nu": problem.nu,
         "levels": args.levels,
     }
-    rows = ((i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, lv.members)
+    first, between, after, last = _MEMBERS[args.format]
+    ints, zero = [], 0  # ints[zero + i] == str(i) for |i| <= zero
+
+    def members(lv: bound.SpectrumLevel) -> str:
+        nonlocal ints, zero
+        top = max(lv.plus_n, lv.minus_n)
+        if top >= zero:
+            zero = 2 * top + 1
+            ints = list(map(str, range(-zero, zero + 1)))
+        parts = [None, between, None, after] * lv.degeneracy
+        parts[::2] = lv.member_cells(ints, zero)
+        parts[-1] = last
+        return first + "".join(parts)
+
+    rows = ((i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, members(lv))
             for i, lv in enumerate(levels))
     return _emit(args, params, _SPECTRUM_COLUMNS, rows, key="levels")
 

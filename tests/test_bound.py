@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,19 @@ class TestSpectrum:
         assert all(type(n_r) is int and type(m) is int
                    for lv in levels for n_r, m in lv.members)
 
+    def test_memory_is_constant_per_level(self):
+        # a level holds its two rungs, not its members: 2000 levels at
+        # nu = 1/2 have about 4 million members
+        p = RelativeProblem.from_parameters(1.0, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            levels = spectrum(p, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(lv.degeneracy for lv in levels) == 2000 * 2001
+        assert peak <= 2000 * 1024
+
 
 class TestRungLambda:
     """Each level's energy comes from its rung's lambda, N +- nu + 1/2."""
@@ -265,7 +279,10 @@ class TestSpectrumAgainstEnumeration:
     def test_oracle_rejects_dropped_member(self, monkeypatch, index):
         def drop(levels):
             lv = levels[index]
-            levels[index] = lv._replace(members=lv.members[:-1])
+            if lv.plus_count:
+                levels[index] = lv._replace(plus_count=lv.plus_count - 1)
+            else:
+                levels[index] = lv._replace(minus_count=lv.minus_count - 1)
             return levels
 
         assert not self.check_with(monkeypatch, drop).passed

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -847,7 +848,7 @@ class TestNonFiniteResults:
                                 lambda *args: ([xi], [eta], [[complex(re_, im)]]))
             argv = ["field", "--kind", "scatter", "--case", "coulomb"]
         else:
-            level = bound.SpectrumLevel(bad, bound.BRANCH_UNSPLIT, 0, ((0, 0),))
+            level = bound.SpectrumLevel(bad, bound.BRANCH_UNSPLIT, 0, 0, 1, 1, 0)
             monkeypatch.setattr(bound, "iter_levels", lambda problem, n: iter([level]))
             argv = ["spectrum"]
         refused(argv + ["--format", fmt], 2, f"abc2d: non-finite result {column} = {bad}\n",
@@ -1026,18 +1027,17 @@ def test_rendered_text_matches_the_standard_library(argv):
             assert format(float(row[i]), ".17g") == row[i], (argv, columns[i])
 
 
-@settings(max_examples=60, deadline=None)
-@given(_argv("spectrum", {"--levels": _small_int(1, 30)},
-             {"--mu": _MODERATE, "--kappa": _MODERATE, "--alpha": _SIGNED}))
-def test_spectrum_csv_and_json_carry_the_walks_levels(argv):
-    # each format's members text is built by hand from one %-format; the
-    # CSV cells, the JSON arrays and bound.iter_levels must agree row by row
+def _check_spectrum_formats(argv):
+    """The CSV members cells, the JSON members arrays and bound.iter_levels
+    agree level by level, and so do the other columns; False where argv is
+    refused."""
     texts = {}
     for fmt in ("csv", "json"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv + ["--format", fmt])
-        assume(code == 0)
+        if code != 0:
+            return False
         texts[fmt] = out.getvalue()
     doc = json.loads(texts["json"])
     params = doc["params"]
@@ -1054,6 +1054,47 @@ def test_spectrum_csv_and_json_carry_the_walks_levels(argv):
         assert (obj["index"], obj["N"], obj["degeneracy"]) == ints
         assert cells["branch"] == obj["branch"] == lv.branch
         assert float(cells["energy"]) == obj["energy"] == lv.energy
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv("spectrum", {"--levels": _small_int(1, 30)},
+             {"--mu": _MODERATE, "--kappa": _MODERATE, "--alpha": _SIGNED}))
+def test_spectrum_csv_and_json_carry_the_walks_levels(argv):
+    # each format's members text is built by hand from the level's rungs,
+    # sliced from a table of int strings into one template
+    assume(_check_spectrum_formats(argv))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 41])
+@pytest.mark.parametrize("alpha", ["0", "2", "-2", "0.5", "-1.5", "0.25", "0.75", "-1.3"])
+def test_spectrum_formats_carry_the_walks_levels_at_exact_flux(alpha, levels):
+    # random floats practically never draw integer or half-integer flux, where
+    # both rungs make one level and the empty integer-flux N = 0 level is skipped
+    assert _check_spectrum_formats(["spectrum", "--alpha", alpha, "--levels", str(levels)])
+
+
+def test_spectrum_rows_stream_at_the_largest_level_count(monkeypatch):
+    # the table of int strings grows with the walk: one sized from --levels
+    # could not be allocated at sys.maxsize
+    rows = []
+
+    def first_rows(args, params, columns, levels, key):
+        rows.extend(itertools.islice(levels, 3))
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_emit", first_rows)
+    argv = ["spectrum", "--alpha", "0.5", "--levels", str(sys.maxsize)]
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [row[5] for row in rows] == ["0:-1;0:0", "0:-2;0:1;1:-1;1:0",
+                                        "0:-3;0:2;1:-2;1:1;2:-1;2:0"]
 
 
 def _readme_cli_lines():

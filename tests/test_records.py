@@ -19,8 +19,9 @@ RECORDS = [
     (RelativeProblem(1.0, 0.5, 2.75),
      "RelativeProblem(reduced_mass=1.0, kappa=0.5, alpha_flux=2.75, m0=2, nu=0.75)"),
     (QuantumNumbers(0, 1), "QuantumNumbers(n_r=0, m=1)"),
-    (SpectrumLevel(-0.5, "unsplit", 1, ((0, -1), (0, 1))),
-     "SpectrumLevel(energy=-0.5, branch='unsplit', principal_n=1, members=((0, -1), (0, 1)))"),
+    (SpectrumLevel(-0.5, "unsplit", 1, 1, 1, 1, 1),
+     "SpectrumLevel(energy=-0.5, branch='unsplit', principal_n=1, plus_n=1, plus_count=1, "
+     "minus_n=1, minus_count=1)"),
     (ScatteringParams(1.0, 0.5, FluxCase.HALF_INTEGER),
      "ScatteringParams(k=1.0, beta=0.5, flux_case=<FluxCase.HALF_INTEGER: 'half'>)"),
     (CheckResult("limits", True, 1e-16, 1e-6),
