@@ -321,12 +321,14 @@ def _params_from_args(args: argparse.Namespace) -> scatter.ScatteringParams:
 
 
 def run_xsection(args: argparse.Namespace) -> int:
+    """A cross-section sweep: scatter.cross_sections computes it column by
+    column, and its rows, zipped from the columns, are plain tuples to _emit."""
     p = _params_from_args(args)
     span = _span(args.theta_min, args.theta_max, "--theta-min/--theta-max")
     thetas = scatter.linspace(*span, args.thetas)
     if not thetas:
         raise ValueError("a sweep needs at least 1 angle")
-    rows = scatter.cross_sections(p, thetas)
+    rows = zip(*scatter.cross_sections(p, thetas))
     params = {
         "command": "xsection", "case": p.flux_case.value, "k": p.k, "beta": p.beta,
         "thetas": args.thetas, "theta_min": args.theta_min, "theta_max": args.theta_max,

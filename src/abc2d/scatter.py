@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -107,6 +108,17 @@ class CrossSectionSample(NamedTuple):
     sigma_cross: float
 
 
+class CrossSectionSweep(NamedTuple):
+    """The cross sections of one sweep, one list per column: angle i's sample
+    is (theta[i], sigma_total[i], sigma_coulomb[i], sigma_cross[i]), the
+    fields of CrossSectionSample."""
+
+    theta: list[float]
+    sigma_total: list[float]
+    sigma_coulomb: list[float]
+    sigma_cross: list[float]
+
+
 def scattering_params(problem: RelativeProblem, energy: float) -> ScatteringParams:
     """Parameters k = sqrt(2 mu E), beta = mu kappa / k for scattering at E > 0."""
     if energy <= 0.0:
@@ -122,11 +134,24 @@ def scattering_params(problem: RelativeProblem, energy: float) -> ScatteringPara
     return ScatteringParams(k=k, beta=beta, flux_case=case)
 
 
+def _in_cone(theta: float) -> bool:
+    """Whether theta lies inside the forward cone; ValueError if it is infinite."""
+    return abs(math.remainder(theta, 2.0 * math.pi)) < FORWARD_CONE
+
+
 def _check_angle(theta: float) -> float:
     """Reject angles inside the forward cone; return sin^2(theta/2)."""
-    if abs(math.remainder(theta, 2.0 * math.pi)) < FORWARD_CONE:
+    if _in_cone(theta):
         raise DomainError(f"theta = {theta} is inside the forward cone")
     return math.sin(0.5 * theta) ** 2
+
+
+def _cone_stop(thetas: list[float]) -> int:
+    """Index of the first angle _check_angle refuses, len(thetas) if none."""
+    try:
+        return next(itertools.compress(itertools.count(), map(_in_cone, thetas)), len(thetas))
+    except ValueError:  # an infinite angle before any angle inside the cone
+        return next(itertools.compress(itertools.count(), map(math.isinf, thetas)))
 
 
 def amplitude_coulomb(p: ScatteringParams, theta: float) -> complex:
@@ -154,20 +179,27 @@ def amplitude_half_flux(p: ScatteringParams, theta: float) -> complex:
     return ratio * cmath.exp(phase) / math.sqrt(2.0 * p.k * s2)
 
 
-def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectionSample]:
-    """Differential cross section at every angle of thetas, for the case p carries.
+def cross_sections(p: ScatteringParams, thetas: list[float]) -> CrossSectionSweep:
+    """Differential cross section at every angle of thetas, for the case p
+    carries, as one list per column (zip(*sweep) gives the rows).
 
     The factors that depend on beta alone (beta tanh(pi beta), d0 + d1, the
-    interference amplitude, beta coth(pi beta)) are evaluated once per call;
-    each angle then costs a sine, plus a log and a cosine for integer flux.
-    The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod 2 pi
-    before evaluation to preserve accuracy at large |beta ln sin^2 theta/2|.
-    Raises DomainError where that argument's rounding error estimate exceeds
-    _PHASE_ERROR_LIMIT.
+    interference amplitude, beta coth(pi beta)) are evaluated once per call.
+    Each column is then one pass over the angles: sin^2 theta/2 once per
+    angle, shared by every column, plus beta ln sin^2 theta/2 for integer
+    flux.  The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod
+    2 pi before evaluation to preserve accuracy at large |beta ln sin^2
+    theta/2|.
+
+    An angle is refused as _check_angle refuses it (forward cone, infinite
+    angle), and for integer flux where the cosine argument's rounding error
+    estimate exceeds _PHASE_ERROR_LIMIT (DomainError).  The sweep raises at
+    the first refused angle, the cone before the phase at the same angle, and
+    computes nothing past a cone angle.
     """
     integer = p.flux_case is FluxCase.INTEGER_FLUX
     half = p.flux_case is FluxCase.HALF_INTEGER
-    b = p.beta
+    b, k = p.beta, p.k
     btanh = b * math.tanh(math.pi * b)
     if integer:
         if b == 0.0:
@@ -176,31 +208,38 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> list[CrossSectio
         d1 = arg_gamma(1j * b)
         d = d0 + d1
         d_size = abs(d0) + abs(d1)
-        neg_amp = -math.sqrt(btanh) / (SQRT_PI * p.k)
+        neg_amp = -math.sqrt(btanh) / (SQRT_PI * k)
     if half:
         bcoth = 1.0 / math.pi if b == 0.0 else b / math.tanh(math.pi * b)
-    samples = []
-    for theta in thetas:
-        s2 = _check_angle(theta)
-        sc = 0.5 * btanh / (p.k * s2)
-        if integer:
-            b_ln = b * math.log(s2)
-            if _EPS * (d_size + abs(b_ln)) > _PHASE_ERROR_LIMIT:
-                raise DomainError(f"the integer-flux phase at beta = {b}, theta = {theta} "
-                                  "is lost to rounding")
-            arg = math.remainder(d - b_ln, 2.0 * math.pi)
-            sx = neg_amp * math.cos(arg) / math.sqrt(s2)
-            samples.append(CrossSectionSample(theta, sc + sx, sc, sx))
-        elif half:
-            samples.append(CrossSectionSample(theta, 0.5 * bcoth / (p.k * s2), sc, 0.0))
+    theta = list(thetas)
+    stop = _cone_stop(theta)
+    s2s = [math.sin(0.5 * t) ** 2 for t in theta[:stop]]
+    if integer:
+        b_lns = [b * math.log(s2) for s2 in s2s]
+        lost = next((i for i, b_ln in enumerate(b_lns)
+                     if _EPS * (d_size + abs(b_ln)) > _PHASE_ERROR_LIMIT), None)
+        if lost is not None:
+            raise DomainError(f"the integer-flux phase at beta = {b}, theta = {theta[lost]} "
+                              "is lost to rounding")
+    if stop < len(theta):
+        _check_angle(theta[stop])  # raises: the cone's DomainError, or remainder's ValueError
+    sigma_coulomb = [0.5 * btanh / (k * s2) for s2 in s2s]
+    if integer:
+        sigma_cross = [neg_amp * math.cos(math.remainder(d - b_ln, 2.0 * math.pi))
+                       / math.sqrt(s2) for b_ln, s2 in zip(b_lns, s2s)]
+        sigma_total = [sc + sx for sc, sx in zip(sigma_coulomb, sigma_cross)]
+    else:
+        sigma_cross = [0.0] * len(theta)
+        if half:
+            sigma_total = [0.5 * bcoth / (k * s2) for s2 in s2s]
         else:
-            samples.append(CrossSectionSample(theta, sc, sc, 0.0))
-    return samples
+            sigma_total = sigma_coulomb[:]
+    return CrossSectionSweep(theta, sigma_total, sigma_coulomb, sigma_cross)
 
 
 def sigma_sample(p: ScatteringParams, theta: float) -> CrossSectionSample:
     """Cross-section sample at one angle for whichever case p carries."""
-    return cross_sections(p, [theta])[0]
+    return CrossSectionSample._make(next(zip(*cross_sections(p, [theta]))))
 
 
 def limit_ab(flux_case: FluxCase, k: float, theta: float) -> float:

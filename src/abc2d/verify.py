@@ -342,7 +342,7 @@ def check_limits() -> CheckResult:
     theta = math.pi
     p_half = scatter.ScatteringParams(1.0, 1e-8, scatter.FluxCase.HALF_INTEGER)
     ab = scatter.limit_ab(scatter.FluxCase.HALF_INTEGER, 1.0, theta)
-    worst = abs(scatter.cross_sections(p_half, [theta])[0].sigma_total - ab) / ab
+    worst = abs(scatter.cross_sections(p_half, [theta]).sigma_total[0] - ab) / ab
 
     # classical limit: mu = 1, v_c = k, beta = kappa/v_c^2
     mu, k, beta = 1.0, 1.0, 20.0
@@ -352,8 +352,8 @@ def check_limits() -> CheckResult:
     p_2 = scatter.ScatteringParams(k, beta, scatter.FluxCase.HALF_INTEGER)
     worst = max(
         worst,
-        abs(scatter.cross_sections(p_c, [theta])[0].sigma_total - cl) / cl * 1e2,
-        abs(scatter.cross_sections(p_2, [theta])[0].sigma_total - cl) / cl * 1e2,
+        abs(scatter.cross_sections(p_c, [theta]).sigma_total[0] - cl) / cl * 1e2,
+        abs(scatter.cross_sections(p_2, [theta]).sigma_total[0] - cl) / cl * 1e2,
     )
     # the factor 1e2 maps the 1e-8 classical tolerance onto the 1e-6 bound
     return _result("limits", worst, 1e-6,
@@ -375,11 +375,11 @@ def check_interference(points: int = 4096) -> CheckResult:
     """
     p = scatter.ScatteringParams(1.0, 0.3, scatter.FluxCase.INTEGER_FLUX)
     thetas = scatter.linspace(0.01, 2.0 * math.pi - 0.01, points)
-    samples = scatter.cross_sections(p, thetas)
-    cross_min = min(s.sigma_cross for s in samples)
-    cross_max = max(s.sigma_cross for s in samples)
-    total_min = min(s.sigma_total for s in samples)
-    ratio_max = max(abs(s.sigma_cross) / s.sigma_coulomb for s in samples)
+    sweep = scatter.cross_sections(p, thetas)
+    cross_min = min(sweep.sigma_cross)
+    cross_max = max(sweep.sigma_cross)
+    total_min = min(sweep.sigma_total)
+    ratio_max = max(abs(sx) / sc for sx, sc in zip(sweep.sigma_cross, sweep.sigma_coulomb))
     indefinite = cross_min < 0.0 < cross_max
     positive = total_min > 0.0
     worst = ratio_max if (indefinite and positive) else math.inf

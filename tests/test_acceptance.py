@@ -171,11 +171,9 @@ def test_criterion_8_stationary_wave_decomposition():
 def test_criterion_9_negativity_phenomenon():
     p = scatter.ScatteringParams(1.0, 0.3, scatter.FluxCase.INTEGER_FLUX)
     thetas = np.linspace(0.002, 2.0 * math.pi - 0.002, 4096)
-    totals = []
-    coulombs = []
-    for s in scatter.cross_sections(p, thetas.tolist()):
-        totals.append(s.sigma_total)
-        coulombs.append(s.sigma_coulomb)
+    sweep = scatter.cross_sections(p, thetas.tolist())
+    totals = sweep.sigma_total
+    coulombs = sweep.sigma_coulomb
     coulomb_positive = min(coulombs) > 0.0
     has_negative = min(totals) < 0.0
     detail = (f"min sigma_1 = {min(totals):.4f}, min sigma_C = {min(coulombs):.4f}")

@@ -827,7 +827,7 @@ class TestNonFiniteResults:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
     @pytest.mark.parametrize("command,column", [
-        *(("xsection", name) for name in scatter.CrossSectionSample._fields),
+        *(("xsection", name) for name in scatter.CrossSectionSweep._fields),
         *(("field", name) for name in ("xi", "eta", "re", "im")),
         ("spectrum", "energy"),
     ])
@@ -839,8 +839,9 @@ class TestNonFiniteResults:
             return [bad if name == column else 0.5 for name in names]
 
         if command == "xsection":
-            sample = scatter.CrossSectionSample(*row(scatter.CrossSectionSample._fields))
-            monkeypatch.setattr(scatter, "cross_sections", lambda p, thetas: [sample])
+            fields = scatter.CrossSectionSweep._fields
+            sweep = scatter.CrossSectionSweep(*([value] for value in row(fields)))
+            monkeypatch.setattr(scatter, "cross_sections", lambda p, thetas: sweep)
             argv = ["xsection", "--case", "coulomb", "--thetas", "1"]
         elif command == "field":
             xi, eta, re_, im = row(("xi", "eta", "re", "im"))

@@ -53,8 +53,8 @@ MUTATIONS = [
          "d0 = arg_gamma(0.5 - 1j * b) + 1e-6", None,
          marks=_survives(4, "no cross section has a witness away from its limits")),
     _row("interference_sign", "scatter.py",
-         "sx = neg_amp * math.cos(arg) / math.sqrt(s2)",
-         "sx = -neg_amp * math.cos(arg) / math.sqrt(s2)", None,
+         "[neg_amp * math.cos(",
+         "[-neg_amp * math.cos(", None,
          marks=_survives(4, "interference tests only properties the flip keeps")),
     _row("sigma_c_tanh_to_coth", "scatter.py",
          "btanh = b * math.tanh(math.pi * b)",
@@ -108,8 +108,8 @@ MUTATIONS = [
          "        if error <= _CONDITION_LIMIT:\n            return value * (1 + 1e-3)\n",
          ("stationary_wave",)),
     _row("sigma_coulomb", "scatter.py",
-         "sc = 0.5 * btanh / (p.k * s2)",
-         "sc = 0.5 * btanh / (p.k * s2) * (1 + 1e-6)",
+         "sigma_coulomb = [0.5 * btanh / (k * s2)",
+         "sigma_coulomb = [0.5 * btanh / (k * s2) * (1 + 1e-6)",
          ("limits",)),
     _row("sigma_half_coth", "scatter.py",
          "b / math.tanh(math.pi * b)",

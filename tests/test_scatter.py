@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import struct
 
@@ -13,6 +14,7 @@ from abc2d.reduction import RelativeProblem
 from abc2d.scatter import (
     FORWARD_CONE,
     CrossSectionSample,
+    CrossSectionSweep,
     FluxCase,
     ScatteringParams,
     amplitude_coulomb,
@@ -142,7 +144,7 @@ class TestInterference:
         d0 = arg_gamma(0.5 - 1j * beta)
         s_out = -cmath.exp(2j * d0 - 0.25j * math.pi) / math.sqrt(2.0 * math.pi * p.k)
         expected = 2.0 * (amplitude_coulomb(p, theta) * s_out.conjugate()).real
-        got = cross_sections(p, [theta])[0].sigma_cross
+        got = cross_sections(p, [theta]).sigma_cross[0]
         assert abs(got - expected) <= 1e-13 * abs(expected)
 
     def test_large_beta_phase_matches_mpmath(self):
@@ -150,15 +152,15 @@ class TestInterference:
         # angle; the cosine argument's terms are of size beta ln beta ~ 1e6
         beta = 1e5
         thetas = [2.0 * FORWARD_CONE, 0.1, 0.5, 1.0, 2.0, math.pi, 5.0]
-        samples = cross_sections(ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX), thetas)
+        sweep = cross_sections(ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX), thetas)
         with mp.workdps(50):
             b = mp.mpf(beta)
             d = mp.loggamma(mp.mpc(0.5, -b)).imag + mp.loggamma(mp.mpc(0, b)).imag
-            for theta, s in zip(thetas, samples):
+            for theta, sigma_cross in zip(thetas, sweep.sigma_cross, strict=True):
                 s2 = mp.sin(mp.mpf(theta) / 2) ** 2
                 amp = mp.sqrt(b * mp.tanh(mp.pi * b) / (mp.pi * s2))
                 ref = -amp * mp.cos(d - b * mp.log(s2))
-                assert abs(s.sigma_cross - ref) <= 1e-9 * amp, theta
+                assert abs(sigma_cross - ref) <= 1e-9 * amp, theta
 
     @pytest.mark.parametrize("beta", [1e6, -1e7, 1e15])
     def test_phase_lost_to_rounding_raises(self, beta):
@@ -169,12 +171,9 @@ class TestInterference:
         # the opposing interference reaches 92% of sigma_C at beta = 0.3 but
         # the ratio is capped at 8/(pi e) < 1 for every beta and angle
         p = ScatteringParams(1.0, 0.3, FluxCase.INTEGER_FLUX)
-        ratios = []
-        totals = []
-        for s in cross_sections(p, np.linspace(0.01, 2.0 * math.pi - 0.01, 4096).tolist()):
-            ratios.append(abs(s.sigma_cross) / s.sigma_coulomb)
-            totals.append(s.sigma_total)
-        assert min(totals) > 0.0
+        sweep = cross_sections(p, np.linspace(0.01, 2.0 * math.pi - 0.01, 4096).tolist())
+        ratios = [abs(sx) / sc for sx, sc in zip(sweep.sigma_cross, sweep.sigma_coulomb)]
+        assert min(sweep.sigma_total) > 0.0
         assert 0.89 < max(ratios) < RATIO_SUP
 
 
@@ -195,10 +194,11 @@ class TestHalfFluxCrossSection:
         thetas = [0.4, math.pi, 5.1]
         for k in (1.0, 0.37):
             p = ScatteringParams(k, 0.0, FluxCase.HALF_INTEGER)
-            for theta, s in zip(thetas, cross_sections(p, thetas)):
+            for theta, sigma_total in zip(thetas, cross_sections(p, thetas).sigma_total,
+                                          strict=True):
                 f2 = abs(amplitude_half_flux(p, theta)) ** 2
                 assert f2 == pytest.approx(limit_ab(FluxCase.HALF_INTEGER, k, theta), rel=1e-12)
-                assert f2 == pytest.approx(s.sigma_total, rel=1e-12)
+                assert f2 == pytest.approx(sigma_total, rel=1e-12)
 
     def test_flux_only_limit(self):
         p = ScatteringParams(1.0, 1e-8, FluxCase.HALF_INTEGER)
@@ -250,10 +250,14 @@ SWEEP_PARAMS = [ScatteringParams(k, beta, case)
 class TestCrossSections:
     @pytest.mark.parametrize("p", SWEEP_PARAMS, ids=repr)
     def test_matches_pointwise_formulas_exactly(self, p):
-        samples = cross_sections(p, SWEEP_THETAS)
+        sweep = cross_sections(p, SWEEP_THETAS)
+        assert isinstance(sweep, CrossSectionSweep)
+        assert all(type(column) is list for column in sweep)
+        rows = list(zip(*sweep, strict=True))
+        assert rows == [pointwise_sample(p, t) for t in SWEEP_THETAS]
+        samples = [sigma_sample(p, t) for t in SWEEP_THETAS]
         assert all(isinstance(s, CrossSectionSample) for s in samples)
-        assert [tuple(s) for s in samples] == [pointwise_sample(p, t) for t in SWEEP_THETAS]
-        assert [sigma_sample(p, t) for t in SWEEP_THETAS] == samples
+        assert samples == rows
 
     @pytest.mark.parametrize("n", [1, 17, 1024])
     def test_integer_sweep_makes_two_ln_gamma_calls(self, monkeypatch, n):
@@ -277,6 +281,84 @@ class TestCrossSections:
         for p in (P_C, P_I, P_H):
             with pytest.raises(DomainError, match="forward cone"):
                 cross_sections(p, [1.0, 2.0 * math.pi - FORWARD_CONE / 2, 3.0])
+
+
+def pointwise_sweep(p, thetas):
+    """The per-angle loop a sweep replaces: each angle in turn through
+    _check_angle, then for integer flux the phase rule, then pointwise_sample.
+    Its rows, or the exception it raises at the first refused angle."""
+    integer = p.flux_case is FluxCase.INTEGER_FLUX
+    if integer and p.beta == 0.0:
+        raise DomainError("interference term undefined at beta = 0")
+    rows = []
+    for theta in thetas:
+        s2 = scatter._check_angle(theta)
+        if integer:
+            d_size = abs(arg_gamma(0.5 - 1j * p.beta)) + abs(arg_gamma(1j * p.beta))
+            if specfn._EPS * (d_size + abs(p.beta * math.log(s2))) > scatter._PHASE_ERROR_LIMIT:
+                raise DomainError(f"the integer-flux phase at beta = {p.beta}, theta = {theta} "
+                                  "is lost to rounding")
+        rows.append(pointwise_sample(p, theta))
+    return rows
+
+
+def _outcome(sweep, p, thetas):
+    """("rows", the rows) or (exception type, message), as text, so that nan
+    rows compare equal."""
+    try:
+        return repr(("rows", [tuple(row) for row in sweep(p, thetas)]))
+    except (DomainError, ValueError) as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+# beta = 1.5e5 loses the integer-flux phase near forward only: it passes at
+# ORDINARY and fails at NEAR_FORWARD (asserted below)
+BETA_NEAR_LOST = 1.5e5
+ORDINARY = [0.4, math.pi, 5.9, 13.5]
+NEAR_FORWARD = [2.0 * FORWARD_CONE, 0.01, 2.0 * math.pi - 0.01]
+IN_CONE = [0.0, -FORWARD_CONE / 2, 2.0 * math.pi - FORWARD_CONE / 2, 4.0 * math.pi]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _refusal_sweeps():
+    """Every special angle alone, first, in the middle and last among
+    ordinary angles, every ordered pair of special angles, and no angle."""
+    special = NEAR_FORWARD + IN_CONE + NON_FINITE
+    sweeps = [[]]
+    for x in special:
+        sweeps += [[x], [x] + ORDINARY, ORDINARY[:2] + [x] + ORDINARY[2:], ORDINARY + [x]]
+    for x, y in itertools.permutations(special, 2):
+        sweeps.append([ORDINARY[0], x, ORDINARY[1], y, ORDINARY[2]])
+    return sweeps
+
+
+REFUSAL_PARAMS = [ScatteringParams(1.0, beta, case) for case in FluxCase
+                  for beta in (0.3, -3.0, BETA_NEAR_LOST, 1e6)]
+REFUSAL_PARAMS.append(ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX))
+
+
+class TestSweepRefusals:
+    @pytest.mark.parametrize("p", REFUSAL_PARAMS, ids=repr)
+    def test_same_values_or_refusal_as_the_per_angle_loop(self, p):
+        for thetas in _refusal_sweeps():
+            assert (_outcome(lambda p, thetas: zip(*cross_sections(p, thetas)), p, thetas)
+                    == _outcome(pointwise_sweep, p, thetas)), thetas
+
+    def test_the_near_forward_beta_fails_only_near_forward(self):
+        p = ScatteringParams(1.0, BETA_NEAR_LOST, FluxCase.INTEGER_FLUX)
+        assert len(cross_sections(p, ORDINARY).theta) == len(ORDINARY)
+        for theta in NEAR_FORWARD:
+            with pytest.raises(DomainError, match="lost to rounding"):
+                cross_sections(p, ORDINARY + [theta])
+
+    @pytest.mark.parametrize("p", [P_C, P_I, P_H], ids=repr)
+    def test_nan_then_cone_raises_the_cone_error(self, p):
+        # a nan angle yields nan cross sections; the cone angle after it is
+        # still refused, and an infinite angle after that is never reached
+        for thetas in ([math.nan, 0.0], [1.0, math.nan, 2.0 * math.pi, math.inf]):
+            with pytest.raises(DomainError, match="is inside the forward cone"):
+                cross_sections(p, thetas)
+        assert math.isnan(cross_sections(p, [math.nan, 1.0]).sigma_total[0])
 
 
 class TestLimits:
