@@ -187,9 +187,12 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> CrossSectionSwee
     interference amplitude, beta coth(pi beta)) are evaluated once per call.
     Each column is then one pass over the angles: sin^2 theta/2 once per
     angle, shared by every column, plus beta ln sin^2 theta/2 for integer
-    flux.  The cosine argument d0 + d1 - beta ln sin^2 theta/2 is reduced mod
-    2 pi before evaluation to preserve accuracy at large |beta ln sin^2
-    theta/2|.
+    flux.  The cosine argument x = d0 + d1 - beta ln sin^2 theta/2 goes
+    through math.remainder(x, 2 pi) first, which gains no accuracy: math.cos
+    reduces its argument exactly (within 1.1e-16 of mpmath), while the
+    remainder by the float 2 pi errs by about 3.9e-17 |x| (3.9e-10 at |x| =
+    1e7).  That stays below the rounding error eps |x| that x already carries,
+    which _PHASE_ERROR_LIMIT bounds.
 
     An angle is refused as _check_angle refuses it (forward cone, infinite
     angle), and for integer flux where the cosine argument's rounding error
@@ -244,7 +247,7 @@ def sigma_sample(p: ScatteringParams, theta: float) -> CrossSectionSample:
 
 def limit_ab(flux_case: FluxCase, k: float, theta: float) -> float:
     """kappa -> 0 limit: 0 for nu = 0, 1/(2 pi k sin^2 theta/2) for nu = 1/2."""
-    if k <= 0.0:
+    if not k > 0.0:
         raise ValueError("k must be positive")
     s2 = _check_angle(theta)
     if flux_case is FluxCase.HALF_INTEGER:
@@ -254,7 +257,7 @@ def limit_ab(flux_case: FluxCase, k: float, theta: float) -> float:
 
 def limit_classical(kappa: float, mu: float, v_c: float, theta: float) -> float:
     """Classical 2D Coulomb cross section |kappa| / (2 mu v_c^2 sin^2 theta/2)."""
-    if v_c <= 0.0 or mu <= 0.0:
+    if not v_c > 0.0 or not mu > 0.0:
         raise ValueError("mu and v_c must be positive")
     s2 = _check_angle(theta)
     return abs(kappa) / (2.0 * mu * v_c * v_c * s2)
@@ -264,7 +267,7 @@ def limit_classical(kappa: float, mu: float, v_c: float, theta: float) -> float:
 
 def to_parabolic(r: float, theta: float) -> tuple[float, float]:
     """(xi, eta) = sqrt(2r) (cos theta/2, sin theta/2); theta in [0, 4 pi)."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("r must be non-negative")
     root = math.sqrt(2.0 * r)
     return root * math.cos(0.5 * theta), root * math.sin(0.5 * theta)
@@ -322,7 +325,7 @@ def stationary_wave(p: ScatteringParams, r: float) -> complex:
     """
     if p.flux_case is not FluxCase.INTEGER_FLUX:
         raise DomainError("stationary wave exists only for integer flux")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("r must be positive")
     d0 = arg_gamma(0.5 - 1j * p.beta)
     phase = p.k * r + p.beta * math.log(2.0 * p.k * r) + d0 - 0.25 * math.pi

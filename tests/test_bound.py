@@ -20,7 +20,6 @@ from abc2d.bound import (
     spectrum,
     wavefunction,
 )
-from abc2d.errors import DomainError
 from abc2d.reduction import RelativeProblem
 from abc2d.specfn import kummer_m
 
@@ -44,18 +43,6 @@ class TestAcceptability:
         assert is_acceptable(QuantumNumbers(0, 0), m0=2, nu=0.5)
 
 
-@pytest.mark.parametrize("call,args,error,message", [
-    (is_acceptable, (QuantumNumbers(0, 0), 0, -0.25), ValueError, "nu must lie in [0, 1)"),
-    (is_acceptable, (QuantumNumbers(0, 0), 0, 1.0), ValueError, "nu must lie in [0, 1)"),
-    (wavefunction(QuantumNumbers(0, 0), problem(0.0)), (-1e-300, 0.0), ValueError,
-     "r must be non-negative"),
-])
-def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
-    with pytest.raises(error) as exc:
-        call(*args)
-    assert str(exc.value) == message
-
-
 class TestEnergy:
     def test_coulomb_ground(self):
         assert energy(QuantumNumbers(0, 0), problem(0.0)) == pytest.approx(-2.0)
@@ -68,14 +55,6 @@ class TestEnergy:
         p = problem(0.5)
         assert energy(QuantumNumbers(1, -1), p) == pytest.approx(-0.125)
         assert energy(QuantumNumbers(1, -1), p) == energy(QuantumNumbers(0, 1), p)
-
-    def test_repulsion_has_no_bound_states(self):
-        with pytest.raises(DomainError, match="bound states require attraction"):
-            energy(QuantumNumbers(0, 0), problem(0.0, kappa=-1.0))
-
-    def test_unacceptable_state_rejected(self):
-        with pytest.raises(DomainError, match="not regular at the origin"):
-            energy(QuantumNumbers(1, 0), problem(0.0, m0=2))
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
     def test_depends_only_on_effective_exponent(self, nu):
@@ -161,21 +140,6 @@ class TestSpectrum:
             e_plus = energy(QuantumNumbers(0, n), p)
             e_minus = energy(QuantumNumbers(0, -(n + 1)), p)
             assert e_plus == pytest.approx(e_minus, rel=1e-14)
-
-    def test_no_bound_states(self):
-        with pytest.raises(DomainError, match="bound states require attraction"):
-            spectrum(problem(0.0, kappa=-2.0), 3)
-
-    @pytest.mark.parametrize("p,n,error,match", [
-        (problem(0.5), 0, ValueError, "n_levels must be positive"),
-        (problem(0.3), -2, ValueError, "n_levels must be positive"),
-        (problem(0.0, kappa=-2.0), 3, DomainError, "bound states require attraction"),
-        (problem(0.7, kappa=0.0), 3, DomainError, "bound states require attraction"),
-    ])
-    def test_iter_levels_checks_its_arguments_at_the_call(self, p, n, error, match):
-        # a plain generator function would raise only at the first next()
-        with pytest.raises(error, match=match):
-            bound.iter_levels(p, n)
 
     @pytest.mark.parametrize("alpha", [0.0, -2.0, 0.3, 0.7, 2.5])
     def test_iter_levels_yields_the_spectrum(self, alpha):
@@ -463,8 +427,3 @@ class TestSampleBoundField:
         p = RelativeProblem.from_parameters(0.8, 1.3, alpha)
         xs, ys, _ = sample_bound_field(qn, p, span, points)
         assert len(calls) <= len({math.hypot(x, y) for x in xs for y in ys})
-
-    def test_grid_shape_checked(self):
-        for points in (0, 1):
-            with pytest.raises(ValueError, match="at least 2 points"):
-                sample_bound_field(QuantumNumbers(0, 0), problem(0.0), (-1.0, 1.0), points)

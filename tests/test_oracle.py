@@ -53,29 +53,6 @@ class TestShooting:
         assert nodes == n_r
         assert e == pytest.approx(energy(QuantumNumbers(n_r, m), p), rel=1e-9)
 
-    def test_requires_attraction(self):
-        with pytest.raises(DomainError, match="shooting requires attraction"):
-            shoot_with_nodes(problem(0.0, kappa=-1.0), 0, 0)
-
-    # with no narrowing step the window never holds level n_r alone
-    @pytest.mark.parametrize("narrowing,args,error,message", [
-        (0, (problem(0.3), 0, 0), DomainError, "node counts never isolated level 0"),
-        (oracle_mod._MAX_NARROWING, (problem(0.3), 0, -1), ValueError,
-         "n_r must be non-negative"),
-    ])
-    def test_guards_refuse(self, narrowing, args, error, message, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_MAX_NARROWING", narrowing)
-        with pytest.raises(error) as exc:
-            shoot_with_nodes(*args)
-        assert str(exc.value) == message
-
-    def test_window_that_misses_the_level_fails_to_bracket(self):
-        # the ground level at w = 0 is e = -2; a window [-0.75, -0.25] centred
-        # on -0.5 holds only energies above it, where every count is 1
-        with pytest.raises(DomainError, match=r"no eigenvalue bracket in \[-0.75, -0.5\]: "
-                                              r"node counts \(1, 1\) vs target 0"):
-            oracle_mod._solve_scaled(0.0, 0, -0.5)
-
     # The first node-count midpoint is the closed-form energy, so one end of
     # the root bracket sits on the eigenvalue, where the Wronskian is
     # integration noise of either sign; the node count follows that sign,
@@ -255,11 +232,6 @@ class TestLegEnds:
         e_guess = -2.0
         assert oracle_mod._outward_start(0.0, e_guess) == oracle_mod._R_START / 4.0
 
-    def test_series_term_cap_is_a_domain_error(self):
-        # at s = 1e6 the terms grow for about a million terms before they fall
-        with pytest.raises(DomainError, match="did not converge in 200 terms"):
-            oracle_mod._regular_series(1.0, -0.5, 1e6)
-
     @pytest.mark.parametrize("w", [0.0, 0.25, 2.75, 12.0, 45.0])
     @pytest.mark.parametrize("n_r", [0, 3])
     @pytest.mark.parametrize("factor", [1.5, 1.0, 0.5])
@@ -313,31 +285,6 @@ class TestLegEnds:
         monkeypatch.setattr(oracle_mod, "_ODE_TOL", 1e-13)
         assert max(errors()) <= 1e-11
 
-    @pytest.mark.parametrize("w,e", [(0.0, -0.125), (0.25, -0.05), (2.75, -0.02)])
-    def test_log_derivative_that_turns_positive_is_a_domain_error(self, w, e, monkeypatch):
-        # matched at a twentieth of the outer turning point, the solution
-        # that decays outward has a maximum in the allowed region at these
-        # non-eigenvalues, so v turns positive on the inward leg
-        s_tp = oracle_mod._outer_turning_point(e, w)
-        s_in = oracle_mod._tail_start(e, w)
-        monkeypatch.setattr(oracle_mod, "_outer_turning_point", lambda e, w: 0.05 * s_tp)
-        monkeypatch.setattr(oracle_mod, "_tail_start", lambda e, w: s_in)
-        with pytest.raises(DomainError, match="is not negative"):
-            oracle_mod._shots(w, e)(e)
-
-    # a finite start such as -1e200 is no such case: carried as u = 1/v it
-    # is a zero of R at the start, and a leg integrates it as one
-    @pytest.mark.parametrize("v0", [-math.inf, math.nan])
-    def test_non_finite_log_derivative_is_a_domain_error(self, v0):
-        with pytest.raises(DomainError, match="is not finite"):
-            oracle_mod._riccati(1.0, -0.1, 40.0, 10.0, v0)
-
-    @pytest.mark.parametrize("w,e", [(1.0, math.nan), (math.nan, -0.1)])
-    def test_non_finite_stage_is_a_step_size_underflow(self, w, e):
-        # from a finite start every stage is NaN, so no step's error
-        # estimate is finite and the step shrinks until it underflows
-        with pytest.raises(DomainError, match="step size underflow"):
-            oracle_mod._riccati(w, e, 40.0, 10.0, -1.0)
 
 
 def _whittaker_legs(w, e, s):
@@ -378,16 +325,6 @@ class TestQuadNorm:
         p = problem(0.75)
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, -2), QuantumNumbers(0, 3)):
             assert quad_norm(qn, p) == pytest.approx(1.0, abs=1e-6)
-
-    def test_overflow_is_a_domain_error(self):
-        # rho^w overflows inside the range, although |psi| is finite there
-        with pytest.raises(DomainError, match=r"overflows for \(n_r, m\) = \(0, 120\) at nu = 0.3"):
-            quad_norm(QuantumNumbers(0, 120), problem(0.3))
-
-    def test_inaccurate_quadrature_is_refused(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_trapezoid", lambda f, a, b: (0.15, 1e-6))
-        with pytest.raises(DomainError, match="norm quadrature error estimate 1.00e-06"):
-            quad_norm(QuantumNumbers(0, 0), problem(0.0))
 
     # QUADPACK's adaptive rule on u = rho / (1 + rho) reached 5.8e-13 on the
     # full norm table and 6.6e-13 on the seeded states
@@ -481,11 +418,6 @@ class TestQuadNorm:
         p = problem(nu, mu, kappa)
         assert abs(quad_norm(QuantumNumbers(n_r, m), p) - 1.0) <= 1e-13
 
-    def test_decay_rate_underflow_is_a_domain_error(self):
-        # alpha = 2 mu kappa / lambda = 2e-320 is subnormal
-        with pytest.raises(DomainError, match="underflows to 0"):
-            quad_norm(QuantumNumbers(0, 0), problem(0.5, mu=1e-160, kappa=1e-160))
-
     @pytest.mark.parametrize("n_r,m", [(0, 0), (3, 2)])
     def test_decay_rate_from_mu_kappa_over_lambda(self, n_r, m):
         # E = -mu kappa^2 / (2 lambda^2) is subnormal here, and alpha taken as
@@ -540,11 +472,6 @@ class TestIllinois:
         x = oracle_mod._illinois(f, a, a * a - 2.0, 3.0, 7.0, 1e-12, 1e-10)
         assert abs(x - math.sqrt(2.0)) <= 2.0 * (1e-12 + 1e-10 * x)
         assert len(points) == 4
-
-    def test_step_cap_is_a_domain_error(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_ROOT_MAXITER", 3)
-        with pytest.raises(DomainError, match="did not converge in 3 steps"):
-            oracle_mod._illinois(lambda x: x ** 3 - 2.0, 0.0, -2.0, 2.0, 6.0, 1e-12, 1e-10)
 
 
 def test_ode_path_is_independent_of_hypergeometric_code():

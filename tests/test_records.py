@@ -1,5 +1,6 @@
-"""The contract of the package's seven records: how each is built, refused,
-shown, copied, pickled, replaced and remade."""
+"""The contract of the package's seven records: how each is built, shown,
+copied, pickled, replaced and remade.  The refusals of their constructors are
+rows of LIBRARY_REFUSALS in tests/test_refusals.py."""
 
 import copy
 import math
@@ -32,24 +33,6 @@ RECORDS = [
 ]
 _IDS = [type(record).__name__ for record, _ in RECORDS]
 
-# (record type, arguments, message of the ValueError they raise)
-REFUSED = [
-    (QuantumNumbers, (-1, 0), "n_r must be non-negative"),
-    (ParticlePair, (0.0, 1.0, 1.0, -3.0, 2.0, -6.0), "masses must be positive"),
-    (ParticlePair, (1.0, 0.0, 1.0, -3.0, 2.0, -6.0), "masses must be positive"),
-    (ScatteringParams, (0.0, 1.0, FluxCase.COULOMB_ONLY), "k must be positive"),
-    (ScatteringParams, (-1.0, 1.0, FluxCase.COULOMB_ONLY), "k must be positive"),
-    (ScatteringParams, (math.inf, 1.0, FluxCase.COULOMB_ONLY), "k and beta must be finite"),
-    (ScatteringParams, (math.nan, 1.0, FluxCase.COULOMB_ONLY), "k and beta must be finite"),
-    (ScatteringParams, (1.0, -math.inf, FluxCase.INTEGER_FLUX), "k and beta must be finite"),
-    (ScatteringParams, (1.0, math.nan, FluxCase.HALF_INTEGER), "k and beta must be finite"),
-    (RelativeProblem, (-1.0, 1.0, 0.0), "reduced mass must be positive"),
-    (RelativeProblem, (0.0, 1.0, 0.0), "reduced mass must be positive"),
-    (RelativeProblem, (math.inf, 1.0, 0.0), "mu, kappa and alpha must be finite"),
-    (RelativeProblem, (1.0, math.nan, 0.0), "mu, kappa and alpha must be finite"),
-    (RelativeProblem, (1.0, 1.0, -math.inf), "mu, kappa and alpha must be finite"),
-]
-
 # (record, a field change its constructor refuses)
 BAD_REPLACEMENTS = [
     (RECORDS[0][0], {"mass2": 0.0}),
@@ -67,12 +50,6 @@ class TestRecordContract:
     @pytest.mark.parametrize("record, text", RECORDS, ids=_IDS)
     def test_repr(self, record, text):
         assert repr(record) == text
-
-    @pytest.mark.parametrize("kind, args, message", REFUSED,
-                             ids=[f"{kind.__name__}{args}" for kind, args, _ in REFUSED])
-    def test_construction_is_refused(self, kind, args, message):
-        with pytest.raises(ValueError, match=message):
-            kind(*args)
 
     def test_repr_of_a_bound_problem_shows_the_derived_split(self):
         assert repr(RelativeProblem(2.0, 1.0, -0.5)) == (

@@ -4,7 +4,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from abc2d.errors import DomainError
 from abc2d.reduction import (
     ParticlePair,
     RelativeProblem,
@@ -22,17 +21,9 @@ class TestValidateRatio:
     def test_equal_ratios_pass(self):
         validate_ratio(ParticlePair(1, 1, 1, -3, 2, -6))
 
-    def test_unequal_ratios_rejected(self):
-        with pytest.raises(DomainError, match="charge/flux ratios differ"):
-            validate_ratio(ParticlePair(1, 1, 1, -3, 2, -5))
-
     def test_standard_parameterization(self):
         # (q, Phi/Z) and (-Z q, -Phi) with Z = 2, Phi = 4
         validate_ratio(ParticlePair(1, 1, 1, -2, 2, -4))
-
-    def test_zero_flux_rejected(self):
-        with pytest.raises(DomainError, match="flux entries must be nonzero"):
-            validate_ratio(ParticlePair(1, 1, 1, -1, 0, -4))
 
 
 class TestReduceTwoBody:
@@ -76,10 +67,6 @@ class TestDecomposeFlux:
         m0, nu = decompose_flux(2.0 - 3e-13)
         assert nu == 0.0 and m0 == 2
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_flux(math.inf)
-
     @given(st.floats(min_value=-1e6, max_value=1e6,
                      allow_nan=False, allow_infinity=False))
     def test_recompose_roundtrip(self, alpha):
@@ -118,24 +105,10 @@ class TestClassifyCase:
         assert predicates[tag]
 
 
-@pytest.mark.parametrize("call,args,error,message", [
-    (classify_case, (0, -0.25), ValueError, "nu must lie in [0, 1)"),
-    (classify_case, (1, 1.0), ValueError, "nu must lie in [0, 1)"),
-])
-def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
-    with pytest.raises(error) as exc:
-        call(*args)
-    assert str(exc.value) == message
-
-
 class TestRelativeProblem:
     def test_from_parameters(self):
         prob = RelativeProblem.from_parameters(1.0, 1.0, -0.5)
         assert (prob.m0, prob.nu) == (-1, 0.5)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            RelativeProblem(reduced_mass=-1.0, kappa=1.0, alpha_flux=0.0)
 
     def test_split_follows_from_alpha(self):
         assert list(inspect.signature(RelativeProblem).parameters) == [
@@ -156,5 +129,3 @@ class TestRelativeProblem:
     def test_replace_rederives_the_split(self):
         prob = RelativeProblem(1.0, 1.0, 2.75)._replace(alpha_flux=-0.5)
         assert (prob.m0, prob.nu) == (-1, 0.5)
-        with pytest.raises(ValueError):
-            prob._replace(nu=0.25)

@@ -62,10 +62,6 @@ class TestScatteringParams:
         p = scattering_params(RelativeProblem.from_parameters(1.0, 1.0, -0.5), 0.5)
         assert p.flux_case is FluxCase.HALF_INTEGER
 
-    def test_unsupported_flux(self):
-        with pytest.raises(DomainError, match="no closed-form scattering solution"):
-            scattering_params(RelativeProblem.from_parameters(1.0, 1.0, 0.25), 0.5)
-
 
 class TestCoulombCrossSection:
     def test_backscattering_value(self):
@@ -94,11 +90,6 @@ class TestCoulombCrossSection:
         assert abs(amplitude_coulomb(p, math.pi)) < 1e-8
         assert sigma_sample(p, math.pi).sigma_total < 1e-18
 
-    def test_forward_cone_rejected(self):
-        for theta in (0.0, FORWARD_CONE / 2, 2.0 * math.pi - 1e-4):
-            with pytest.raises(DomainError, match="forward cone"):
-                sigma_sample(P_C, theta)
-
 
 class TestInterference:
     def test_backscattering_value(self):
@@ -118,10 +109,6 @@ class TestInterference:
     def test_vanishes_with_coulomb_strength(self):
         p = ScatteringParams(1.0, 1e-8, FluxCase.INTEGER_FLUX)
         assert abs(sigma_sample(p, math.pi).sigma_cross) < 1e-3
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(DomainError, match="interference term undefined at beta = 0"):
-            sigma_sample(ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX), 2.0)
 
     def test_ratio_at_beta_five(self):
         p = ScatteringParams(1.0, 5.0, FluxCase.INTEGER_FLUX)
@@ -161,11 +148,6 @@ class TestInterference:
                 amp = mp.sqrt(b * mp.tanh(mp.pi * b) / (mp.pi * s2))
                 ref = -amp * mp.cos(d - b * mp.log(s2))
                 assert abs(sigma_cross - ref) <= 1e-9 * amp, theta
-
-    @pytest.mark.parametrize("beta", [1e6, -1e7, 1e15])
-    def test_phase_lost_to_rounding_raises(self, beta):
-        with pytest.raises(DomainError):
-            cross_sections(ScatteringParams(1.0, beta, FluxCase.INTEGER_FLUX), [2.0])
 
     def test_sigma_one_never_negative(self):
         # the opposing interference reaches 92% of sigma_C at beta = 0.3 but
@@ -271,17 +253,6 @@ class TestCrossSections:
         cross_sections(P_I, np.linspace(0.1, 6.0, n).tolist())
         assert len(calls) == 2
 
-    def test_integer_flux_at_zero_beta_rejected(self):
-        p = ScatteringParams(1.0, 0.0, FluxCase.INTEGER_FLUX)
-        for thetas in ([2.0], [1.0, 4.0], [FORWARD_CONE / 2]):
-            with pytest.raises(DomainError, match="interference term undefined at beta = 0"):
-                cross_sections(p, thetas)
-
-    def test_forward_cone_rejected_mid_sweep(self):
-        for p in (P_C, P_I, P_H):
-            with pytest.raises(DomainError, match="forward cone"):
-                cross_sections(p, [1.0, 2.0 * math.pi - FORWARD_CONE / 2, 3.0])
-
 
 def pointwise_sweep(p, thetas):
     """The per-angle loop a sweep replaces: each angle in turn through
@@ -312,7 +283,7 @@ def _outcome(sweep, p, thetas):
 
 
 # beta = 1.5e5 loses the integer-flux phase near forward only: it passes at
-# ORDINARY and fails at NEAR_FORWARD (asserted below)
+# ORDINARY (asserted below) and fails at NEAR_FORWARD (rows of LIBRARY_REFUSALS)
 BETA_NEAR_LOST = 1.5e5
 ORDINARY = [0.4, math.pi, 5.9, 13.5]
 NEAR_FORWARD = [2.0 * FORWARD_CONE, 0.01, 2.0 * math.pi - 0.01]
@@ -344,20 +315,13 @@ class TestSweepRefusals:
             assert (_outcome(lambda p, thetas: zip(*cross_sections(p, thetas)), p, thetas)
                     == _outcome(pointwise_sweep, p, thetas)), thetas
 
-    def test_the_near_forward_beta_fails_only_near_forward(self):
+    def test_the_near_forward_beta_passes_at_ordinary_angles(self):
         p = ScatteringParams(1.0, BETA_NEAR_LOST, FluxCase.INTEGER_FLUX)
         assert len(cross_sections(p, ORDINARY).theta) == len(ORDINARY)
-        for theta in NEAR_FORWARD:
-            with pytest.raises(DomainError, match="lost to rounding"):
-                cross_sections(p, ORDINARY + [theta])
 
     @pytest.mark.parametrize("p", [P_C, P_I, P_H], ids=repr)
-    def test_nan_then_cone_raises_the_cone_error(self, p):
-        # a nan angle yields nan cross sections; the cone angle after it is
-        # still refused, and an infinite angle after that is never reached
-        for thetas in ([math.nan, 0.0], [1.0, math.nan, 2.0 * math.pi, math.inf]):
-            with pytest.raises(DomainError, match="is inside the forward cone"):
-                cross_sections(p, thetas)
+    def test_a_nan_angle_gives_nan_columns(self, p):
+        # the refusal of a cone angle after a nan one is a row of LIBRARY_REFUSALS
         assert math.isnan(cross_sections(p, [math.nan, 1.0]).sigma_total[0])
 
 
@@ -460,25 +424,6 @@ class TestStationaryWave:
             g = r + math.log(2.0 * r) + d0 - math.pi / 4.0 - target
             r -= g / (1.0 + 1.0 / r)
         assert abs(stationary_wave(P_I, r)) * math.sqrt(r) < 1e-10
-
-    def test_wrong_case(self):
-        with pytest.raises(DomainError, match="stationary wave exists only for integer flux"):
-            stationary_wave(P_C, 10.0)
-
-
-@pytest.mark.parametrize("call,args,error,message", [
-    (scattering_params, (RelativeProblem.from_parameters(1.0, 1.0, 0.0), 0.0), ValueError,
-     "scattering requires E > 0"),
-    (limit_ab, (FluxCase.HALF_INTEGER, 0.0, 1.0), ValueError, "k must be positive"),
-    (limit_classical, (1.0, 0.0, 1.0, 1.0), ValueError, "mu and v_c must be positive"),
-    (limit_classical, (1.0, 1.0, -1.0, 1.0), ValueError, "mu and v_c must be positive"),
-    (to_parabolic, (-1e-300, 0.0), ValueError, "r must be non-negative"),
-    (stationary_wave, (P_I, 0.0), ValueError, "r must be positive"),
-])
-def test_guards_refuse_arguments_outside_their_domain(call, args, error, message):
-    with pytest.raises(error) as exc:
-        call(*args)
-    assert str(exc.value) == message
 
 
 class TestCurrent:
@@ -583,11 +528,6 @@ class TestSampleDispatch:
         assert isinstance(s, CrossSectionSample)
         assert s.sigma_total == s.sigma_coulomb and s.sigma_cross == 0.0
 
-    def test_field_grid_shape_checked(self):
-        for nx, ny in ((1, 4), (4, 1)):
-            with pytest.raises(ValueError):
-                sample_scattering_field(P_C, (-1.0, 1.0), (-1.0, 1.0), nx, ny)
-
 
 # Spans of every scale: subnormal ends, signed zeros, spans whose step
 # underflows to 0 (numpy's denormal branch) and spans near the float limit.
@@ -616,9 +556,3 @@ class TestLinspace:
         with np.errstate(all="ignore"):
             expected = np.linspace(start, stop, num).tolist()
         assert _bits(scatter.linspace(start, stop, num)) == _bits(expected)
-
-    @pytest.mark.parametrize("num", [-1, -70])
-    def test_negative_count_is_a_value_error(self, num):
-        # as np.linspace; the CLI turns it into exit 1
-        with pytest.raises(ValueError):
-            scatter.linspace(0.0, 1.0, num)

@@ -36,11 +36,6 @@ class TestLnGamma:
         assert abs(cmath.exp(ln_gamma(1j))) ** 2 == pytest.approx(
             PI_OVER_SINH_PI, rel=1e-13)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-    def test_poles(self, z):
-        with pytest.raises(DomainError, match="Gamma pole at z"):
-            ln_gamma(z)
-
     def test_near_pole_is_not_pole(self):
         ln_gamma(-2.5)
         ln_gamma(complex(-1.0, 1e-8))
@@ -118,9 +113,8 @@ class TestGammaModuli:
         assert g1 == pytest.approx(PI_OVER_COSH_PI, rel=1e-14)
 
     def test_zero_beta_pole(self):
-        # |Gamma(i b)|^2 diverges at b = 0; |Gamma(1/2 + i b)|^2 -> pi stays finite
-        with pytest.raises(DomainError, match="Gamma pole at z"):
-            ln_gamma(0j)
+        # |Gamma(i b)|^2 diverges at b = 0 (the pole is a row of LIBRARY_REFUSALS);
+        # |Gamma(1/2 + i b)|^2 -> pi stays finite
         assert abs(cmath.exp(ln_gamma(0.5 + 0j))) ** 2 == pytest.approx(math.pi, rel=1e-14)
 
     def test_large_beta_asymptotics(self):
@@ -151,27 +145,6 @@ class TestKummer:
     def test_exponential_case(self):
         # M(1, 2, z) = (e^z - 1)/z
         assert kummer_m(1.0, 2.0, 1.0).real == pytest.approx(E_MINUS_1, rel=1e-14)
-
-    @pytest.mark.parametrize("b", [0.0, -1.0, -4.0])
-    def test_parameter_pole(self, b):
-        with pytest.raises(DomainError, match="lower parameter pole at b"):
-            kummer_m(0.5, b, 1.0)
-
-    # unchecked, a non-finite parameter escapes as OverflowError from the
-    # Taylor term bound or as ValueError from a math domain error
-    @pytest.mark.parametrize("a,b,z,name", [
-        (math.inf, 1.0, 1.0, "a"), (math.nan, 1.0, 1.0, "a"), (math.inf, 1.0, 0.0, "a"),
-        (complex(1.0, math.nan), 1.0, 50.0, "a"), (1.0, math.inf, 1.0, "b"),
-        (1.0, complex(math.nan, 1.0), 1.0, "b"),
-    ])
-    def test_non_finite_parameter_is_a_domain_error(self, a, b, z, name):
-        with pytest.raises(DomainError, match=f"needs a finite parameter, got {name} = "):
-            kummer_m(a, b, z)
-
-    @pytest.mark.parametrize("z", [math.inf, complex(0.0, -math.inf), math.nan])
-    def test_non_finite_argument_is_a_domain_error(self, z):
-        with pytest.raises(DomainError, match="needs a finite argument, got z = "):
-            kummer_m(0.5, 1.5, z)
 
     def test_termination_term_count(self):
         # degree-n polynomial: leading 1 plus n products, the (n+1)-th vanishes
@@ -394,14 +367,12 @@ class TestFixedPointResum:
         assert len(resums) == 1
 
     @pytest.mark.parametrize("n,b,rho", [(2000, 3.0, 150.0), (3000, 1.0, 3000.0)])
-    def test_series_past_the_term_cap_raises(self, n, b, rho):
+    def test_past_the_term_cap_a_term_exceeds_m(self, n, b, rho):
         # the re-sum's last term, the 1,000th, is still larger than M itself,
-        # so no sum it could return is right
+        # so no sum it could return is right (kummer_m refuses: LIBRARY_REFUSALS)
         cap = specfn._RESUM_MAX_TERMS
         term = mp.rf(-n, cap) * mp.mpf(rho) ** cap / (mp.rf(b, cap) * mp.factorial(cap))
         assert abs(term) > abs(mp.hyp1f1(-n, b, rho))
-        with pytest.raises(DomainError):
-            kummer_m(float(-n), b, rho)
 
     @pytest.mark.parametrize("a,b,z", [(1e5, 1e4, 40.0), (2e4, 1e3, 20 + 20j),
                                        (5e4, 5e3, 38 + 3j)])
@@ -414,15 +385,14 @@ class TestFixedPointResum:
         assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref)
         assert len(resums) == 1
 
-    def test_series_past_both_caps_raises(self):
-        # the 1,000th term is 1.8e105 against |M| = 2.8e57, so no sum of at
-        # most 1,000 terms is right; the float pass's partial sum was returned
+    def test_past_both_caps_a_term_exceeds_m(self):
+        # the 1,000th term is 1.8e105 against |M| = 2.8e57, so no sum of at most
+        # 1,000 terms is right: kummer_m refuses (a row of LIBRARY_REFUSALS)
+        # where it once returned the float pass's partial sum
         a, b, z = 3e4 + 2j, 2e3, 5 + 38j
         cap = specfn._RESUM_MAX_TERMS
         term = mp.rf(a, cap) * mp.mpc(z) ** cap / (mp.rf(b, cap) * mp.factorial(cap))
         assert abs(term) > abs(mp.hyp1f1(a, b, z))
-        with pytest.raises(DomainError):
-            kummer_m(a, b, z)
 
     def test_overflowing_terms_past_the_bit_limit_raise(self, resums):
         # terms near 2**(1000 log2 1e300): refused before any re-sum runs
