@@ -1,9 +1,12 @@
-"""The one exception type of the library.
+"""The library's exception type for domain failures.
 
-A :class:`DomainError` is a physics/domain failure (invalid input regime, no
-bound states, unsupported flux case, ...); its message names the condition,
-and the CLI prints it and exits 2.  Verification failures use exit code 3 and
-are not exceptions.
+The library raises two exception types.  A :class:`DomainError` is a
+physics/domain failure (invalid input regime, no bound states, unsupported
+flux case, ...), and the CLI prints its message and exits 2.  A ValueError
+is an invalid argument (a negative quantum number, a grid of fewer than two
+points, a non-finite wavenumber, ...), and the CLI prints its message and
+exits 1, as for a usage error.  Each message names the condition.
+Verification failures use exit code 3 and are not exceptions.
 """
 
 

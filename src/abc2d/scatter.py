@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import itertools
 import math
 from typing import NamedTuple
 
 from .errors import DomainError
 from .reduction import RelativeProblem
-from .specfn import _EPS, arg_gamma, kummer_m, ln_gamma
+from .specfn import _EPS, arg_gamma, kummer_m_many, ln_gamma
 
 # Cross sections diverge in the forward direction; queries this close to
 # theta = 0 (mod 2 pi) are rejected.
@@ -277,8 +276,9 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
     """psi0 at every node of the grid xis x etas, row-major in xi.
 
     Each separated factor is evaluated once per distinct argument: the
-    prefactor c1 or c2 per call, the Kummer factor per eta, the integer-flux
-    s-wave per distinct r (a cache for this call) and the plane wave per node.
+    prefactor c1 or c2 per call, the Kummer factor per distinct k eta^2 and
+    the integer-flux s-wave per distinct r, each Kummer factor by one
+    kummer_m_many call, and the plane wave per node.
     """
     k, b = p.k, p.beta
 
@@ -288,19 +288,18 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
     if p.flux_case is FluxCase.HALF_INTEGER:
         c = (2.0 * math.sqrt(k / math.pi)
              * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
-        ms = [kummer_m(0.5 + 1j * b, 1.5, 1j * k * eta * eta) for eta in etas]
+        ms = kummer_m_many(0.5 + 1j * b, 1.5, [1j * k * eta * eta for eta in etas])
         return [[c * plane(xi, eta) * eta * m for eta, m in zip(etas, ms)] for xi in xis]
     c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
-    ms = [kummer_m(1j * b, 0.5, 1j * k * eta * eta) for eta in etas]
+    ms = kummer_m_many(1j * b, 0.5, [1j * k * eta * eta for eta in etas])
     if p.flux_case is FluxCase.COULOMB_ONLY:
         return [[c * plane(xi, eta) * m for eta, m in zip(etas, ms)] for xi in xis]
-
-    @functools.cache
-    def swave(r: float) -> complex:
-        return cmath.exp(1j * k * r) * kummer_m(0.5 - 1j * b, 1.0, -2j * k * r)
-
-    return [[c * (plane(xi, eta) * m - swave(0.5 * (xi * xi + eta * eta)))
-             for eta, m in zip(etas, ms)] for xi in xis]
+    rs = [[0.5 * (xi * xi + eta * eta) for eta in etas] for xi in xis]
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(rs)))
+    swave = {r: cmath.exp(1j * k * r) * m for r, m in
+             zip(distinct, kummer_m_many(0.5 - 1j * b, 1.0, [-2j * k * r for r in distinct]))}
+    return [[c * (plane(xi, eta) * m - swave[r]) for eta, m, r in zip(etas, ms, line)]
+            for xi, line in zip(xis, rs)]
 
 
 def eval_scattering_field(p: ScatteringParams, xi: float, eta: float) -> complex:

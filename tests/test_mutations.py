@@ -94,9 +94,16 @@ MUTATIONS = [
          "capped)\n    return value * (1 + 1e-6)\n",
          ("kummer_polynomial", "norm_quadrature")),
     _row("taylor_shifted_parameter", "specfn.py",
-         "    return _taylor_checked(a, b, z)",
-         "    return _taylor_checked(a, b + 1e-3, z)",
+         "    return _taylor_checked(a, b, z, deferred)",
+         "    return _taylor_checked(a, b + 1e-3, z, deferred)",
          ("kummer_polynomial", "kummer_transform", "norm_quadrature", "pde_residual")),
+    # the coefficient table's first ratio times 1 + 1e-5; pde_residual's
+    # integer-flux stencil sums its three s-wave re-sums from one table
+    _row("table_ratio", "specfn.py",
+         "        dr, di = xr // den, xi // den\n",
+         "        dr, di = (xr // den, xi // den) if n != 1 else "
+         "(xr // den * 100001 // 100000, xi // den * 100001 // 100000)\n",
+         ("pde_residual",)),
     # the upper sign down to arg z = -pi/2, where it belongs only to Im z > 0
     _row("quadrant_sector_rule", "specfn.py",
          "sign = math.copysign(1.0, z.imag)",

@@ -444,13 +444,16 @@ class TestCurrent:
         assert jx > 0.9
 
 
+# (xi range, eta range, nx, ny, k).  The last is the benchmark's largest
+# field dump, extent 4 at its largest k: there the s-wave's arguments reach
+# |z| = 40 and over 100 of them are re-summed from one coefficient table.
 GRIDS = [
-    ((-2.5, 2.5), (-2.5, 2.5), 7, 7),   # symmetric square
-    ((-0.7, 3.1), (0.4, 2.9), 6, 6),    # asymmetric ranges
-    ((-1.5, 2.5), (-3.0, 1.0), 4, 9),   # nx != ny
-    ((0.0, 1.5), (-1.0, 1.0), 4, 5),    # through the origin
+    ((-2.5, 2.5), (-2.5, 2.5), 7, 7, 1.3),   # symmetric square
+    ((-0.7, 3.1), (0.4, 2.9), 6, 6, 1.3),    # asymmetric ranges
+    ((-1.5, 2.5), (-3.0, 1.0), 4, 9, 1.3),   # nx != ny
+    ((0.0, 1.5), (-1.0, 1.0), 4, 5, 1.3),    # through the origin
+    ((-4.0, 4.0), (-4.0, 4.0), 21, 21, 1.8),  # a benchmark dump
 ]
-FIELD_PARAMS = [ScatteringParams(1.3, 0.8, case) for case in FluxCase]
 
 
 def pointwise_field(p, xi, eta):
@@ -472,9 +475,11 @@ def pointwise_field(p, xi, eta):
 
 class TestSampleScatteringField:
     @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
-    def test_matches_pointwise_evaluation_exactly(self, p, grid):
-        xis, etas, values = sample_scattering_field(p, *grid)
+    @pytest.mark.parametrize("case", FluxCase, ids=lambda case: case.value)
+    def test_matches_pointwise_evaluation_exactly(self, case, grid):
+        *ranges, k = grid
+        p = ScatteringParams(k, 0.8, case)
+        xis, etas, values = sample_scattering_field(p, *ranges)
         assert (len(xis), len(etas)) == (grid[2], grid[3])
         assert [len(line) for line in values] == [grid[3]] * grid[2]
         for xv, line in zip(xis, values):
@@ -483,20 +488,26 @@ class TestSampleScatteringField:
                 assert v == pointwise_field(p, xv, ev)
 
     @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("p", FIELD_PARAMS, ids=lambda p: p.flux_case.value)
-    def test_kummer_once_per_separated_factor(self, p, grid, monkeypatch):
+    @pytest.mark.parametrize("case", FluxCase, ids=lambda case: case.value)
+    def test_kummer_once_per_separated_factor(self, case, grid, monkeypatch):
+        # every argument that reaches kummer_m's dispatch: the eta factor's
+        # distinct i k eta^2, then the s-wave's distinct -2 i k r, each
+        # exactly once (two r a rounding apart can share one argument)
         calls = []
+        dispatch = specfn._dispatch
 
-        def counting(a, b, z):
+        def counting(a, b, z, *deferred):
             calls.append(z)
-            return kummer_m(a, b, z)
+            return dispatch(a, b, z, *deferred)
 
-        monkeypatch.setattr(scatter, "kummer_m", counting)
-        xis, etas, _ = sample_scattering_field(p, *grid)
-        budget = len(etas)
-        if p.flux_case is FluxCase.INTEGER_FLUX:
-            budget += len({0.5 * (x * x + e * e) for x in xis for e in etas})
-        assert len(calls) <= budget
+        monkeypatch.setattr(specfn, "_dispatch", counting)
+        *ranges, k = grid
+        xis, etas, _ = sample_scattering_field(ScatteringParams(k, 0.8, case), *ranges)
+        expected = list(dict.fromkeys(1j * k * e * e for e in etas))
+        if case is FluxCase.INTEGER_FLUX:
+            rs = dict.fromkeys(0.5 * (x * x + e * e) for x in xis for e in etas)
+            expected += dict.fromkeys(-2j * k * r for r in rs)
+        assert calls == expected
 
 
 # verify's pde_residual cases

@@ -224,9 +224,9 @@ class TestKummer:
         calls = []
         checked = specfn._taylor_checked
 
-        def recording(a, b, z):
+        def recording(a, b, z, *deferred):
             calls.append((a, b, z))
-            return checked(a, b, z)
+            return checked(a, b, z, *deferred)
 
         monkeypatch.setattr(specfn, "_taylor_checked", recording)
         rng = random.Random(305)
@@ -433,6 +433,89 @@ GOLDEN_RESUMS = [
 def test_resum_golden_bits(args, expected, resums):
     assert repr(kummer_m(*args)) == expected
     assert len(resums) == 1
+
+
+CROSSOVER = specfn._TABLE_MIN_GROUP
+
+
+@pytest.mark.parametrize("size", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
+@pytest.mark.parametrize("args,expected", GOLDEN_RESUMS)
+def test_batch_matches_kummer_m_bit_for_bit(args, expected, size, resums):
+    # each golden argument with size - 1 neighbours that share its (a, b) and
+    # also re-sum: below the crossover one running product each, from it on
+    # one coefficient table and no running product
+    a, b, z = args
+    zs = [z * (1 - j / 64) for j in range(size)]
+    batch = specfn.kummer_m_many(a, b, zs)
+    assert len(resums) == (size if size < CROSSOVER else 0)
+    assert repr(batch[0]) == expected
+    assert [repr(m) for m in batch] == [repr(kummer_m(a, b, z)) for z in zs]
+    assert len(resums) == (2 * size if size < CROSSOVER else size)
+
+
+def test_batch_evaluates_each_distinct_argument_once(monkeypatch):
+    calls = []
+    dispatch = specfn._dispatch
+
+    def counting(a, b, z, *deferred):
+        calls.append(z)
+        return dispatch(a, b, z, *deferred)
+
+    monkeypatch.setattr(specfn, "_dispatch", counting)
+    # -50 + 0j and -50 - 0j lie on the two sides of the branch cut
+    zs = [30j, 0.0, 30j, complex(-50.0, -0.0), -50.0, 0.0, complex(-50.0, -0.0)]
+    batch = specfn.kummer_m_many(0.3 + 1j, 0.5, zs)
+    assert [(z, math.copysign(1.0, z.imag)) for z in calls] == [
+        (30j, 1.0), (0j, 1.0), (-50.0, -1.0), (-50.0, 1.0)]
+    assert [repr(m) for m in batch] == [repr(kummer_m(0.3 + 1j, 0.5, z)) for z in zs]
+    assert batch[3] != batch[4]
+    assert specfn.kummer_m_many(0.3 + 1j, 0.5, []) == []
+
+
+# (id, a, b, zs, patches of specfn, the message the loop over zs raises
+# first, or its start);
+# every refusal is a DomainError.  With the re-sum's term cap at 50, a
+# cancelling Laguerre polynomial M(-400, 1, x), x near 30, is held back by
+# the batch and then fails; M(-400, 1, 1e300) is refused by the float pass.
+SHORT_CAP = (("_RESUM_MAX_TERMS", 50),)
+LAGUERRE_FAILS = ("M((-400+0j), (1+0j), (30+0j)): the Taylor series has not converged "
+                  "after 50 terms")
+OVERFLOWS = "M((-400+0j), (1+0j), (1e+300+0j)): its Taylor terms reach 2**"
+REFUSED_BATCHES = [
+    ("argument", 0.7j, 0.5, [30j, 25j, complex("inf"), 20j], (),
+     "M(a, b, z) needs a finite argument, got z = (inf+0j)"),
+    ("argument-before-parameter", 0.7j, -1.0, [complex("nan"), 25j], (),
+     "M(a, b, z) needs a finite argument, got z = (nan+0j)"),
+    ("parameter", 0.7j, -1.0, [30j, complex("nan")], (), "lower parameter pole at b = -1.0"),
+    ("float-pass", -400.0, 1.0, [1e300, 30.0], SHORT_CAP, OVERFLOWS),
+    *((f"held-back-{n}", -400.0, 1.0, [30.0 + j for j in range(n)] + [1e300], SHORT_CAP,
+       LAGUERRE_FAILS) for n in (1, CROSSOVER, CROSSOVER + 1)),
+    ("held-back-alone", -400.0, 1.0, [30.0, 31.0, 32.0], SHORT_CAP, LAGUERRE_FAILS),
+]
+
+
+@pytest.mark.parametrize("a, b, zs, patches, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSED_BATCHES])
+def test_batch_refuses_as_the_scalar_loop_first_does(a, b, zs, patches, message, monkeypatch):
+    for name, value in patches:
+        monkeypatch.setattr(specfn, name, value)
+    with pytest.raises(DomainError) as scalar:
+        [kummer_m(a, b, z) for z in zs]
+    assert str(scalar.value).startswith(message)
+    with pytest.raises(DomainError) as batch:
+        specfn.kummer_m_many(a, b, zs)
+    assert type(batch.value) is type(scalar.value)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_the_failing_laguerre_resum_is_held_back(monkeypatch):
+    # the premise of the held-back rows: the batch defers the re-sums that fail
+    monkeypatch.setattr(specfn, "_RESUM_MAX_TERMS", 50)
+    deferred = []
+    xs = [30.0 + j for j in range(CROSSOVER + 1)]
+    values = [specfn._dispatch(-400 + 0j, 1 + 0j, complex(x), deferred) for x in xs]
+    assert values == [None] * len(xs)
+    assert [args[:3] for args in deferred] == [(-400, 1, x) for x in xs]
 
 
 # repr(ln_gamma(complex(x, y))) recorded from the compensated (Neumaier) sum
