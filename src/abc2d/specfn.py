@@ -102,8 +102,10 @@ _RESUM_MAX_BITS = 1 << 14
 # kummer_m_many sums the cancellation re-sums that share (a, b) from one
 # coefficient table once a group has this many; smaller groups re-sum one
 # by one.  On the re-sums of benchmark field dumps, the table and Horner
-# passes of a group of 2 took 1.06-1.19 times the running products, of 3
-# 0.90-0.97 times and of 4 0.71-0.78 times.
+# passes of a group of 2 took 1.09-1.32 times the running products, of 3
+# 0.77-1.07 times and of 4 0.89-1.21 times (0.73-1.12 at 6).  At 3, an
+# even cost, verify's integer-flux PDE stencil sums its three s-wave
+# re-sums from a table, so a fault in the table shows in verify.
 _TABLE_MIN_GROUP = 3
 
 
@@ -369,8 +371,8 @@ def _dispatch(a: complex, b: complex, z: complex,
     """M(a, b, z) by its one path, for checked complex arguments.
 
     With a list ``deferred``, a plain cancellation re-sum is not run: its
-    arguments (a, b, z, bits) are appended to the list and None is returned
-    (see _taylor_checked).
+    (z, bits) is appended to the list and None is returned (see
+    _taylor_checked).
     """
     if abs(z) > _TAYLOR_RADIUS and not _is_nonpositive_integer(a):
         value, error = _asymptotic(a, b, z)
@@ -420,7 +422,7 @@ def kummer_m_many(a: complex, b: complex, zs) -> list[complex]:
                 _check_arguments(a, b, z)
                 values[key] = _dispatch(a, b, z, deferred)
     finally:  # after a refusal, an earlier argument's failing re-sum raises first
-        held = iter(_resum_many(deferred))
+        held = iter(_resum_many(a, b, deferred))
     values = {key: next(held) if value is None else value for key, value in values.items()}
     return [values[key] for key in keys]
 
@@ -451,7 +453,7 @@ def _taylor_checked(a: complex, b: complex, z: complex,
     all _TAYLOR_MAX_TERMS terms is a partial sum, never returned: it is
     re-summed with the relative stopping rule, or DomainError is raised.
     With a list ``deferred``, the re-sum of a float pass that finished but
-    cancelled is held back: (a, b, z, bits) is appended and None returned.
+    cancelled is held back: (z, bits) is appended and None returned.
     """
     value, abs_sum, n = _taylor(a, b, z)
     if not cmath.isfinite(value):
@@ -466,7 +468,7 @@ def _taylor_checked(a: complex, b: complex, z: complex,
         lost = math.frexp(abs_sum)[1] - math.frexp(scale)[1] + 1
         bits = _GUARD_BITS + max(0, lost)
         if deferred is not None and not capped:
-            deferred.append((a, b, z, bits))
+            deferred.append((z, bits))
             return None
         value = _taylor_fixed(a, b, z, bits, capped)
     return value
@@ -543,30 +545,21 @@ def _table_sum(table: tuple, z: complex) -> complex | None:
     (zr, zi), e = _exact(z.real, z.imag)  # x = (zr + i zi) / 2**(e + r)
     e += r
     sr, si = terms[lo]
-    if zr:
-        for dr, di in terms[lo - 1::-1]:
-            sr, si = dr + (sr * zr - si * zi >> e), di + (sr * zi + si * zr >> e)
-    else:
-        for dr, di in terms[lo - 1::-1]:
-            sr, si = dr - (si * zi >> e), di + (sr * zi >> e)
+    for dr, di in terms[lo - 1::-1]:
+        sr, si = dr + (sr * zr - si * zi >> e), di + (sr * zi + si * zr >> e)
     one = 1 << bits
     return complex(sr / one, si / one)
 
 
-def _resum_many(deferred: list) -> list[complex]:
-    """[_taylor_fixed(a, b, z, bits) for (a, b, z, bits) in deferred], to
-    well within a double's rounding: where at least _TABLE_MIN_GROUP of them
-    share (a, b), from one _coefficient_table of the group by _table_sum.
-    A re-sum that fails raises as _taylor_fixed does, the first in order.
+def _resum_many(a: complex, b: complex, deferred: list) -> list[complex]:
+    """[_taylor_fixed(a, b, z, bits) for (z, bits) in deferred], to well
+    within a double's rounding: where there are at least _TABLE_MIN_GROUP,
+    from one _coefficient_table by _table_sum.  A re-sum that fails raises
+    as _taylor_fixed does, the first in order.
     """
-    groups: dict = {}
-    for a, b, z, bits in deferred:
-        groups.setdefault((a, b), []).append((z, bits))
-    tables = {ab: _coefficient_table(*ab, group) for ab, group in groups.items()
-              if len(group) >= _TABLE_MIN_GROUP}
+    table = _coefficient_table(a, b, deferred) if len(deferred) >= _TABLE_MIN_GROUP else None
     values = []
-    for a, b, z, bits in deferred:
-        table = tables.get((a, b))
+    for z, bits in deferred:
         value = None if table is None else _table_sum(table, z)
         values.append(_taylor_fixed(a, b, z, bits) if value is None else value)
     return values

@@ -477,6 +477,8 @@ class TestSampleScatteringField:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("case", FluxCase, ids=lambda case: case.value)
     def test_matches_pointwise_evaluation_exactly(self, case, grid):
+        # a grid's re-sums share one coefficient table and a single node's
+        # take a running product: equal unless a sum lies near a rounding tie
         *ranges, k = grid
         p = ScatteringParams(k, 0.8, case)
         xis, etas, values = sample_scattering_field(p, *ranges)
