@@ -120,29 +120,35 @@ def _riccati(w: float, e: float, s0: float, s1: float,
     The first step is a tenth of min(s0, 1/k), k = sqrt(-2e).
 
     Returns (zeros of R passed, v at s1 or u where the last step carried u,
-    whether it did).  A non-finite v0 raises DomainError.  A stage that is
-    not finite is never accepted, as its error estimate is not finite
-    either: the step shrinks until it underflows, which raises DomainError
-    too.  Stage 5 is evaluated at s + h, so an accepted step hands its q on
-    as the next step's stage 1.
+    whether it did).  A non-finite s0, s1 or v0 raises DomainError.  A
+    stage that is not finite is never accepted, as its error estimate is
+    not finite either: an infinite or NaN estimate shrinks the step by the
+    least factor, 0.2, until it falls below 1e-14 of the leg's span, which
+    raises DomainError too.  Stage 5 is evaluated at s + h, so an accepted
+    step hands its q on as the next step's stage 1.
     """
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise DomainError(f"leg ends s = {s0} and s = {s1} are not both finite "
+                          f"(w = {w}, e = {e})")
     if not math.isfinite(v0):
         raise DomainError(f"log-derivative start {v0} at s = {s0} is not finite "
                           f"(w = {w}, e = {e})")
     fabs, sqrt = math.fabs, math.sqrt
+    tol = _ODE_TOL
     w2 = w * w
     te = 2.0 * e
     direction = 1.0 if s1 >= s0 else -1.0
     s, y, inverted = s0, v0, False
     nodes = 0
     h = 0.1 * direction * min(s0, 1.0 / sqrt(-te))
-    span = abs(s1 - s0)
+    tiny = 1e-14 * abs(s1 - s0)
     q1 = w2 - s * (2.0 + te * s)
     while (s1 - s) * direction > 0.0:
         last = (s + h - s1) * direction >= 0.0
         if last:
             h = s1 - s
-        sig2 = max(abs(q1), 1.0)
+        # max(|q1|, 1), NaN kept
+        sig2 = -q1 if q1 < -1.0 else 1.0 if q1 <= 1.0 else q1
         # whether |v| > 1.25 sigma
         big = y * y * sig2 < 0.64 if inverted else y * y > 1.5625 * sig2
         if big != inverted:
@@ -180,16 +186,21 @@ def _riccati(w: float, e: float, s0: float, s1: float,
         y4 = y + h * (2825.0 / 27648.0 * f1 + 18575.0 / 48384.0 * f3
                       + 13525.0 / 55296.0 * f4 + 277.0 / 14336.0 * f5 + 0.25 * f6)
         angle = (1.0 + sig2 * y * y) if inverted else (sig2 + y * y)
-        err = fabs(y5 - y4) * sqrt(sig2) / (angle * _ODE_TOL)
+        err = fabs(y5 - y4) * sqrt(sig2) / (angle * tol)
         if err <= 1.0:
             s = s1 if last else s + h
             q1 = q5
             if inverted and (y < 0.0) != (y5 < 0.0):
                 nodes += 1
             y = y5
-        # a NaN err shrinks the step, as an infinite one does
-        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-        if abs(h) < 1e-14 * span:
+        if err == 0.0:
+            h *= 5.0
+        else:
+            # the factor clamped to [0.2, 5]; a NaN err, like an infinite
+            # one, gives 0.2
+            g = 0.9 * err**-0.2
+            h *= 5.0 if g > 5.0 else g if g > 0.2 else 0.2
+        if abs(h) < tiny:
             raise DomainError("step size underflow in radial integration")
     return nodes, y, inverted
 

@@ -143,7 +143,8 @@ class TestShooting:
     def test_step_budget(self, monkeypatch):
         # the shots verify takes on the small grid, one per distinct
         # (|m + nu|, n_r): the stepper makes one fabs call per step attempt
-        # and no exp, in at most 9,249 attempts
+        # and no exp, in at most 9,249 attempts; exactly 8,104, as README
+        # states, pins the step sequence itself
         shots = {(effective_exponent(m, nu), n_r): (nu, m, n_r)
                  for nu, m, n_r in verify.shooting_grid(small=True)}
         assert len(shots) == 8
@@ -153,6 +154,19 @@ class TestShooting:
             shoot_with_nodes(problem(nu), m, n_r)
         assert counting.exps == 0
         assert 0 < counting.fabs_calls <= 9_249
+        assert counting.fabs_calls == 8_104
+
+    @pytest.mark.parametrize("w,e,attempts", [(1.0, math.nan, 19), (math.nan, -0.1, 17)])
+    def test_nan_legs_refuse_within_a_step_budget(self, w, e, attempts, monkeypatch):
+        # every stage is NaN, so each error estimate is NaN and must shrink
+        # the step by 0.2 until it underflows; a step factor that let the
+        # NaN through would never underflow
+        counting = _CountingMath(limit=100)
+        monkeypatch.setattr(oracle_mod, "math", counting)
+        with pytest.raises(DomainError) as exc:
+            oracle_mod._riccati(w, e, 40.0, 10.0, -1.0)
+        assert str(exc.value) == "step size underflow in radial integration"
+        assert counting.fabs_calls == attempts
 
     def test_flipped_square_term_fails_the_shooting_check(self, monkeypatch):
         # the legs with the sign of v^2 flipped in v_s = (q - v^2) / s
@@ -515,6 +529,42 @@ GOLDEN_SHOTS = [
 def test_shooting_golden_bits(state, expected):
     nu, m, n_r = state
     assert repr(shoot_with_nodes(problem(nu), m, n_r)) == expected
+
+
+# repr(_riccati(w, e, s0, s1, v0)) leg by leg, which GOLDEN_SHOTS sees only
+# through the roots.  The first six are the outward and inward legs of the
+# first small-grid shot at w = 0 (n_r = 1), 0.5 (n_r = 0) and 1.5 (n_r = 1),
+# at e = e_guess; then an outward leg past five zeros, two legs that start
+# as u = 1/v (|v0| > 1.25 sigma) and cross a zero, two short legs (3 and 7
+# attempts) that end in a step clamped to s1, and the outward leg of the
+# w = 12 ground state, whose v = 12 - s / 12.5 is linear in s and takes 5.
+GOLDEN_LEGS = [
+    ((0.0, -0.2222222222222222, 7.5e-07, 4.5, -1.500001000001e-06),
+     "(1, -0.5555555555961238, True)"),
+    ((0.0, -0.2222222222222222, 47.13256414560601, 4.5, -29.88408765944726),
+     "(0, -0.5555555555465467, True)"),
+    ((0.5, -0.5, 0.03349364905389034, 1.8660254037844386, 0.4665063509461097),
+     "(0, -1.3660254037844375, False)"),
+    ((0.5, -0.5, 30.287734834188445, 1.8660254037844386, -29.27492803949713),
+     "(0, -0.7320508075797594, True)"),
+    ((1.5, -0.05555555555555555, 0.30144284148501305, 16.794228634059948, 1.3466209537055362),
+     "(1, -0.3933564276709957, True)"),
+    ((1.5, -0.05555555555555555, 102.05935692527197, 16.794228634059948, -30.910792633974523),
+     "(0, -0.39335642767833034, True)"),
+    ((0.5, -0.015625, 0.03137303340311411, 63.874754901018456, 0.46830406037228645),
+     "(5, 0.6120588336438211, True)"),
+    ((1.0, -0.1, 2.0, 12.0, 40.0), "(1, 0.15251460587908472, True)"),
+    ((1.0, -0.1, 12.0, 2.0, -40.0), "(1, -0.11785423752005585, True)"),
+    ((1.0, -0.1, 1.0, 1.05, 0.5), "(0, 0.4480601372562976, False)"),
+    ((2.75, -0.02, 30.0, 29.0, -1.0), "(0, -0.4184368573111071, False)"),
+    ((12.0, -0.0032, 24.0, 199.99999999999997, 10.079999999999995),
+     "(0, -4.000000000082954, False)"),
+]
+
+
+@pytest.mark.parametrize("leg,expected", GOLDEN_LEGS)
+def test_riccati_golden_bits(leg, expected):
+    assert repr(oracle_mod._riccati(*leg)) == expected
 
 
 def _growth_stop_nodes(w, e, x0, x1, y0, dy0, tol=1e-10):

@@ -6,6 +6,7 @@ The CLI's refusals are ``REFUSALS`` in ``tests/test_cli.py``."""
 
 import ast
 import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -35,6 +36,23 @@ def _inward(w, e):
     s_tp, s_in = oracle._outer_turning_point(e, w), oracle._tail_start(e, w)
     return ((oracle, "_outer_turning_point", lambda e, w: 0.05 * s_tp),
             (oracle, "_tail_start", lambda e, w: s_in))
+
+
+class _StepBudget:
+    """The math module for oracle, with a fabs that fails the test past 100
+    calls.  _riccati reads math.fabs once per leg and calls it once per step
+    attempt, so a leg that stopped refusing fails instead of running on."""
+
+    def __getattr__(self, name):
+        if name != "fabs":
+            return getattr(math, name)
+        calls = itertools.count(1)
+
+        def fabs(x):
+            assert next(calls) <= 100, "step attempt budget exceeded"
+            return math.fabs(x)
+
+        return fabs
 
 
 LIBRARY_REFUSALS = [
@@ -91,10 +109,18 @@ LIBRARY_REFUSALS = [
     *((f"oracle._riccati-v0={v0}", oracle._riccati, (1.0, -0.1, 40.0, 10.0, v0), (),
        DomainError, f"log-derivative start {v0} at s = 40.0 is not finite (w = 1.0, e = -0.1)")
       for v0 in (-math.inf, math.nan)),
+    # refused up front: the loop test (s1 - s) * direction > 0 is False at
+    # a NaN end, which would return v0 as if a leg had been integrated, and
+    # from s0 = -inf every step is infinite and never falls below 1e-14 of
+    # the span
+    *((f"oracle._riccati-s0={s0}-s1={s1}", oracle._riccati, (1.0, -0.1, s0, s1, -1.0), (),
+       DomainError, f"leg ends s = {s0} and s = {s1} are not both finite (w = 1.0, e = -0.1)")
+      for s0, s1 in ((40.0, math.nan), (math.nan, 10.0), (-math.inf, 10.0), (40.0, math.inf))),
     # from a finite start every stage is NaN, so no step's error estimate is
     # finite and the step shrinks until it underflows
-    *((f"oracle._riccati-w={w}-e={e}", oracle._riccati, (w, e, 40.0, 10.0, -1.0), (),
-       DomainError, "step size underflow in radial integration")
+    *((f"oracle._riccati-w={w}-e={e}", oracle._riccati, (w, e, 40.0, 10.0, -1.0),
+       ((oracle, "math", _StepBudget()),), DomainError,
+       "step size underflow in radial integration")
       for w, e in ((1.0, math.nan), (math.nan, -0.1))),
     ("oracle._illinois", oracle._illinois,
      (lambda x: x**3 - 2.0, 0.0, -2.0, 2.0, 6.0, 1e-12, 1e-10), ((oracle, "_ROOT_MAXITER", 3),),
