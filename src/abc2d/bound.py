@@ -91,32 +91,36 @@ class SpectrumLevel(NamedTuple):
     def members(self) -> tuple[tuple[int, int], ...]:
         """The (n_r, m) int pairs in (n_r, m) order, built on each read."""
         zero = max(self.plus_n, self.minus_n) + 1
-        cells = self.member_cells(range(-zero, zero + 1), zero)
+        cells = self.member_cells(range(zero), range(-zero, zero + 1), zero)
         return tuple(zip(cells[::2], cells[1::2]))
 
-    def member_cells(self, table, zero: int) -> list:
+    def member_cells(self, nr_table, m_table, zero: int) -> list:
         """Each member's n_r and m cells, flat, in (n_r, m) order: for n_r = 0,
         1, ... the minus member while n_r < minus_count, then the plus member
         while n_r < plus_count.
 
-        ``table`` is any sliceable sequence with ``table[zero + i]`` the cell
-        of the int i for |i| <= max(plus_n, minus_n), and zero > 0: a range
-        gives the ints, a list of their strings the text.  The cells are
-        slices of it, placed by slice assignment.
+        The n_r cells are taken from ``nr_table``, any sliceable sequence
+        with ``nr_table[i]`` the cell of n_r = i for 0 <= i <= max(plus_n,
+        minus_n), and the m cells from ``m_table``, one with ``m_table[zero +
+        i]`` the cell of m = i for |i| <= max(plus_n, minus_n), zero > 0.
+        Ranges give the ints.  The CLI passes tables of text, each int's
+        string followed by the separator that comes after that cell, so a
+        level's text is two pieces per member.  The cells are slices of the
+        tables, placed by slice assignment.
         """
         plus_n, n_plus = self.plus_n, self.plus_count
         minus_n, n_minus = self.minus_n, self.minus_count
         both = min(n_plus, n_minus)
         cells = [None] * (2 * (n_plus + n_minus))
         end = 4 * both
-        cells[0:end:4] = cells[2:end:4] = table[zero:zero + both]
-        cells[1:end:4] = table[zero - minus_n:zero - minus_n + both]
-        cells[3:end:4] = table[zero + plus_n:zero + plus_n - both:-1]
+        cells[0:end:4] = cells[2:end:4] = nr_table[:both]
+        cells[1:end:4] = m_table[zero - minus_n:zero - minus_n + both]
+        cells[3:end:4] = m_table[zero + plus_n:zero + plus_n - both:-1]
         # the longer rung's tail: the plus rung's, where the level takes both
-        cells[end::2] = table[zero + both:zero + max(n_plus, n_minus)]
-        cells[end + 1::2] = (table[zero + plus_n - both:zero + plus_n - n_plus:-1]
+        cells[end::2] = nr_table[both:max(n_plus, n_minus)]
+        cells[end + 1::2] = (m_table[zero + plus_n - both:zero + plus_n - n_plus:-1]
                              if n_plus > both else
-                             table[zero - minus_n + both:zero - minus_n + n_minus])
+                             m_table[zero - minus_n + both:zero - minus_n + n_minus])
         return cells
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import operator
 import os
@@ -148,14 +149,22 @@ _CELL = {"csv": {float: "%.17g", int: "%d", str: "%s", tuple: "%s"},
          "json": {float: "%r", int: "%d", str: '"%s"', tuple: "%s"}}
 # A level's (n_r, m) members as text: "n_r:m;..." in CSV; in JSON the
 # indented list of [n_r, m] arrays that json.dumps writes in a row object.
-# Each is one template, the literal pieces around the two cells of each
-# member: (before the first member, between n_r and m, between one member
-# and the next, after the last member).
+# Each is the literal pieces around the two cells of each member: (before
+# the first member, between n_r and m, between one member and the next,
+# after the last member).
 _MEMBERS = {
     "csv": ("", ":", ";", ""),
     "json": ("[\n        [\n          ", ",\n          ",
              "\n        ],\n        [\n          ", "\n        ]\n      ]"),
 }
+
+
+# Rows per %-format call where every cell is a float (_row_layout's scan).
+# Rendering a 4,096-angle sweep a block at a time took 0.91 to 0.96 of the
+# time of a row at a time for blocks of 64 to 1,024 rows, against 0.95 (CSV)
+# and 1.02 (JSON) for 4,096 (median ratios of 100 to 150 paired in-process
+# renderings); a block's transient memory grows with its size.
+_FLOAT_BLOCK = 256
 
 
 def _row_layout(fmt: str, columns: Columns,
@@ -187,11 +196,13 @@ def _row_layout(fmt: str, columns: Columns,
     return row_format, operator.itemgetter(*order), scan
 
 
-def _check_finite(columns: Columns, row: tuple) -> None:
-    """A non-finite float in the row is a domain error naming its column."""
-    for (name, kind), value in zip(columns, row):
-        if kind is float and not math.isfinite(value):
-            raise DomainError(f"non-finite result {name} = {value}")
+def _check_finite(columns: Columns, rows: Iterable[tuple]) -> None:
+    """A non-finite float in the rows is a domain error naming the first
+    non-finite column of the first such row."""
+    for row in rows:
+        for (name, kind), value in zip(columns, row):
+            if kind is float and not math.isfinite(value):
+                raise DomainError(f"non-finite result {name} = {value}")
 
 
 def _emit(args: argparse.Namespace, params: dict, columns: Columns,
@@ -202,23 +213,28 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
     ``columns`` is the layout: each column's name and kind (float, int, str,
     or tuple for a level's (n_r, m) members, which the row gives as their text
     in ``args.format``).  Each row is rendered by one %-format built from it
-    (``_row_layout``).
+    (``_row_layout``); where every cell is a float, a block of _FLOAT_BLOCK
+    rows is rendered by one %-format of that format repeated, and elsewhere,
+    as in the spectrum, whose rows carry members text of any length, a row
+    at a time.
     CSV: a ``# key=value`` line per parameter, the header, one line per row.
     JSON: the text of ``json.dumps({"params": ..., key: rows}, sort_keys=True,
     indent=2)``, each row an object keyed by column, or an array in a field
-    dump; a level's members text is its list of [n_r, m] arrays.  It is
-    rendered row by row and takes at least one row; every command refuses an
-    empty artifact before it gets here.
+    dump; a level's members text is its list of [n_r, m] arrays.  It takes
+    at least one row; every command refuses an empty artifact before it gets
+    here.
     ``rows`` may be any iterable, a generator included, and is read once:
-    each row is rendered to its text and dropped, so memory is bounded by the
-    text plus one row.  A field dump gives ``grid`` = (xs, ys, values)
+    each block of rows is rendered to its text and dropped, so memory is
+    bounded by the text plus one block: _FLOAT_BLOCK rows of floats, or one
+    row of any other layout.  A field dump gives ``grid`` = (xs, ys, values)
     instead, the rows (xs[i], ys[j], re, im) of values[i][j]: each y cell is
     rendered once per column, and each line of the grid is one %-format of its
     x cell's text and the column texts over that line's (re, im) pairs.
     A non-finite float is a domain error naming the first non-finite column of
     the first such row, found in the rendered text where that is sure (see
-    ``_row_layout``); every row is rendered before anything is written, so it
-    is raised with nothing written and ``--out`` left as it was.
+    ``_row_layout``): a block whose text holds an "n" is checked row by row.
+    Every row is rendered before anything is written, so it is raised with
+    nothing written and ``--out`` left as it was.
     """
     row_format, values, scan = _row_layout(args.format, columns, records=grid is None)
     if args.format == "json":
@@ -236,10 +252,13 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
                  else f"# {name}={value}\n" for name, value in params.items()]
         lines.append(",".join(name for name, _ in columns) + "\n")
     if grid is None:
-        for row in rows:
-            text = row_format % values(row)
+        size = _FLOAT_BLOCK if scan else 1
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, size)):
+            text = ((row_format * len(block))
+                    % tuple(itertools.chain.from_iterable(map(values, block))))
             if not scan or "n" in text:
-                _check_finite(columns, row)
+                _check_finite(columns, block)
             lines.append(text)
     else:
         # a float row format holds one % per cell: split off the x and y cells
@@ -251,8 +270,7 @@ def _emit(args: argparse.Namespace, params: dict, columns: Columns,
             text = ((x_text + x_text.join(y_rests))
                     % tuple([part for v in line for part in (v.real, v.imag)]))
             if not scan or "n" in text:
-                for y, v in zip(ys, line):
-                    _check_finite(columns, (x, y, v.real, v.imag))
+                _check_finite(columns, ((x, y, v.real, v.imag) for y, v in zip(ys, line)))
             lines.append(text)
     if args.format == "json":
         lines[-1] = lines[-1][:-2] + "\n"  # the last row takes no comma
@@ -274,9 +292,11 @@ _SPECTRUM_COLUMNS = (("index", int), ("energy", float), ("branch", str), ("N", i
 def run_spectrum(args: argparse.Namespace) -> int:
     """The level table.  Levels stream from bound.iter_levels through _emit,
     so a table's memory is bounded by its text plus one level.  A level's
-    members text is its member cells, sliced from one list of int strings,
-    between the pieces of the format's template, joined once.  The list
-    grows with the largest rung N the walk reaches, never with --levels."""
+    members text is its member cells, sliced from two tables of text (each
+    int's string followed by the separator after an n_r cell, or after an m
+    cell), joined once after the opening piece, with the last member's
+    separator replaced by the closing piece.  The tables grow with the
+    largest rung N the walk reaches, never with --levels."""
     problem = _problem_from_args(args)
     levels = bound.iter_levels(problem, args.levels)
     params = {
@@ -285,18 +305,22 @@ def run_spectrum(args: argparse.Namespace) -> int:
         "levels": args.levels,
     }
     first, between, after, last = _MEMBERS[args.format]
-    ints, zero = [], 0  # ints[zero + i] == str(i) for |i| <= zero
+    # the n_r cells heads[i] == f"{i}{between}" for 0 <= i < zero, and the
+    # m cells tails[zero + i] == f"{i}{after}" for |i| <= zero
+    heads, tails, zero = [], [], 0
 
     def members(lv: bound.SpectrumLevel) -> str:
-        nonlocal ints, zero
+        nonlocal heads, tails, zero
         top = max(lv.plus_n, lv.minus_n)
         if top >= zero:
             zero = 2 * top + 1
-            ints = list(map(str, range(-zero, zero + 1)))
-        parts = [None, between, None, after] * lv.degeneracy
-        parts[::2] = lv.member_cells(ints, zero)
-        parts[-1] = last
-        return first + "".join(parts)
+            heads = [f"{i}{between}" for i in range(zero)]
+            tails = [f"{i}{after}" for i in range(-zero, zero + 1)]
+        cells = lv.member_cells(heads, tails, zero)
+        # removesuffix is right for an empty separator too, where a cut by
+        # len(after) would cut the whole cell
+        cells[-1] = cells[-1].removesuffix(after) + last
+        return first + "".join(cells)
 
     rows = ((i, lv.energy, lv.branch, lv.principal_n, lv.degeneracy, members(lv))
             for i, lv in enumerate(levels))

@@ -120,16 +120,23 @@ def _riccati(w: float, e: float, s0: float, s1: float,
     The first step is a tenth of min(s0, 1/k), k = sqrt(-2e).
 
     Returns (zeros of R passed, v at s1 or u where the last step carried u,
-    whether it did).  A non-finite s0, s1 or v0 raises DomainError.  A
-    stage that is not finite is never accepted, as its error estimate is
-    not finite either: an infinite or NaN estimate shrinks the step by the
-    least factor, 0.2, until it falls below 1e-14 of the leg's span, which
-    raises DomainError too.  Stage 5 is evaluated at s + h, so an accepted
+    whether it did).  A non-finite s0, s1 or v0 raises DomainError, and so
+    do an end s0 or s1 that is not positive (v_s has a pole at s = 0, and a
+    first step from s0 < 0 points away from s1) and an e >= 0, which has no
+    k = sqrt(-2e) for the first step.  A stage that is not finite is never
+    accepted, as its error estimate is not finite either: an infinite or NaN
+    estimate shrinks the step by the least factor, 0.2, until it falls below
+    1e-14 of the leg's span, which raises DomainError too.  Stage 5 is evaluated at s + h, so an accepted
     step hands its q on as the next step's stage 1.
     """
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise DomainError(f"leg ends s = {s0} and s = {s1} are not both finite "
                           f"(w = {w}, e = {e})")
+    if s0 <= 0.0 or s1 <= 0.0:
+        raise DomainError(f"leg ends s = {s0} and s = {s1} are not both positive "
+                          f"(w = {w}, e = {e})")
+    if e >= 0.0:
+        raise DomainError(f"trial energy e = {e} is not negative (w = {w})")
     if not math.isfinite(v0):
         raise DomainError(f"log-derivative start {v0} at s = {s0} is not finite "
                           f"(w = {w}, e = {e})")

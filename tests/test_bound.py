@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -333,6 +334,38 @@ class TestSpectrumAgainstExactArithmetic:
             assert lv.members == members, i
             exact = -Fraction(mu) * Fraction(kappa) ** 2 / (2 * lam * lam)
             assert abs(Fraction(lv.energy) - exact) <= _ENERGY_REL * abs(exact), i
+
+
+class TestMemberCells:
+    """SpectrumLevel.member_cells takes each member's n_r cell from one table
+    and its m cell from the other, in the member order of a loop over n_r."""
+
+    @staticmethod
+    def cells_by_loop(lv):
+        """The flat (n_r, m) cells, a member at a time: for n_r = 0, 1, ...
+        the minus member, then the plus member."""
+        cells = []
+        for n_r in range(max(lv.plus_count, lv.minus_count)):
+            if n_r < lv.minus_count:
+                cells += [n_r, n_r - lv.minus_n]
+            if n_r < lv.plus_count:
+                cells += [n_r, lv.plus_n - n_r]
+        return cells
+
+    # the five regimes (Coulomb, integer, split below and above 1/2, half) and
+    # a negative flux
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 0.3, 0.7, 0.5, -1.3])
+    def test_two_tables_give_the_cells_of_one_loop(self, alpha):
+        levels = bound.iter_levels(RelativeProblem.from_parameters(1.0, 1.0, alpha), 10**6)
+        for lv in itertools.takewhile(lambda lv: lv.principal_n <= 60, levels):
+            expected = self.cells_by_loop(lv)
+            top = max(lv.plus_n, lv.minus_n)
+            for zero in (top + 1, 2 * top + 1):
+                counts, ints = range(zero), range(-zero, zero + 1)
+                assert lv.member_cells(counts, ints, zero) == expected
+                cells = lv.member_cells([("n_r", i) for i in counts],
+                                        [("m", i) for i in ints], zero)
+                assert cells == list(zip(itertools.cycle(("n_r", "m")), expected))
 
 
 class TestNormalization:

@@ -253,6 +253,24 @@ def test_spectrum_table_memory_is_bounded_by_its_text(tmp_path, fmt):
     assert peak <= 2 * path.stat().st_size
 
 
+@pytest.mark.parametrize("fmt,factor", [("csv", 3), ("json", 2)])
+def test_sweep_memory_is_bounded_by_its_text(tmp_path, fmt, factor):
+    # the sweep's four float columns, 32 bytes a cell against about 20 bytes
+    # of CSV text, stay alive while it is rendered, so CSV peaks at over 2x
+    # its size whatever the writer; with a string per row the peak was 3.49x
+    # in CSV and 2.14x in JSON, with blocks of _FLOAT_BLOCK rows 2.83x and 1.83x
+    path = tmp_path / f"sweep.{fmt}"
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert main(["xsection", "--case", "integer", "--thetas", "10000", "--format", fmt,
+                     "--out", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= factor * path.stat().st_size
+
+
 # Every documented refusal as (argv, exit code, the whole of stderr): exit 1
 # is a usage error and exit 2 a domain error, each refused with one line on
 # stderr, nothing on stdout and nothing written to --out.
@@ -880,6 +898,55 @@ class TestNonFiniteResults:
                 f"abc2d: non-finite result {err}\n", tmp_path, capsys)
 
 
+B = cli._FLOAT_BLOCK
+SWEEP = ["xsection", "--case", "integer", "--k", "0.7", "--beta", "3"]
+
+
+def _sweep_text_one_row_at_a_time(fmt, thetas):
+    """The rows of a sweep's artifact rendered one %-format per row, the
+    last JSON row without its comma."""
+    p = scatter.ScatteringParams(0.7, 3.0, scatter.FluxCase.INTEGER_FLUX)
+    row_format, values, _ = cli._row_layout(fmt, cli._XSECTION_COLUMNS, records=True)
+    texts = []
+    for row in zip(*scatter.cross_sections(p, scatter.linspace(0.1, 2.0 * math.pi - 0.1,
+                                                                thetas))):
+        texts.append(row_format % values(row))
+    if fmt == "json":
+        texts[-1] = texts[-1][:-2] + "\n"
+    return "".join(texts)
+
+
+class TestFloatBlocks:
+    """Rows whose cells are all floats are rendered B = _FLOAT_BLOCK at a time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("thetas", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_render_as_one_row_at_a_time(self, thetas, fmt, capsys):
+        assert main(SWEEP + ["--thetas", str(thetas), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        rows = _sweep_text_one_row_at_a_time(fmt, thetas)
+        if fmt == "csv":
+            assert out.endswith("theta,sigma_total,sigma_coulomb,sigma_cross\n" + rows)
+        else:
+            assert out.endswith('  "rows": [\n' + rows + "  ]\n}\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad_row", [0, B // 2, B - 1, B + 5, 2 * B + 2],
+                             ids=["first", "middle", "last", "later-block", "last-row"])
+    def test_first_non_finite_row_of_a_block_is_refused(self, bad_row, fmt, tmp_path,
+                                                         capsys, monkeypatch):
+        # sigma_total comes before sigma_coulomb in column order, after it in
+        # JSON's key order; a later row is non-finite in an earlier column
+        columns = [[0.5] * (2 * B + 3) for _ in scatter.CrossSectionSweep._fields]
+        columns[1][bad_row], columns[2][bad_row] = -math.inf, math.nan
+        if bad_row + 1 < 2 * B + 3:
+            columns[0][bad_row + 1] = math.inf
+        sweep = scatter.CrossSectionSweep(*columns)
+        monkeypatch.setattr(scatter, "cross_sections", lambda p, thetas: sweep)
+        refused(SWEEP + ["--thetas", "3", "--format", fmt], 2,
+                "abc2d: non-finite result sigma_total = -inf\n", tmp_path, capsys)
+
+
 # -- the CLI input domain ------------------------------------------------------------
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-310, 1e-300, 1e300, -1e300,
@@ -1063,20 +1130,32 @@ def _check_spectrum_formats(argv):
              {"--mu": _MODERATE, "--kappa": _MODERATE, "--alpha": _SIGNED}))
 def test_spectrum_csv_and_json_carry_the_walks_levels(argv):
     # each format's members text is built by hand from the level's rungs,
-    # sliced from a table of int strings into one template
+    # sliced from two tables of text, two pieces per member
     assume(_check_spectrum_formats(argv))
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 41])
+@pytest.mark.parametrize("levels", [1, 2, 3, 41, 300])
 @pytest.mark.parametrize("alpha", ["0", "2", "-2", "0.5", "-1.5", "0.25", "0.75", "-1.3"])
 def test_spectrum_formats_carry_the_walks_levels_at_exact_flux(alpha, levels):
     # random floats practically never draw integer or half-integer flux, where
-    # both rungs make one level and the empty integer-flux N = 0 level is skipped
+    # both rungs make one level and the empty integer-flux N = 0 level is
+    # skipped; at 300 levels the CLI's tables of member text, built at the
+    # first level, regrow 6 or 7 times
     assert _check_spectrum_formats(["spectrum", "--alpha", alpha, "--levels", str(levels)])
 
 
+def test_members_text_with_an_empty_separator(monkeypatch, capsys):
+    # the last member's separator is replaced whatever its length, none included
+    monkeypatch.setitem(cli._MEMBERS, "csv", ("<", "|", "", ">"))
+    assert main(["spectrum", "--alpha", "0.3", "--levels", "30"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    levels = bound.spectrum(RelativeProblem.from_parameters(1.0, 1.0, 0.3), 30)
+    assert [row[5] for row in rows] == [
+        "<" + "".join(f"{n_r}|{m}" for n_r, m in lv.members) + ">" for lv in levels]
+
+
 def test_spectrum_rows_stream_at_the_largest_level_count(monkeypatch):
-    # the table of int strings grows with the walk: one sized from --levels
+    # the tables of member text grow with the walk: tables sized from --levels
     # could not be allocated at sys.maxsize
     rows = []
 

@@ -116,6 +116,17 @@ LIBRARY_REFUSALS = [
     *((f"oracle._riccati-s0={s0}-s1={s1}", oracle._riccati, (1.0, -0.1, s0, s1, -1.0), (),
        DomainError, f"leg ends s = {s0} and s = {s1} are not both finite (w = 1.0, e = -0.1)")
       for s0, s1 in ((40.0, math.nan), (math.nan, 10.0), (-math.inf, 10.0), (40.0, math.inf))),
+    # refused before the first step, each under a step budget: from s0 < 0 the
+    # first step points away from s1 and the leg never ends, from s0 = 0 the
+    # first stage divides by zero, a leg to s1 < 0 integrates across the pole
+    # at s = 0, and e >= 0 has no first step 1/sqrt(-2e)
+    *((f"oracle._riccati-s0={s0}-s1={s1}", oracle._riccati, (1.0, -0.1, s0, s1, -1.0),
+       ((oracle, "math", _StepBudget()),), DomainError,
+       f"leg ends s = {s0} and s = {s1} are not both positive (w = 1.0, e = -0.1)")
+      for s0, s1 in ((-5.0, 10.0), (0.0, 10.0), (5.0, -10.0), (5.0, 0.0))),
+    *((f"oracle._riccati-e={e}", oracle._riccati, (1.0, e, 5.0, 10.0, -1.0),
+       ((oracle, "math", _StepBudget()),), DomainError,
+       f"trial energy e = {e} is not negative (w = 1.0)") for e in (0.1, 0.0, -0.0)),
     # from a finite start every stage is NaN, so no step's error estimate is
     # finite and the step shrinks until it underflows
     *((f"oracle._riccati-w={w}-e={e}", oracle._riccati, (w, e, 40.0, 10.0, -1.0),
