@@ -186,12 +186,10 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> CrossSectionSwee
     interference amplitude, beta coth(pi beta)) are evaluated once per call.
     Each column is then one pass over the angles: sin^2 theta/2 once per
     angle, shared by every column, plus beta ln sin^2 theta/2 for integer
-    flux.  The cosine argument x = d0 + d1 - beta ln sin^2 theta/2 goes
-    through math.remainder(x, 2 pi) first, which gains no accuracy: math.cos
-    reduces its argument exactly (within 1.1e-16 of mpmath), while the
-    remainder by the float 2 pi errs by about 3.9e-17 |x| (3.9e-10 at |x| =
-    1e7).  That stays below the rounding error eps |x| that x already carries,
-    which _PHASE_ERROR_LIMIT bounds.
+    flux.  The cosine argument x = d0 + d1 - beta ln sin^2 theta/2 goes to
+    math.cos as it is: math.cos reduces its argument exactly, so the only
+    error is the rounding error eps |x| that x already carries, which
+    _PHASE_ERROR_LIMIT bounds.
 
     An angle is refused as _check_angle refuses it (forward cone, infinite
     angle), and for integer flux where the cosine argument's rounding error
@@ -227,8 +225,8 @@ def cross_sections(p: ScatteringParams, thetas: list[float]) -> CrossSectionSwee
         _check_angle(theta[stop])  # raises: the cone's DomainError, or remainder's ValueError
     sigma_coulomb = [0.5 * btanh / (k * s2) for s2 in s2s]
     if integer:
-        sigma_cross = [neg_amp * math.cos(math.remainder(d - b_ln, 2.0 * math.pi))
-                       / math.sqrt(s2) for b_ln, s2 in zip(b_lns, s2s)]
+        sigma_cross = [neg_amp * math.cos(d - b_ln) / math.sqrt(s2)
+                       for b_ln, s2 in zip(b_lns, s2s)]
         sigma_total = [sc + sx for sc, sx in zip(sigma_coulomb, sigma_cross)]
     else:
         sigma_cross = [0.0] * len(theta)

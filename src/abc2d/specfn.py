@@ -11,8 +11,7 @@ them against closed-form identities:
 
 ``ln_gamma`` evaluates the Stirling series after shifting its argument to
 |z| >= 9 through the recurrence, with the reflection formula for Re z < 1/2;
-products are carried with exact-residual multiplication, and all the terms,
-residuals included, are added in one correctly rounded ``math.fsum``, keeping
+all the terms are added in one correctly rounded ``math.fsum``, keeping
 exp(ln_gamma) within 1e-13 of Gamma over the |z| <= 50 disk.  ``kummer_m``
 takes one path per argument and never transforms it: the two-sector large-|z|
 expansion for |z| > 40 where its optimal truncation reaches ~1e-13 (smallest
@@ -113,24 +112,8 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a*b as rounded product plus exact residual (Dekker/Veltkamp)."""
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
 def _right_half_terms(z: complex) -> tuple[tuple, tuple]:
-    """Summands of ln Gamma for Re z >= 1/2, product residuals kept separate.
+    """Summands of ln Gamma for Re z >= 1/2, real and imaginary parts.
 
     Shifts z up the recurrence until |z| >= _STIRLING_RADIUS, then applies the
     Stirling series; the -log(z+k) recurrence terms join the same correctly
@@ -142,19 +125,16 @@ def _right_half_terms(z: complex) -> tuple[tuple, tuple]:
         shift_logs.append(cmath.log(zs))
         zs += 1.0
     lz = cmath.log(zs)
-    inv2 = 1.0 / (zs * zs)
+    inv = 1.0 / zs
+    inv2 = inv * inv
     corr = 0.0 + 0.0j
     for c in reversed(_STIRLING_C):
         corr = (corr + c) * inv2
     corr = corr * zs  # sum c_n z^{1-2n}
     wr, wi = zs.real - 0.5, zs.imag
-    p1, e1 = _two_prod(wr, lz.real)
-    p2, e2 = _two_prod(wi, lz.imag)
-    p3, e3 = _two_prod(wr, lz.imag)
-    p4, e4 = _two_prod(wi, lz.real)
-    re = (LN_SQRT_TWO_PI, p1, e1, -p2, -e2, -zs.real, corr.real) + tuple(
+    re = (LN_SQRT_TWO_PI, wr * lz.real, -wi * lz.imag, -zs.real, corr.real) + tuple(
         -l.real for l in shift_logs)
-    im = (p3, e3, p4, e4, -zs.imag, corr.imag) + tuple(
+    im = (wr * lz.imag, wi * lz.real, -zs.imag, corr.imag) + tuple(
         -l.imag for l in shift_logs)
     return re, im
 

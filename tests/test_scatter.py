@@ -210,7 +210,7 @@ def pointwise_sample(p, theta):
     if p.flux_case is FluxCase.INTEGER_FLUX:
         d0 = arg_gamma(0.5 - 1j * p.beta)
         d1 = arg_gamma(1j * p.beta)
-        arg = math.remainder(d0 + d1 - p.beta * math.log(s2), 2.0 * math.pi)
+        arg = d0 + d1 - p.beta * math.log(s2)
         amp = math.sqrt(p.beta * math.tanh(math.pi * p.beta)) / (math.sqrt(math.pi) * p.k)
         sx = -amp * math.cos(arg) / math.sqrt(s2)
         return (theta, sc + sx, sc, sx)

@@ -64,6 +64,15 @@ class TestLnGamma:
         assert abs(d.real) < 1e-14 * abs(ref)
         assert abs(math.remainder(d.imag, 2.0 * math.pi)) < 1e-14 * abs(ref)
 
+    # finite up to |z| ~ 2.5e305: neither the products of the Stirling terms
+    # nor 1/z^2 may overflow before ln Gamma does
+    @pytest.mark.parametrize("z", [2e305, 0.5 - 2e305j, 2e300j, 1e160 + 1e160j])
+    def test_near_the_top_of_the_double_range(self, z):
+        ref = complex(mp.loggamma(z))
+        got = ln_gamma(z)
+        for part, expected in ((got.real, ref.real), (got.imag, ref.imag)):
+            assert abs(part - expected) <= 2.0 * math.ulp(expected)
+
     def test_reflection_identity(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -522,108 +531,111 @@ def test_the_failing_laguerre_resum_is_held_back(monkeypatch):
 # that math.fsum replaced: the right half (Re z in [0.5, 60]), the reflection
 # branch (Re z < 1/2 with |Im z| < 223), its log-sin form (|Im z| > 223), and
 # i b, -i b, 1/2 - i b, 1/2 + i b and 1 - i b at b in {0.05, 0.3, 1, 20, 200, 1000},
-# the arguments the scattering phases and field prefactors take.
+# the arguments the scattering phases and field prefactors take.  68 rows were
+# re-recorded when the Stirling products stopped carrying Dekker residuals;
+# against mpmath, |error| / max(1, |ln Gamma|) over those rows went from at
+# most 1.8e-15 to at most 3.1e-15.
 GOLDEN_LN_GAMMA = [
     # right half
-    ((0.5, 0.0), "(0.5723649429247013+0j)"),
-    ((0.75, 0.0), "(0.20328095143129646+0j)"),
-    ((1.0, 0.0), "(1.8370721610594387e-15+0j)"),
-    ((1.5, 0.0), "(-0.12078223763524393+0j)"),
-    ((2.0, 0.0), "(1.8370721610594387e-15+0j)"),
-    ((3.25, 0.0), "(0.9358019311087269+0j)"),
-    ((7.0, 0.0), "(6.579251212010103+0j)"),
+    ((0.5, 0.0), "(0.5723649429247009+0j)"),
+    ((0.75, 0.0), "(0.203280951431297+0j)"),
+    ((1.0, 0.0), "(2.9472951856845953e-15+0j)"),
+    ((1.5, 0.0), "(-0.12078223763524437+0j)"),
+    ((2.0, 0.0), "(2.9472951856845953e-15+0j)"),
+    ((3.25, 0.0), "(0.9358019311087284+0j)"),
+    ((7.0, 0.0), "(6.579251212010104+0j)"),
     ((8.999, 0.0), "(10.6024623200256+0j)"),
-    ((9.0, 0.0), "(10.60460290274525+0j)"),
-    ((17.5, 0.0), "(32.08111489594735+0j)"),
-    ((33.3, 0.0), "(82.60372358165495+0j)"),
-    ((60.0, 0.0), "(184.53382886144948+0j)"),
-    ((51.47804, -47.857267), "(130.38715452817382-193.8400559618467j)"),
-    ((46.966375, 58.163535), "(102.56829880973363+234.1934515989956j)"),
-    ((30.388391, 7.202693), "(71.71448186628429+24.539785120345474j)"),
+    ((9.0, 0.0), "(10.604602902745253+0j)"),
+    ((17.5, 0.0), "(32.08111489594736+0j)"),
+    ((33.3, 0.0), "(82.60372358165493+0j)"),
+    ((60.0, 0.0), "(184.53382886144945+0j)"),
+    ((51.47804, -47.857267), "(130.3871545281738-193.8400559618467j)"),
+    ((46.966375, 58.163535), "(102.56829880973363+234.19345159899558j)"),
+    ((30.388391, 7.202693), "(71.71448186628429+24.539785120345478j)"),
     ((7.37698, -44.671102), "(-43.09553752727812-135.32498558228409j)"),
-    ((3.832826, -36.377058), "(-44.239492679967434-99.4437087488569j)"),
-    ((34.757896, 56.131565), "(52.65168565838152+213.876137462275j)"),
+    ((3.832826, -36.377058), "(-44.23949267996743-99.44370874885692j)"),
+    ((34.757896, 56.131565), "(52.65168565838151+213.876137462275j)"),
     ((11.548787, 6.34831), "(14.675315109732884+15.571581179029081j)"),
-    ((55.397406, -41.667335), "(151.34635539883504-170.34981674013648j)"),
-    ((47.960137, 63.618022), "(101.90013697761826+258.78666453584424j)"),
-    ((7.099822, 14.182386), "(-3.6329459893472853+32.31419378857607j)"),
+    ((55.397406, -41.667335), "(151.34635539883502-170.34981674013648j)"),
+    ((47.960137, 63.618022), "(101.90013697761825+258.78666453584424j)"),
+    ((7.099822, 14.182386), "(-3.6329459893472835+32.31419378857607j)"),
     ((55.70785, 17.104244), "(164.54615065645007+68.87322334284204j)"),
-    ((49.209821, 60.112795), "(110.54008674346925+244.63656350595753j)"),
-    ((30.330816, 60.875686), "(28.981736782285545+229.06967565023837j)"),
+    ((49.209821, 60.112795), "(110.54008674346926+244.63656350595753j)"),
+    ((30.330816, 60.875686), "(28.98173678228554+229.06967565023837j)"),
     ((6.23784, 64.88939), "(-77.05947951287608+214.63379837485792j)"),
     ((29.368313, 51.404595), "(35.29785784175299+188.7362282430715j)"),
-    ((33.603766, 30.235746), "(71.32782296520534+109.25192658963752j)"),
+    ((33.603766, 30.235746), "(71.32782296520534+109.2519265896375j)"),
     # reflection branch
-    ((0.25, 0.0), "(1.2880225246980765+0j)"),
-    ((-0.5, 0.0), "(1.265512123484644-3.141592653589793j)"),
-    ((-2.5, 0.0), "(-0.0562437164976754-3.141592653589793j)"),
-    ((-7.3, 0.0), "(-7.779101629826853+0j)"),
+    ((0.25, 0.0), "(1.2880225246980759+0j)"),
+    ((-0.5, 0.0), "(1.2655121234846445-3.141592653589793j)"),
+    ((-2.5, 0.0), "(-0.056243716497674956-3.141592653589793j)"),
+    ((-7.3, 0.0), "(-7.779101629826851+0j)"),
     ((-30.1, 0.0), "(-72.68108834488714-3.141592653589793j)"),
     ((-8.192281, 55.734103), "(-121.61097282215268+179.15456415281326j)"),
     ((-2.639816, 30.234801), "(-57.282872209590636+80.3084254875756j)"),
-    ((-38.695776, 21.177617), "(-164.7373148923266+81.1694348375313j)"),
-    ((-11.140159, 178.614267), "(-340.0127944694598+766.5775321703376j)"),
+    ((-38.695776, 21.177617), "(-164.7373148923266+81.16943483753128j)"),
+    ((-11.140159, 178.614267), "(-340.0127944694598+766.5775321703377j)"),
     ((-36.059847, -196.288663), "(-500.64062247443735-892.3184302251742j)"),
-    ((-11.315043, -17.900203), "(-62.0461625512349-49.22385168090615j)"),
-    ((-30.754248, 216.387902), "(-507.14671427383286+996.33332163152j)"),
-    ((-20.825961, 5.54965), "(-59.72969977437121+19.160949235638963j)"),
-    ((-4.827859, -30.783888), "(-65.72094234513492-84.73534176530596j)"),
-    ((-31.999113, 110.45978), "(-325.94495027097776+453.9826122873706j)"),
-    ((-1.639019, 32.017559), "(-56.790076352872845+81.81752794332638j)"),
-    ((-6.554643, -134.299767), "(-244.61014288669585-537.6455204711086j)"),
+    ((-11.315043, -17.900203), "(-62.0461625512349-49.22385168090616j)"),
+    ((-30.754248, 216.387902), "(-507.1467142738328+996.3333216315199j)"),
+    ((-20.825961, 5.54965), "(-59.72969977437122+19.160949235638967j)"),
+    ((-4.827859, -30.783888), "(-65.72094234513493-84.73534176530598j)"),
+    ((-31.999113, 110.45978), "(-325.94495027097776+453.98261228737067j)"),
+    ((-1.639019, 32.017559), "(-56.790076352872845+81.81752794332637j)"),
+    ((-6.554643, -134.299767), "(-244.61014288669588-537.6455204711086j)"),
     ((-0.121586, -162.603894), "(-257.6633528778621-664.2867825649973j)"),
     ((-35.220867, -42.381987), "(-203.0360505537966-159.75669719157568j)"),
-    ((-31.866516, 175.14858), "(-441.5797185434153+776.321196396712j)"),
+    ((-31.866516, 175.14858), "(-441.5797185434153+776.3211963967121j)"),
     ((-24.846284, 90.363017), "(-255.50311720162333+354.97555992314153j)"),
     ((-31.739101, -170.599723), "(-432.93535548763873-753.0286694543789j)"),
     ((-16.15104, 54.152783), "(-150.8668712740485+183.60452974948885j)"),
-    ((-30.617195, -155.145045), "(-399.95478250285066-676.0149614795977j)"),
+    ((-30.617195, -155.145045), "(-399.9547825028507-676.0149614795977j)"),
     # reflection branch, log-sin form
     ((-9.631435, 223.0), "(-404.1545264451299+966.6550017971504j)"),
     ((-18.362739, -223.5), "(-452.21268561837275-955.0790775836954j)"),
-    ((-0.23719, 300.0), "(-474.5247313083631+1409.9760001932686j)"),
-    ((-12.643597, -1000.0), "(-1660.670517691226-5887.023032168915j)"),
+    ((-0.23719, 300.0), "(-474.5247313083631+1409.9760001932689j)"),
+    ((-12.643597, -1000.0), "(-1660.6705176912258-5887.023032168915j)"),
     ((-5.917283, 5000.0), "(-7907.719936267396+37575.881602699126j)"),
     ((-11.596586, -20000.0), "(-31534.805986980176-178050.74612176575j)"),
-    ((-23.824406, 1460.954303), "(-2471.1920169835607+9146.382303503891j)"),
+    ((-23.824406, 1460.954303), "(-2471.1920169835603+9146.382303503891j)"),
     ((-7.236964, 2033.693687), "(-3252.536819776183+13446.021691775735j)"),
     ((-20.990348, 438.942716), "(-819.3344474751145+2197.463969895095j)"),
-    ((-30.655865, -340.208774), "(-715.1481505187037-1592.6944906891501j)"),
-    ((-3.358277, 2240.629409), "(-3548.4182332763335+15038.669388748396j)"),
-    ((-1.47269, 348.340688), "(-557.7998561231566+1687.4562444896358j)"),
-    ((-8.784309, 1706.054514), "(-2748.03852934358+10975.689570606313j)"),
-    ((-23.51079, -2423.770926), "(-3993.4499250572026-16427.034443213397j)"),
+    ((-30.655865, -340.208774), "(-715.1481505187037-1592.6944906891504j)"),
+    ((-3.358277, 2240.629409), "(-3548.418233276333+15038.669388748396j)"),
+    ((-1.47269, 348.340688), "(-557.7998561231565+1687.4562444896358j)"),
+    ((-8.784309, 1706.054514), "(-2748.03852934358+10975.689570606311j)"),
+    ((-23.51079, -2423.770926), "(-3993.4499250572026-16427.034443213393j)"),
     # scattering arguments
     ((0.0, 0.05), "(2.9936777944560453-1.5996070890313376j)"),
     ((0.0, -0.05), "(2.9936777944560453+1.5996070890313376j)"),
-    ((0.5, -0.05), "(0.5662216414572384+0.09782689623627322j)"),
-    ((0.5, 0.05), "(0.5662216414572384-0.09782689623627322j)"),
-    ((1.0, -0.05), "(-0.002054479097945214+0.02881076223644105j)"),
-    ((0.0, 0.3), "(1.1320265534262977-1.7336169989627523j)"),
-    ((0.0, -0.3), "(1.1320265534262977+1.7336169989627523j)"),
-    ((0.5, -0.3), "(0.37702112561020545+0.5258114466591651j)"),
-    ((0.5, 0.3), "(0.37702112561020545-0.5258114466591651j)"),
-    ((1.0, -0.3), "(-0.07194625089963844+0.1628206721678557j)"),
-    ((0.0, 1.0), "(-0.6509231993018576-1.8724366472624296j)"),
-    ((0.0, -1.0), "(-0.6509231993018576+1.8724366472624296j)"),
-    ((0.5, -1.0), "(-0.6527906442043743+0.9550077243425691j)"),
-    ((0.5, 1.0), "(-0.6527906442043743-0.9550077243425691j)"),
-    ((1.0, -1.0), "(-0.6509231993018552+0.301640320467533j)"),
-    ((0.0, 20.0), "(-31.994854139470252+39.125080293545004j)"),
-    ((0.0, -20.0), "(-31.994854139470252-39.125080293545004j)"),
-    ((0.5, -20.0), "(-30.49698800269326-39.91672910847332j)"),
-    ((0.5, 20.0), "(-30.49698800269326+39.91672910847332j)"),
+    ((0.5, -0.05), "(0.5662216414572371+0.09782689623627322j)"),
+    ((0.5, 0.05), "(0.5662216414572371-0.09782689623627322j)"),
+    ((1.0, -0.05), "(-0.0020544790979454344+0.028810762236441044j)"),
+    ((0.0, 0.3), "(1.132026553426298-1.7336169989627523j)"),
+    ((0.0, -0.3), "(1.132026553426298+1.7336169989627523j)"),
+    ((0.5, -0.3), "(0.3770211256102041+0.5258114466591651j)"),
+    ((0.5, 0.3), "(0.3770211256102041-0.5258114466591651j)"),
+    ((1.0, -0.3), "(-0.07194625089963888+0.1628206721678557j)"),
+    ((0.0, 1.0), "(-0.6509231993018565-1.8724366472624296j)"),
+    ((0.0, -1.0), "(-0.6509231993018565+1.8724366472624296j)"),
+    ((0.5, -1.0), "(-0.6527906442043738+0.9550077243425692j)"),
+    ((0.5, 1.0), "(-0.6527906442043738-0.9550077243425692j)"),
+    ((1.0, -1.0), "(-0.6509231993018563+0.301640320467533j)"),
+    ((0.0, 20.0), "(-31.99485413947025+39.125080293545004j)"),
+    ((0.0, -20.0), "(-31.99485413947025-39.125080293545004j)"),
+    ((0.5, -20.0), "(-30.496988002693257-39.91672910847333j)"),
+    ((0.5, 20.0), "(-30.496988002693257+39.91672910847333j)"),
     ((1.0, -20.0), "(-28.999121865916266-40.695876620339895j)"),
-    ((0.0, 200.0), "(-315.8894855090487+858.877658479196j)"),
-    ((0.0, -200.0), "(-315.8894855090487-858.877658479196j)"),
-    ((0.5, -200.0), "(-313.2403268257747-859.6636816432444j)"),
-    ((0.5, 200.0), "(-313.2403268257747+859.6636816432444j)"),
-    ((1.0, -200.0), "(-310.59116814250063-860.4484548059909j)"),
+    ((0.0, 200.0), "(-315.8894855090487+858.8776584791959j)"),
+    ((0.0, -200.0), "(-315.8894855090487-858.8776584791959j)"),
+    ((0.5, -200.0), "(-313.2403268257747-859.6636816432446j)"),
+    ((0.5, 200.0), "(-313.2403268257747+859.6636816432446j)"),
+    ((1.0, -200.0), "(-310.5911681425007-860.4484548059909j)"),
     ((0.0, 1000.0), "(-1573.3312659011824+5906.969797485403j)"),
     ((0.0, -1000.0), "(-1573.3312659011824-5906.969797485403j)"),
     ((0.5, -1000.0), "(-1569.877388261692-5907.755320648806j)"),
     ((0.5, 1000.0), "(-1569.877388261692+5907.755320648806j)"),
-    ((1.0, -1000.0), "(-1566.4235106222009-5908.5405938121985j)"),
+    ((1.0, -1000.0), "(-1566.423510622201-5908.540593812198j)"),
 ]
 
 

@@ -1,21 +1,23 @@
-"""Digest every CLI artifact of one source tree, or compare two digest files.
+"""Run every CLI artifact in two source trees and compare them by value.
 
-    python tools/artifact_digests.py SRC OUT.json [--seeds 1-20] [--workloads fields,tables,verify]
-    python tools/artifact_digests.py --compare A.json B.json
+    python tools/artifact_digests.py SRC_A SRC_B [--seeds 1-20] [--workloads fields,tables,verify]
 
-SRC is the directory that holds the ``abc2d`` package (``src`` in a checkout).
-The operations are every ``fields`` and ``tables`` CLI call that the
-benchmark's ``perfbench/workloads.make`` draws at each seed, its out-of-loop
-probe included, each run once
-with ``--format csv`` and once with ``--format json``, plus ``verify --grid
-small|full`` in table and JSON.  For each it records the exit code, the
-sha256 of stdout and the text of stderr.  All calls go through
-``abc2d.cli.main`` in one fresh interpreter per tree, so two trees never
-share ``sys.modules``.
+SRC_A and SRC_B are directories that hold an ``abc2d`` package (``src`` in a
+checkout).  The operations are every ``fields`` and ``tables`` CLI call that
+the benchmark's ``perfbench/workloads.make`` draws at each seed, its
+out-of-loop probe included, each run once with ``--format csv`` and once with
+``--format json``, plus ``verify --grid small|full`` in table and JSON.  All
+calls go through ``abc2d.cli.main``, in one fresh interpreter per tree, so the
+two trees never share ``sys.modules``; the two run side by side and stream
+one artifact at a time, so neither tree's output is held whole.
 
-``--compare`` prints every operation whose record differs or that only one
-file holds, then a summary line; it exits 0 when there is no difference and
-1 otherwise.
+An artifact is an operation's exit code, stdout and stderr.  For each one that
+is not byte-identical, the report gives one line: a change of exit code or of
+stderr if there is one; else the first line whose text differs beyond its
+numbers, if any; else the largest change of a number relative to itself
+(``cell``) and, in CSV, the largest change of a column's number relative to
+that column's largest magnitude (``column``).  A summary line follows.  The
+exit status is 0 when every artifact is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -31,13 +34,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fields", "tables", "verify")
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 # Runs in the fresh interpreter: reads the argv lists as JSON on stdin and
-# writes {"module": ..., "records": [[exit, stdout sha256, stderr], ...]}.
+# writes the cli module's path, then one [exit, stdout, stderr] per line.
 _CHILD = r"""
-import contextlib, hashlib, io, json, sys
+import contextlib, io, json, sys
 from abc2d import cli
-records = []
+print(json.dumps(cli.__file__), flush=True)
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -47,9 +51,7 @@ for argv in json.load(sys.stdin):
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    records.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                    err.getvalue()])
-json.dump({"module": cli.__file__, "records": records}, sys.__stdout__)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
@@ -78,55 +80,111 @@ def operations(seeds: list[int], workloads: list[str]) -> list[list[str]]:
     return argvs
 
 
-def digest(src: Path, argvs: list[list[str]]) -> dict:
-    """{"module": the cli module that ran, "artifacts": {command line: record}}."""
-    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs),
-                          capture_output=True, text=True, cwd=src,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    if proc.returncode:
-        raise SystemExit(f"{src}: the digest run failed\n{proc.stderr}")
-    result = json.loads(proc.stdout)
-    artifacts = {}
-    for argv, (code, sha, stderr) in zip(argvs, result["records"]):
-        artifacts[shlex.join(argv)] = {"exit": code, "stdout_sha256": sha, "stderr": stderr}
-    return {"module": result["module"], "artifacts": artifacts}
+def _start(src: Path, argvs: list[list[str]]) -> subprocess.Popen:
+    """The fresh interpreter that runs argvs in src, its first line read."""
+    proc = subprocess.Popen([sys.executable, "-c", _CHILD], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True, cwd=src,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    proc.stdin.write(json.dumps(argvs))
+    proc.stdin.close()
+    module = json.loads(proc.stdout.readline() or "null")
+    if module != str(src / "abc2d" / "cli.py"):
+        raise SystemExit(f"{src}: the run imported {module}, not this tree's cli")
+    return proc
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """One line per command line whose record differs or that one side lacks."""
-    lines = []
-    for key in sorted(a["artifacts"].keys() | b["artifacts"].keys()):
-        ra, rb = a["artifacts"].get(key), b["artifacts"].get(key)
-        if ra != rb:
-            lines.append(f"{key}: {ra} != {rb}")
-    return lines
+def _records(src: Path, proc: subprocess.Popen, count: int):
+    """The count [exit, stdout, stderr] records proc writes, one at a time."""
+    for _ in range(count):
+        line = proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"{src}: the run stopped with exit {proc.wait()}")
+        yield json.loads(line)
+
+
+def _change(x: float, y: float) -> float:
+    """|x - y| relative to the larger magnitude, 0 where they are equal."""
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def value_changes(a: str, b: str, csv: bool) -> tuple[float, float, str] | int:
+    """(largest change of a cell, of a CSV column, that column's name) between
+    two texts that differ only in their numbers; else the first line (from 1)
+    whose text differs beyond its numbers."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    cell, header, diffs, sizes = 0.0, None, {}, {}
+    for n, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        if la != lb:
+            if _NUMBER.sub("", la) != _NUMBER.sub("", lb):
+                return n
+            cell = max([cell] + [_change(float(x), float(y)) for x, y in
+                                 zip(_NUMBER.findall(la), _NUMBER.findall(lb))])
+        if not csv or la.startswith("#"):
+            continue
+        if header is None:
+            header = la.split(",")
+            continue
+        for name, x, y in zip(header, la.split(","), lb.split(",")):
+            if _NUMBER.fullmatch(x):
+                x, y = float(x), float(y)
+                diffs[name] = max(diffs.get(name, 0.0), abs(x - y))
+                sizes[name] = max(sizes.get(name, 0.0), abs(x), abs(y))
+    if len(lines_a) != len(lines_b):
+        return min(len(lines_a), len(lines_b)) + 1
+    column, name = max(((diffs[name] / sizes[name] if diffs[name] else 0.0, name)
+                        for name in diffs), default=(0.0, ""))
+    return cell, column, name
+
+
+def compare(src_a: Path, src_b: Path, argvs: list[list[str]]) -> list[str]:
+    """One report line per artifact that is not byte-identical, then the
+    summary line."""
+    proc_a, proc_b = (_start(src, argvs) for src in (src_a, src_b))
+    records = zip(argvs, _records(src_a, proc_a, len(argvs)),
+                  _records(src_b, proc_b, len(argvs)))
+    lines, moved, cell, column = [], 0, 0.0, 0.0
+    with proc_a, proc_b:
+        for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in records:
+            if (code_a, out_a, err_a) == (code_b, out_b, err_b):
+                continue
+            change = ", ".join(text for text, differs in (
+                (f"exit {code_a} -> {code_b}", code_a != code_b),
+                (f"stderr {err_a!r} -> {err_b!r}", err_a != err_b)) if differs)
+            if not change:
+                changes = value_changes(out_a, out_b, "csv" in argv)
+                if isinstance(changes, int):
+                    change = f"text differs at line {changes}"
+                else:
+                    moved += 1
+                    cell, column = max(cell, changes[0]), max(column, changes[1])
+                    change = f"cell {changes[0]:.2g}"
+                    if changes[2]:
+                        change += f", column {changes[1]:.2g} ({changes[2]})"
+            lines.append(f"{shlex.join(argv)}: {change}")
+    summary = (f"{len(argvs)} artifacts: {len(argvs) - len(lines)} byte-identical, "
+               f"{moved} differ in numbers only, {len(lines) - moved} otherwise")
+    if moved:
+        summary += f"; largest change {cell:.2g} of a cell, {column:.2g} of a column"
+    return lines + [summary]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs=2, metavar="PATH",
-                        help="SRC OUT.json, or A.json B.json with --compare")
-    parser.add_argument("--compare", action="store_true")
+    parser.add_argument("paths", nargs=2, metavar="SRC", help="SRC_A SRC_B")
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-20"))
     parser.add_argument("--workloads", type=lambda text: text.split(","),
                         default=list(WORKLOADS))
     args = parser.parse_args(argv)
-    if args.compare:
-        a, b = (json.loads(Path(path).read_text()) for path in args.paths)
-        lines = compare(a, b)
-        print("\n".join(lines + [f"{len(a['artifacts'])} and {len(b['artifacts'])} "
-                                 f"artifacts, {len(lines)} differ"]))
-        return 1 if lines else 0
     unknown = set(args.workloads) - set(WORKLOADS)
     if unknown:
         parser.error(f"unknown workloads {sorted(unknown)}")
-    src, out = (Path(path).resolve() for path in args.paths)
-    if not (src / "abc2d" / "cli.py").is_file():
-        parser.error(f"{src} holds no abc2d package")
-    result = digest(src, operations(args.seeds, args.workloads))
-    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(f"{len(result['artifacts'])} artifacts from {result['module']}")
-    return 0
+    srcs = [Path(path).resolve() for path in args.paths]
+    for src in srcs:
+        if not (src / "abc2d" / "cli.py").is_file():
+            parser.error(f"{src} holds no abc2d package")
+    lines = compare(*srcs, operations(args.seeds, args.workloads))
+    print("\n".join(lines))
+    return 1 if len(lines) > 1 else 0
 
 
 if __name__ == "__main__":
