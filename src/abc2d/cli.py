@@ -8,7 +8,9 @@ given a flag that only the other --kind reads, an unwritable --out and a
 stdout that its reader closed, as in ``abc2d spectrum | head -1``, included),
 2 domain error (e.g. no bound states, unsupported flux case, --energy without
 --raw or --case/--k/--beta/--mu/--kappa/--alpha with it, a result that
-overflows to inf or nan), 3 verification failure.
+overflows to inf or nan, a scattering phase lost to rounding: an integer-flux
+sweep past beta ~ 1e5, or a scattering field past beta ~ 1e5 or k (xi^2 +
+eta^2) ~ 4.5e6), 3 verification failure.
 Numeric output uses 17 significant digits and every artifact embeds the
 parameters that produced it, so identical invocations give byte-identical
 files.

@@ -54,11 +54,14 @@ FORWARD_CONE = 1e-3
 
 SQRT_PI = math.sqrt(math.pi)
 
-# The integer-flux cosine argument d0 + d1 - beta ln sin^2 theta/2 adds terms
-# of size beta ln beta; _EPS times their magnitudes bounds its rounding error,
-# which is sigma_x's error relative to its amplitude.  Past _PHASE_ERROR_LIMIT
-# the sample is refused: beta up to about 1e5 passes at every angle, from
-# about 1e6 none does.
+# A phase built from terms of size X carries a rounding error of about _EPS X,
+# which is the relative error of what it multiplies; past _PHASE_ERROR_LIMIT
+# the result is refused.  The integer-flux cosine argument d0 + d1 - beta ln
+# sin^2 theta/2 adds terms of size beta ln beta: beta up to about 1e5 passes
+# at every angle, from about 1e6 none does.  A scattering field's prefactor
+# adds pi beta / 2 to ln Gamma (they cancel in the real part), and its plane
+# wave and Kummer factors have phases up to k (xi^2 + eta^2): at (xi, eta) =
+# (0.7, 1.3), beta up to 1e5 and k up to 1e6 pass, and 1e6 and 1e7 do not.
 _PHASE_ERROR_LIMIT = 1e-9
 
 
@@ -280,25 +283,39 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
     re-sums share one coefficient table, so a value matches the same node's
     eval_scattering_field to within a rounding tie, not by construction
     (see kummer_m_many).
+
+    After the Kummer factors, whose refusals come first, the grid is refused
+    (DomainError) where _EPS (pi |beta| / 2 + |ln Gamma| of the prefactor +
+    k (max xi^2 + max eta^2)) exceeds _PHASE_ERROR_LIMIT: there e^{pi beta / 2}
+    cancels against Re ln Gamma, or the phases carry that much rounding error.
     """
     k, b = p.k, p.beta
+    half = p.flux_case is FluxCase.HALF_INTEGER
 
     def plane(xi: float, eta: float) -> complex:
         return cmath.exp(1j * k * (0.5 * (xi * xi - eta * eta)))
 
-    if p.flux_case is FluxCase.HALF_INTEGER:
+    if half:
         c = (2.0 * math.sqrt(k / math.pi)
              * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
         ms = kummer_m_many(0.5 + 1j * b, 1.5, [1j * k * eta * eta for eta in etas])
+    else:
+        c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
+        ms = kummer_m_many(1j * b, 0.5, [1j * k * eta * eta for eta in etas])
+    if p.flux_case is FluxCase.INTEGER_FLUX:
+        rs = [[0.5 * (xi * xi + eta * eta) for eta in etas] for xi in xis]
+        distinct = list(dict.fromkeys(itertools.chain.from_iterable(rs)))
+        swave = {r: cmath.exp(1j * k * r) * m for r, m in
+                 zip(distinct, kummer_m_many(0.5 - 1j * b, 1.0, [-2j * k * r for r in distinct]))}
+    reach = max(xi * xi for xi in xis) + max(eta * eta for eta in etas)
+    size = 0.5 * math.pi * abs(b) + abs(ln_gamma((1.0 if half else 0.5) - 1j * b)) + k * reach
+    if _EPS * size > _PHASE_ERROR_LIMIT:
+        raise DomainError(f"the scattering field's phase at beta = {b}, k = {k}, "
+                          f"xi^2 + eta^2 up to {reach} is lost to rounding")
+    if half:
         return [[c * plane(xi, eta) * eta * m for eta, m in zip(etas, ms)] for xi in xis]
-    c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
-    ms = kummer_m_many(1j * b, 0.5, [1j * k * eta * eta for eta in etas])
     if p.flux_case is FluxCase.COULOMB_ONLY:
         return [[c * plane(xi, eta) * m for eta, m in zip(etas, ms)] for xi in xis]
-    rs = [[0.5 * (xi * xi + eta * eta) for eta in etas] for xi in xis]
-    distinct = list(dict.fromkeys(itertools.chain.from_iterable(rs)))
-    swave = {r: cmath.exp(1j * k * r) * m for r, m in
-             zip(distinct, kummer_m_many(0.5 - 1j * b, 1.0, [-2j * k * r for r in distinct]))}
     return [[c * (plane(xi, eta) * m - swave[r]) for eta, m, r in zip(etas, ms, line)]
             for xi, line in zip(xis, rs)]
 

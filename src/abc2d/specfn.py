@@ -21,21 +21,24 @@ sum monitors its own cancellation (sum of |terms| vs |result|); when
 double precision cannot deliver ~1e-13, the series is re-summed in binary
 fixed point: Python integers scaled by 2**bits, with the bits the
 cancellation costs plus 84 guard bits, and one correctly rounded conversion
-back to a complex double.  That keeps purely imaginary arguments of moderate
-size (the oscillatory scattering regime) at full accuracy.  A float sum that
-has not finished within its term cap is re-summed the same way, or refused
-with DomainError; a partial sum is never returned.  The result is within
-~1e-12 relative wherever ``kummer_m`` returns.  The regime split follows
-Pearson, Olver & Porter, Numer. Algorithms 74 (2017), section 3.
+back to a complex double; one loop, _fixed_terms, makes every fixed-point
+term, each the one floor of an exact rational.  That keeps purely imaginary
+arguments of moderate size (the oscillatory scattering regime) at full
+accuracy.  A float sum that has not finished within its term cap is
+re-summed the same way, or refused with DomainError; a partial sum is never
+returned.  The result is within ~1e-12 relative wherever ``kummer_m``
+returns.  The regime split follows Pearson, Olver & Porter, Numer.
+Algorithms 74 (2017), section 3.
 
 ``kummer_m_many(a, b, zs)`` is ``kummer_m`` over many arguments that share
 (a, b), as a field dump's Kummer factors do: each distinct z takes the same
 checks and dispatch once.  The plain cancellation re-sums among them are
 held back; where at least _TABLE_MIN_GROUP share (a, b), they are summed
-from one table of the coefficients c_n R^n in fixed point, R a power of two
-above their largest |z|, by one Horner pass each in the exact z / R, at the
-group's largest working bits.  Smaller groups, and the re-sums of a float
-pass that overflowed or ran out of terms, keep the running product.
+from one table of the coefficients c_n R^n in fixed point, the series' own
+terms at z = R, R a power of two above their largest |z|, by one Horner pass
+each in the exact z / R, at the group's largest working bits.  Smaller
+groups, and the re-sums of a float pass that overflowed or ran out of terms,
+sum the terms at z itself.
 """
 
 from __future__ import annotations
@@ -210,28 +213,54 @@ def _taylor(a: complex, b: complex, z: complex):
 
 
 def _exact(*xs: float) -> tuple[list[int], int]:
-    """Floats as integers over one common power of two: x_i = n_i / 2**e."""
+    """Floats or ints as integers over one common power of two: x_i = n_i / 2**e."""
     ratios = [x.as_integer_ratio() for x in xs]
     e = max(den.bit_length() for _, den in ratios) - 1
     return [num << (e + 1 - den.bit_length()) for num, den in ratios], e
 
 
-def _rescale(n: int, shift: int) -> int:
-    """floor(n * 2**shift)."""
-    return n << shift if shift >= 0 else n >> -shift
+def _fixed_terms(a: complex, b: complex, z: complex, bits: int):
+    """The terms t_1, t_2, ... of M(a, b, z) on integers scaled by 2**bits, at
+    most _RESUM_MAX_TERMS of them: t_0 = 2**bits and each part of t_n is one
+    floor of the exact t_{n-1} (a+n-1) z / ((b+n-1) n).
+
+    a, b and z convert exactly (z may also be an int, as a table's R is), and
+    w = (a+n-1) z grows by z per term, so a term costs one complex multiply
+    and one division by (b+n-1) n; a complex b+n-1 divides as its conjugate
+    over its squared modulus.  A floor changes a term by under one unit.
+    """
+    (ar, ai, zr, zi), e = _exact(a.real, a.imag, z.real, z.imag)
+    (cr, ci), eb = _exact(b.real, b.imag)  # b + n - 1 = (cr + i ci) / 2**eb
+    wr, wi = ar * zr - ai * zi, ar * zi + ai * zr  # w = (wr + i wi) / 2**(2 e)
+    zr, zi = zr << e, zi << e
+    shift = eb - 2 * e
+    up, down = max(shift, 0), max(-shift, 0)
+    step = 1 << eb
+    modulus = cr * cr + ci * ci
+    tr, ti = 1 << bits, 0
+    for n in range(1, _RESUM_MAX_TERMS + 1):
+        xr, xi = (tr * wr - ti * wi) << up, (tr * wi + ti * wr) << up
+        if ci:
+            xr, xi = xr * cr + xi * ci, xi * cr - xr * ci
+            den = modulus * n << down
+            modulus += (2 * cr + step) * step
+        else:
+            den = cr * n << down
+        tr, ti = xr // den, xi // den
+        yield tr, ti
+        wr += zr
+        wi += zi
+        cr += step
 
 
 def _taylor_fixed(a: complex, b: complex, z: complex, bits: int,
                   relative: bool = False) -> complex:
-    """Taylor sum of M(a,b,z) in binary fixed point, on integers scaled by 2**bits.
+    """Taylor sum of M(a,b,z) in binary fixed point: the sum of _fixed_terms,
+    on integers scaled by 2**bits.
 
     Used when the float series has cancelled too much, or has not finished
-    within _TAYLOR_MAX_TERMS terms.  The inputs convert
-    exactly (a z is formed exactly, then floored), each term is floored to
-    2**-bits, and the one rounding to a complex double is the final
-    correctly rounded integer division.  w = (a+n) z grows by z per term, so
-    a term costs one complex multiply and a division by (b+n)(n+1); a complex
-    b+n divides as its conjugate over its squared modulus.
+    within _TAYLOR_MAX_TERMS terms.  The one rounding to a complex double is
+    the final correctly rounded integer division.
 
     The sum stops at a term of at most _TAIL_UNITS units.  With ``relative``
     it also stops at a term of at most 2**-_GUARD_BITS of the sum so far once
@@ -241,37 +270,15 @@ def _taylor_fixed(a: complex, b: complex, z: complex, bits: int,
     its terms fall below 2**-bits.  A series that meets neither rule within
     _RESUM_MAX_TERMS terms raises DomainError.
     """
-    (ar, ai, zr, zi), e = _exact(a.real, a.imag, z.real, z.imag)
-    (cr, ci), eb = _exact(b.real, b.imag)  # b + n = (cr + i ci) / 2**eb
-    bits = max(bits, eb)
     one = 1 << bits
-    wr = _rescale(ar * zr - ai * zi, bits - 2 * e)
-    wi = _rescale(ar * zi + ai * zr, bits - 2 * e)
-    zr, zi = _rescale(zr, bits - e), _rescale(zi, bits - e)
-    step = 1 << eb
-    shift = bits - eb
-    modulus = cr * cr + ci * ci
-    tr, ti = one, 0
     sr, si = one, 0
-    for n in range(1, _RESUM_MAX_TERMS + 1):
-        xr, xi = tr * wr - ti * wi, tr * wi + ti * wr
-        if ci:
-            xr, xi = xr * cr + xi * ci, xi * cr - xr * ci
-            den = modulus * n
-            modulus += (2 * cr + step) * step
-        else:
-            den = cr * n
-        # floor(x / 2**shift) // den == floor(x / (den 2**shift)) for den > 0
-        tr, ti = (xr >> shift) // den, (xi >> shift) // den
+    for n, (tr, ti) in enumerate(_fixed_terms(a, b, z, bits), 1):
         sr += tr
         si += ti
         if (-_TAIL_UNITS <= tr <= _TAIL_UNITS and -_TAIL_UNITS <= ti <= _TAIL_UNITS
                 or relative and abs(a + n) * abs(z) < abs(b + n) * (n + 1)
                 and max(abs(tr), abs(ti)) <= max(abs(sr), abs(si)) >> _GUARD_BITS):
             break
-        wr += zr
-        wi += zi
-        cr += step
     else:
         # Only a polynomial of degree _RESUM_MAX_TERMS ends here summed in full;
         # lower degrees reach a zero term and stop above.
@@ -383,8 +390,8 @@ def kummer_m_many(a: complex, b: complex, zs) -> list[complex]:
     Every distinct argument (a signed zero counts as distinct) goes through
     kummer_m's own checks and dispatch.  The plain cancellation re-sums that
     dispatch asks for are held back and summed together by _resum_many, from
-    one coefficient table per (a, b).  A table sum and _taylor_fixed's
-    running product differ by a few units of 2**-bits before their one
+    one coefficient table per (a, b).  A table sum and _taylor_fixed's sum
+    of the terms at z differ by a few units of 2**-bits before their one
     rounding, so they round alike unless the sum lies that close to a tie
     between two doubles (none of 8,056 field re-sums did).  A refusal is the
     one the loop over zs would raise first: a held-back re-sum of an earlier
@@ -459,10 +466,10 @@ def _coefficient_table(a: complex, b: complex, group: list) -> tuple:
     for every (z, bits) of group, as D_n = c_n R**n on integers over 2**bits.
 
     bits is the group's largest, and R = 2**r is the power of two just above
-    its largest |z|, so that z / R is exact and |z / R| < 1.  D_n is built by
-    the running product D_{n-1} (a+n-1) R / ((b+n-1) n), each floored as
-    _taylor_fixed floors its terms; since |z| <= R, a floor's error grows no
-    faster down the table than it does down the terms of any z of the group.
+    its largest |z|, so that z / R is exact and |z / R| < 1.  D_n is the
+    series' own term at z = R, _fixed_terms(a, b, R, bits); since |z| <= R, a
+    floor's error grows no faster down the table than it does down the terms
+    of any z of the group.
 
     The term D_n x**n, x = z / R, is below _TAIL_UNITS (both parts) where
     log2|x| < (_TAIL_BITS - 1/2 - s_n) / n, s_n the bit length of D_n's
@@ -475,31 +482,13 @@ def _coefficient_table(a: complex, b: complex, group: list) -> tuple:
     z_max = max(abs(z) for z, _ in group)
     r = math.frexp(z_max)[1]
     log_x = math.log2(z_max) - r
-    (ar, ai), ea = _exact(a.real, a.imag)
-    (cr, ci), eb = _exact(b.real, b.imag)  # b + m = (cr + i ci) / 2**eb
-    bits = max(bits, eb)
-    shift = eb - ea + r
-    up, down = max(shift, 0), max(-shift, 0)
-    step_a, step_b = 1 << ea, 1 << eb
-    modulus = cr * cr + ci * ci
-    dr, di = 1 << bits, 0
-    terms, reach = [(dr, di)], [-math.inf]
-    for n in range(1, _RESUM_MAX_TERMS + 1):
-        xr, xi = (dr * ar - di * ai) << up, (dr * ai + di * ar) << up
-        if ci:
-            xr, xi = xr * cr + xi * ci, xi * cr - xr * ci
-            den = modulus * n << down
-            modulus += (2 * cr + step_b) * step_b
-        else:
-            den = cr * n << down
-        dr, di = xr // den, xi // den
+    terms, reach = [(1 << bits, 0)], [-math.inf]
+    for n, (dr, di) in enumerate(_fixed_terms(a, b, 2 ** r, bits), 1):
         terms.append((dr, di))
         size = max(abs(dr), abs(di)).bit_length()
         reach.append(max(reach[-1], (_TAIL_BITS - 0.5 - size) / n))
         if reach[-1] > log_x:
             break
-        ar += step_a
-        cr += step_b
     return bits, r, terms, reach
 
 

@@ -396,6 +396,11 @@ REFUSALS = [
      "terms\n"),
     ([*LARGE_BETA_GRID, "--beta", "60"], 2,
      "abc2d: M(60j, (0.5+0j), 324j): the Taylor series has not converged after 1000 terms\n"),
+    # e^{pi beta / 2} = e^{1.6e300} against Re ln Gamma(1 - i beta): the
+    # field's modulus would be lost entirely, so the dump is refused
+    ([*SCATTER, "--case", "half", "--k", "1e-300", "--beta", "1e300", "--nx", "2", "--ny", "2"],
+     2, "abc2d: the scattering field's phase at beta = 1e+300, k = 1e-300, xi^2 + eta^2 up to "
+     "8.0 is lost to rounding\n"),
     # results that overflow: every line is rendered before --out is opened
     (["spectrum", "--mu", "1e300", "--kappa", "1e300"], 2,
      "abc2d: non-finite result energy = -inf\n"),

@@ -200,6 +200,14 @@ LIBRARY_REFUSALS = [
       for beta, thetas in (*((beta, [2.0]) for beta in (1e6, -1e7, 1e15)),
                            *((1.5e5, [0.4, math.pi, 5.9, 13.5, theta])
                              for theta in (2.0 * FORWARD_CONE, 0.01, 2.0 * math.pi - 0.01)))),
+    # beta past 1e5 or k (xi^2 + eta^2) past 4.5e6: e^{pi beta / 2} cancels
+    # against Re ln Gamma, or the plane wave's and Kummer factors' phases
+    # carry more than _PHASE_ERROR_LIMIT of rounding error
+    *((f"scatter.eval_scattering_field-{case.value}-beta={beta}-k={k}",
+       scatter.eval_scattering_field, (ScatteringParams(k, beta, case), 0.7, 1.3), (),
+       DomainError, f"the scattering field's phase at beta = {beta}, k = {k}, "
+       f"xi^2 + eta^2 up to {0.7 * 0.7 + 1.3 * 1.3} is lost to rounding")
+      for case, beta, k in ((COULOMB, 1e6, 1e-9), (INTEGER, 0.3, 1e7), (HALF, -1e9, 1e-12))),
     *((f"scatter.limit_ab-{case.value}-k={k}", scatter.limit_ab, (case, k, 1.0), (), ValueError,
        "k must be positive") for case, k in ((HALF, 0.0), (COULOMB, math.nan), (HALF, math.nan))),
     *((f"scatter.limit_classical-mu={mu}-v_c={v_c}", scatter.limit_classical,

@@ -408,6 +408,35 @@ class TestScatteringField:
         assert abs(b - phase * a) < 1e-12 * abs(a)
 
 
+def mp_field(p, xi, eta):
+    """The closed forms at 60 digits, every factor from mpmath."""
+    with mp.workdps(60):
+        k, b, xi, eta = (mp.mpf(v) for v in (p.k, p.beta, xi, eta))
+        plane = mp.expj(k * (xi * xi - eta * eta) / 2)
+        if p.flux_case is FluxCase.HALF_INTEGER:
+            c2 = 2 * mp.sqrt(k / mp.pi) * mp.exp(mp.pi * b / 2 - 0.25j * mp.pi
+                                                 + mp.loggamma(1 - 1j * b))
+            return complex(c2 * plane * eta * mp.hyp1f1(0.5 + 1j * b, 1.5, 1j * k * eta * eta))
+        c1 = mp.exp(mp.pi * b / 2 + mp.loggamma(0.5 - 1j * b)) / mp.sqrt(mp.pi)
+        value = plane * mp.hyp1f1(1j * b, 0.5, 1j * k * eta * eta)
+        if p.flux_case is FluxCase.INTEGER_FLUX:
+            r = (xi * xi + eta * eta) / 2
+            value -= mp.expj(k * r) * mp.hyp1f1(0.5 - 1j * b, 1, -2j * k * r)
+        return complex(c1 * value)
+
+
+class TestFieldPhase:
+    # the largest decades of beta and k that _field accepts at (0.7, 1.3);
+    # the next decade is refused (rows of LIBRARY_REFUSALS).  At beta = 1e9
+    # the field was 1.1e-7 off, at k = 1e8 1.4e-9 off, with exit 0
+    @pytest.mark.parametrize("beta,k", [(1e5, 1e-8), (0.3, 1e6)])
+    @pytest.mark.parametrize("case", FluxCase, ids=lambda case: case.value)
+    def test_largest_accepted_matches_mpmath(self, case, beta, k):
+        p = ScatteringParams(k, beta, case)
+        ref = mp_field(p, 0.7, 1.3)
+        assert abs(eval_scattering_field(p, 0.7, 1.3) - ref) <= scatter._PHASE_ERROR_LIMIT * abs(ref)
+
+
 class TestStationaryWave:
     def test_envelope_bound(self):
         bound = math.sqrt(2.0 / (math.pi * P_I.k))

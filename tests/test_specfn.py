@@ -5,8 +5,10 @@ evaluated with it at 40 digits.
 """
 
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -420,6 +422,44 @@ class TestFixedPointResum:
         assert len(resums) == 2
 
 
+def fraction_terms(a, b, z, bits, count):
+    """Reference for _fixed_terms: t_0 = 2**bits and each part of t_n the floor
+    of t_{n-1} (a+n-1) z / ((b+n-1) n) in exact rationals, up to count terms
+    or the first zero term."""
+    ar, ai, zr, zi, br, bi = map(Fraction, (a.real, a.imag, z.real, z.imag, b.real, b.imag))
+    tr, ti = 1 << bits, 0
+    terms = []
+    for n in range(1, count + 1):
+        ur, ui = tr * (ar + n - 1) - ti * ai, tr * ai + ti * (ar + n - 1)
+        ur, ui = ur * zr - ui * zi, ur * zi + ui * zr
+        cr, ci = br + n - 1, bi
+        den = (cr * cr + ci * ci) * n
+        tr, ti = math.floor((ur * cr + ui * ci) / den), math.floor((ui * cr - ur * ci) / den)
+        terms.append((tr, ti))
+        if tr == ti == 0:
+            break
+    return terms
+
+
+@pytest.mark.parametrize("a,b,z,bits", [
+    (0.3 + 1.7j, 1.5 - 2.25j, 3.7 + 11.2j, 90),     # complex b
+    (0.5 + 1.3j, 1.5, 25.0j, 100),                   # real b > 0
+    (0.7j, -3.5, -18.0 + 9.0j, 96),                  # real b < 0: b + n - 1 < 0 to n = 4
+    (-0.3 + 1.1j, -0.3, 0.1 + 29.7j, 88),            # real b in (-1, 0)
+    (-12.0, 3.0, 35.0, 84),                          # a = -12: t_13 = 0
+    (0.5 - 2.0j, 1.0, 2 ** 5, 92),                   # a table's R = 2**r, r > 0
+    (2.5j, -1.75 + 0.5j, 2 ** -3, 84),               # and r < 0
+])
+def test_fixed_terms_are_one_floor_each(a, b, z, bits):
+    # each part of each term is the one floor of an exact rational, which a
+    # floor of a floored product or a division by a negative (b + n - 1) n
+    # in two steps can miss by a unit
+    want = fraction_terms(complex(a), complex(b), z, bits, 40)
+    got = list(itertools.islice(specfn._fixed_terms(complex(a), complex(b), z, bits), len(want)))
+    assert got == want
+    assert len(want) == (13 if a == -12.0 else 40)
+
+
 # repr(kummer_m(a, b, z)) recorded from the decimal re-sum this one replaced;
 # each argument takes the re-sum, so any change to its arithmetic shows here.
 # The last one (Re z < 0) was re-recorded when kummer_m stopped applying
@@ -428,6 +468,8 @@ class TestFixedPointResum:
 GOLDEN_RESUMS = [
     ((0.5 + 1.3j, 1.5, 25.0j), "(-0.06380747287945618+0.02821828913607356j)"),
     ((0.7j, 0.5, 30.0j), "(-0.744314825837762+0.18867298757435438j)"),
+    # real b < 0, recorded from the running product that floored twice there
+    ((0.7j, -0.5, 30.0j), "(4.763368836618855+2.223088862790016j)"),
     ((0.5 - 2.0j, 1.0, -24.0j), "(0.10973007050824819+0.06977295480540492j)"),
     ((2.5j, 0.5, -18.0j), "(616.215062000993-1469.0241698659006j)"),
     ((-12.0, 3.0, 35.0), "(-25440.805505953183+0j)"),
