@@ -27,16 +27,15 @@ Level structure by case (d = degeneracy at level N):
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import DomainError
 from .reduction import RelativeProblem
 from .scatter import linspace
-from .specfn import kummer_m
+from .specfn import kummer_m_poly
 
 # Branch labels on spectrum levels.
 BRANCH_PLUS = "plus"
@@ -255,21 +254,27 @@ def normalization_constant(qn: QuantumNumbers, problem: RelativeProblem) -> floa
 
 
 def _factors(qn: QuantumNumbers, problem: RelativeProblem
-             ) -> tuple[Callable[[float], complex], Callable[[float], complex]]:
-    """(radial, phase) of psi(r, theta) = radial(r) * phase(theta); C, w and
-    the decay rate alpha = 2 mu kappa / lambda are computed once, here.
-    rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for w = 0, else 0."""
+             ) -> tuple[Callable[[list[float]], list[complex]], Callable[[float], complex]]:
+    """(radial, phase) of psi(r, theta) = radial([r])[0] * phase(theta); C, w
+    and the decay rate alpha = 2 mu kappa / lambda are computed once, here.
+
+    radial maps a list of radii to their radial factors: rho = alpha r, then
+    rho^w, then the polynomial M(-n_r, 2w + 1, rho) by one kummer_m_poly
+    call in float arithmetic, then C e^{-rho/2} rho^w M, each step over the
+    whole list.  rho^w at r = 0 is its limit, as 0.0 ** w gives it: 1 for
+    w = 0, else 0."""
     c = normalization_constant(qn, problem)
     w = effective_exponent(qn.m, problem.nu)
     alpha = 2.0 * problem.reduced_mass * problem.kappa / _lambda(qn, problem.nu)
-    a, b = complex(-qn.n_r), complex(2.0 * w + 1.0)
+    b = 2.0 * w + 1.0
     turns = 1j * (qn.m - problem.m0)
 
-    def radial(r: float) -> complex:
-        rho = alpha * r
-        radial_power = rho**w
-        poly = kummer_m(a, b, complex(rho))
-        return c * math.exp(-0.5 * rho) * radial_power * poly
+    def radial(rs: list[float]) -> list[complex]:
+        rhos = [alpha * r for r in rs]
+        powers = [rho**w for rho in rhos]
+        polys = kummer_m_poly(qn.n_r, b, rhos)
+        return [c * math.exp(-0.5 * rho) * power * poly
+                for rho, power, poly in zip(rhos, powers, polys)]
 
     def phase(theta: float) -> complex:
         try:
@@ -291,7 +296,7 @@ def wavefunction(qn: QuantumNumbers,
     def psi(r: float, theta: float) -> complex:
         if r < 0.0:
             raise ValueError("r must be non-negative")
-        return radial(r) * phase(theta)
+        return radial([r])[0] * phase(theta)
 
     return psi
 
@@ -301,15 +306,17 @@ def sample_bound_field(
 ) -> tuple[list[float], list[float], list[list[complex]]]:
     """(xs, ys, values): psi on the grid xs = ys = linspace(*span, points),
     values[i][j] at r = hypot(xs[i], ys[j]), theta = atan2(ys[j], xs[i]),
-    equal bit for bit to wavefunction's.  The radial factor is evaluated once
-    per distinct r, through a cache that lives for this call."""
+    equal bit for bit to wavefunction's.  The radial factor is evaluated by
+    one call over the distinct radii, in their first order on the grid."""
     radial, phase = _factors(qn, problem)
-    radial = functools.cache(radial)
     xs = ys = linspace(*span, points)
     if len(xs) < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    return xs, ys, [[radial(math.hypot(x, y)) * phase(math.atan2(y, x)) for y in ys]
-                    for x in xs]
+    rs = [[math.hypot(x, y) for y in ys] for x in xs]
+    distinct = list(dict.fromkeys(chain.from_iterable(rs)))
+    radials = dict(zip(distinct, radial(distinct)))
+    return xs, ys, [[radials[r] * phase(math.atan2(y, x)) for y, r in zip(ys, line)]
+                    for x, line in zip(xs, rs)]
 
 
 def eval_bound_wavefunction(

@@ -52,7 +52,9 @@ Two oracles that share no special-function code with the closed forms:
   x = ln(alpha r), halving the step until two sums agree; the angular
   integral is exactly 2 pi.  The integrand is analytic in a strip about the
   real x axis and negligible at both ends of the range, so the rule converges
-  geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014).
+  geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014).  Each
+  pass evaluates the closed form's radial factor once, over the list of its
+  new abscissae.
 
 The ODE path never touches the confluent hypergeometric code, and both
 oracles read w = |m + nu| off the Hamiltonian, not from bound, so agreement
@@ -69,7 +71,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from .bound import QuantumNumbers, wavefunction
+from .bound import QuantumNumbers, _factors
 from .errors import DomainError
 from .reduction import RelativeProblem
 
@@ -409,21 +411,25 @@ def shoot_with_nodes(problem: RelativeProblem, m: int, n_r: int) -> tuple[float,
     return e_scaled * unit, nodes
 
 
-def _trapezoid(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _trapezoid(f: Callable[[list[float]], list[float]], a: float,
+               b: float) -> tuple[float, float]:
     """Trapezoid sum of f over [a, b] and its error estimate |T(h) - T(2h)|.
 
-    Each pass halves the step and evaluates f at the new midpoints only.  For
+    f maps a list of abscissae to the list of their values, and each pass
+    makes one call: the first at a, b and the interior points in order,
+    each later one, which halves the step, at the new midpoints only.  For
     an f analytic in a strip about [a, b] and negligible at both ends the
     error falls geometrically in 1/h, so the estimate bounds the coarser
     sum's error and the finer sum is far closer than that.
     """
     n = _TRAPEZOID_PANELS
     h = (b - a) / n
-    total = 0.5 * (f(a) + f(b)) + math.fsum(f(a + k * h) for k in range(1, n))
+    fa, fb, *inner = f([a, b] + [a + k * h for k in range(1, n)])
+    total = 0.5 * (fa + fb) + math.fsum(inner)
     value = h * total
     while True:
         h *= 0.5
-        total += math.fsum(f(a + (2 * k + 1) * h) for k in range(n))
+        total += math.fsum(f([a + (2 * k + 1) * h for k in range(n)]))
         n *= 2
         finer = h * total
         err, value = abs(finer - value), finer
@@ -439,11 +445,12 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
     |psi|^2 r dr = |psi|^2 rho^2 / alpha^2 dx is analytic for |Im x| < pi/2
     and falls like e^{(2w+2) x} on the left and double-exponentially on the
     right.  The range drops about e^{-40} of the left tail and cuts the right
-    one at rho = 8 lambda + 60.  The integrand goes through
-    bound.wavefunction, built once, as (|psi| rho / alpha)^2, which stays
-    O(1) at any mu and kappa.
+    one at rho = 8 lambda + 60.  The integrand is (|R| rho / alpha)^2, which
+    stays O(1) at any mu and kappa, from psi's radial factor R as bound
+    builds it, once, and evaluates it over each pass's list of radii; the
+    phase has modulus 1 and is left out.
     """
-    psi = wavefunction(qn, problem)
+    radial, _ = _factors(qn, problem)
     w = abs(qn.m + problem.nu)
     lam = qn.n_r + w + 0.5
     alpha = 2.0 * problem.reduced_mass * problem.kappa / lam
@@ -452,9 +459,10 @@ def quad_norm(qn: QuantumNumbers, problem: RelativeProblem) -> float:
                           f"or a subnormal at mu = {problem.reduced_mass}, "
                           f"kappa = {problem.kappa}")
 
-    def integrand(x: float) -> float:
-        rho = math.exp(x)
-        return (abs(psi(rho / alpha, 0.0)) * rho / alpha) ** 2
+    def integrand(xs: list[float]) -> list[float]:
+        rhos = [math.exp(x) for x in xs]
+        return [(abs(value) * rho / alpha) ** 2
+                for value, rho in zip(radial([rho / alpha for rho in rhos]), rhos)]
 
     x_min, x_max = -40.0 / (2.0 * w + 2.0), math.log(8.0 * lam + 60.0)
     try:

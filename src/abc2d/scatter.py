@@ -277,7 +277,8 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
     """psi0 at every node of the grid xis x etas, row-major in xi.
 
     Each separated factor is evaluated once per distinct argument: the
-    prefactor c1 or c2 per call, the Kummer factor per distinct k eta^2 and
+    prefactor c1 or c2 and its ln Gamma once per call (the phase refusal
+    reads the same ln Gamma), the Kummer factor per distinct k eta^2 and
     the integer-flux s-wave per distinct r, each Kummer factor by one
     kummer_m_many call, and the plane wave per node.  A grid's cancelling
     re-sums share one coefficient table, so a value matches the same node's
@@ -296,11 +297,13 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
         return cmath.exp(1j * k * (0.5 * (xi * xi - eta * eta)))
 
     if half:
+        log_gamma = ln_gamma(1.0 - 1j * b)
         c = (2.0 * math.sqrt(k / math.pi)
-             * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + ln_gamma(1.0 - 1j * b)))
+             * cmath.exp(0.5 * math.pi * b - 0.25j * math.pi + log_gamma))
         ms = kummer_m_many(0.5 + 1j * b, 1.5, [1j * k * eta * eta for eta in etas])
     else:
-        c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI
+        log_gamma = ln_gamma(0.5 - 1j * b)
+        c = cmath.exp(0.5 * math.pi * b + log_gamma) / SQRT_PI
         ms = kummer_m_many(1j * b, 0.5, [1j * k * eta * eta for eta in etas])
     if p.flux_case is FluxCase.INTEGER_FLUX:
         rs = [[0.5 * (xi * xi + eta * eta) for eta in etas] for xi in xis]
@@ -308,7 +311,7 @@ def _field(p: ScatteringParams, xis: list[float], etas: list[float]) -> list[lis
         swave = {r: cmath.exp(1j * k * r) * m for r, m in
                  zip(distinct, kummer_m_many(0.5 - 1j * b, 1.0, [-2j * k * r for r in distinct]))}
     reach = max(xi * xi for xi in xis) + max(eta * eta for eta in etas)
-    size = 0.5 * math.pi * abs(b) + abs(ln_gamma((1.0 if half else 0.5) - 1j * b)) + k * reach
+    size = 0.5 * math.pi * abs(b) + abs(log_gamma) + k * reach
     if _EPS * size > _PHASE_ERROR_LIMIT:
         raise DomainError(f"the scattering field's phase at beta = {b}, k = {k}, "
                           f"xi^2 + eta^2 up to {reach} is lost to rounding")

@@ -39,6 +39,12 @@ terms at z = R, R a power of two above their largest |z|, by one Horner pass
 each in the exact z / R, at the group's largest working bits.  Smaller
 groups, and the re-sums of a float pass that overflowed or ran out of terms,
 sum the terms at z itself.
+
+The float Taylor pass sums in the arithmetic of its arguments: complex for
+kummer_m, float where a, b and z are real.  ``kummer_m_poly(n, b, xs)`` is
+``kummer_m(-n, b, x)`` over a list of real xs for a real b, the bound
+states' radial polynomial, summed in float arithmetic: every imaginary part
+of the complex sum is +-0, so the values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -189,18 +195,23 @@ def _taylor(a: complex, b: complex, z: complex):
     Terminates exactly when a is a non-positive integer.  A term counts as
     small only once the terms shrink, |a+n| |z| < |b+n| (n+1): a tiny a
     makes the first terms tiny even where the later ones grow.
+
+    The sum runs in the arithmetic of its arguments: float for real a, b
+    and z, complex otherwise (a float with a complex converts the float to
+    x+0j, so the leading 1.0 changes no complex sum).  Every term is added,
+    a zero term last: it changes no value, and the total of complex
+    arguments is complex even where the first term is zero.
     """
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
+    term = total = 1.0
     abs_sum = 1.0
     small = 0
     n = 0
     while n < _TAYLOR_MAX_TERMS:
         term = term * (a + n) * z / ((b + n) * (n + 1))
         n += 1
+        total += term
         if term == 0.0:
             break
-        total += term
         abs_sum += abs(term)
         if (abs(term) <= _TAYLOR_RTOL * abs(total)
                 and abs(a + n) * abs(z) < abs(b + n) * (n + 1)):
@@ -283,8 +294,8 @@ def _taylor_fixed(a: complex, b: complex, z: complex, bits: int,
         # Only a polynomial of degree _RESUM_MAX_TERMS ends here summed in full;
         # lower degrees reach a zero term and stop above.
         if a != -_RESUM_MAX_TERMS:
-            raise DomainError(f"M({a}, {b}, {z}): the Taylor series has not converged "
-                              f"after {_RESUM_MAX_TERMS} terms")
+            raise DomainError(f"M({complex(a)}, {complex(b)}, {complex(z)}): the Taylor "
+                              f"series has not converged after {_RESUM_MAX_TERMS} terms")
     return complex(sr / one, si / one)
 
 
@@ -384,6 +395,27 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
     return _dispatch(a, b, z)
 
 
+def kummer_m_poly(n: int, b: float, xs) -> list[complex]:
+    """[kummer_m(-n, b, x) for x in xs] for an integer n >= 0, a real b and
+    real xs, bit for bit, signed zeros included, summed in float arithmetic.
+
+    Each x goes through kummer_m's dispatch on floats: its float Taylor pass
+    and, where that cancels, overflows or runs out of terms, the same
+    fixed-point re-sum.  Every imaginary part of kummer_m's complex sum is
+    +-0, so complex +, * and / give its real parts the float results, and
+    abs(x +- 0j) is |x|.  (n, b) is checked with the first x, each later x
+    for finiteness only; a refusal is the one the list would raise first,
+    with kummer_m's message.
+    """
+    a, b = float(-n), float(b)
+    values = []
+    for x in xs:
+        if not values or not math.isfinite(x):
+            _check_arguments(complex(a), complex(b), complex(x))
+        values.append(complex(_dispatch(a, b, float(x))))
+    return values
+
+
 def kummer_m_many(a: complex, b: complex, zs) -> list[complex]:
     """[kummer_m(a, b, z) for z in zs], each distinct z evaluated once.
 
@@ -446,8 +478,8 @@ def _taylor_checked(a: complex, b: complex, z: complex,
     if not cmath.isfinite(value):
         bits = _GUARD_BITS + _log2_term_sum_bound(a, b, z)
         if bits > _RESUM_MAX_BITS:
-            raise DomainError(f"M({a}, {b}, {z}): its Taylor terms reach "
-                              f"2**{bits - _GUARD_BITS}, past the re-sum's range")
+            raise DomainError(f"M({complex(a)}, {complex(b)}, {complex(z)}): its Taylor "
+                              f"terms reach 2**{bits - _GUARD_BITS}, past the re-sum's range")
         return _taylor_fixed(a, b, z, bits)
     scale = max(abs(value), 1e-300)
     capped = n == _TAYLOR_MAX_TERMS

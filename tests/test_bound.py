@@ -22,7 +22,7 @@ from abc2d.bound import (
     wavefunction,
 )
 from abc2d.reduction import RelativeProblem
-from abc2d.specfn import kummer_m
+from abc2d.specfn import kummer_m_poly
 
 C00_NU0 = 1.5957691216057307       # 4 / sqrt(2 pi)
 C00_NU_HALF = 0.56418958354775629  # 1 / sqrt(pi)
@@ -450,13 +450,16 @@ class TestSampleBoundField:
     @pytest.mark.parametrize("span,points", BOUND_GRIDS)
     @pytest.mark.parametrize("alpha,qn", GRID_STATES, ids=lambda v: str(v))
     def test_kummer_once_per_distinct_radius(self, alpha, qn, span, points, monkeypatch):
+        # one polynomial call per dump, over each distinct radius once
         calls = []
 
-        def counting(a, b, z):
-            calls.append(z)
-            return kummer_m(a, b, z)
+        def counting(n, b, xs):
+            calls.append(xs)
+            return kummer_m_poly(n, b, xs)
 
-        monkeypatch.setattr(bound, "kummer_m", counting)
+        monkeypatch.setattr(bound, "kummer_m_poly", counting)
         p = RelativeProblem.from_parameters(0.8, 1.3, alpha)
         xs, ys, _ = sample_bound_field(qn, p, span, points)
-        assert len(calls) <= len({math.hypot(x, y) for x in xs for y in ys})
+        [rhos] = calls
+        radii = {math.hypot(x, y) for x in xs for y in ys}
+        assert len(rhos) == len(radii)

@@ -66,8 +66,8 @@ MUTATIONS = [
          "        total += term if n != 1 else 0.0\n        prev = mag\n", None,
          marks=_survives(3, "no row checks the large-|z| expansion term by term")),
     _row("coulomb_prefactor", "scatter.py",
-         "c = cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI",
-         "c = 1.001 * cmath.exp(0.5 * math.pi * b + ln_gamma(0.5 - 1j * b)) / SQRT_PI",
+         "c = cmath.exp(0.5 * math.pi * b + log_gamma) / SQRT_PI",
+         "c = 1.001 * cmath.exp(0.5 * math.pi * b + log_gamma) / SQRT_PI",
          ("stationary_wave",)),
     _row("energy_lambda", "bound.py",
          "lam = _lambda(qn, problem.nu)",

@@ -23,6 +23,11 @@ BRACKET_END_STATES = [
 ]
 
 
+def _on_lists(f):
+    """f over a list of abscissae, as _trapezoid calls it."""
+    return lambda xs: [f(x) for x in xs]
+
+
 def problem(nu, mu=1.0, kappa=1.0):
     return RelativeProblem.from_parameters(mu, kappa, nu)
 
@@ -357,25 +362,27 @@ class TestQuadNorm:
 
     def test_evaluation_budget(self, monkeypatch):
         # QUADPACK took 3,864 integrand evaluations on the small norm table,
-        # the trapezoid rule 3,090
+        # the trapezoid rule 3,090 over its 18 states; one quadrature per
+        # distinct (|m + nu|, n_r) leaves 12 of them
         calls = []
-        wavefunction = oracle_mod.wavefunction
+        factors = oracle_mod._factors
 
         def counting(qn, p):
-            psi = wavefunction(qn, p)
+            radial, phase = factors(qn, p)
 
-            def counted(r, theta):
-                calls.append(r)
-                return psi(r, theta)
+            def counted(rs):
+                calls.append(len(rs))
+                return radial(rs)
 
-            return counted
+            return counted, phase
 
-        monkeypatch.setattr(oracle_mod, "wavefunction", counting)
+        monkeypatch.setattr(oracle_mod, "_factors", counting)
         verify.norm_table(True)
-        assert len(calls) < 3864
+        assert sum(calls) < 3864
+        assert sum(calls) == 2188 and len(calls) == 41  # 41 passes, one call each
 
     def test_trapezoid_integrates_a_gaussian(self):
-        value, err = oracle_mod._trapezoid(lambda x: math.exp(-x * x), -8.0, 8.0)
+        value, err = oracle_mod._trapezoid(_on_lists(lambda x: math.exp(-x * x)), -8.0, 8.0)
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
         assert err <= 1e-10 * value
 
@@ -391,27 +398,34 @@ class TestQuadNorm:
         (lambda x: 1.0 / math.cosh(x) ** 2, -40.0, 40.0, 2.0),
     ], ids=["gamma(0.3)", "gamma(1)", "gamma(2.5)", "gamma(6)", "sech^2"])
     def test_trapezoid_closed_forms(self, f, a, b, exact):
-        value, err = oracle_mod._trapezoid(f, a, b)
+        value, err = oracle_mod._trapezoid(_on_lists(f), a, b)
         assert value == pytest.approx(exact, rel=1e-13)
         assert err <= oracle_mod._TRAPEZOID_RTOL * value
 
     def test_trapezoid_evaluates_each_point_once(self):
-        points = []
+        passes = []
 
-        def f(x):
-            points.append(x)
-            return math.exp(-x * x)
+        def f(xs):
+            passes.append(xs)
+            return [math.exp(-x * x) for x in xs]
 
         oracle_mod._trapezoid(f, -8.0, 8.0)
+        points = [x for xs in passes for x in xs]
         assert len(points) == len(set(points))
         panels = len(points) - 1
         assert panels >= 2 * oracle_mod._TRAPEZOID_PANELS
         assert panels & (panels - 1) == 0  # a power of two: only halvings
+        # one call per pass: the ends and the first interior points, then
+        # the midpoints of each halving
+        assert [len(xs) for xs in passes] == [
+            oracle_mod._TRAPEZOID_PANELS + 1,
+            *(oracle_mod._TRAPEZOID_PANELS << j for j in range(len(passes) - 1))]
 
     def test_trapezoid_stops_at_the_panel_cap(self):
         # a jump inside the range keeps |T(h) - T(2h)| near h
         points = []
 
+        @_on_lists
         def step(x):
             points.append(x)
             return -1.0 if x < 1.0 / 3.0 else 1.0
@@ -490,7 +504,7 @@ class TestIllinois:
 
 def test_ode_path_is_independent_of_hypergeometric_code():
     # the shooting solver must not touch the confluent hypergeometric series;
-    # only quad_norm goes through the wavefunction evaluation
+    # only quad_norm goes through bound's radial factor
     src = inspect.getsource(oracle_mod)
     assert "kummer" not in src
     assert "specfn" not in src

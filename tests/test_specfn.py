@@ -569,6 +569,53 @@ def test_the_failing_laguerre_resum_is_held_back(monkeypatch):
     assert [z for z, _ in deferred] == xs
 
 
+def test_poly_matches_kummer_m_bit_for_bit(resums):
+    # repr compares every bit, signed zeros and the +0j of the result included
+    rng = random.Random(4417)
+    for _ in range(200):
+        n, b = rng.randint(0, 30), 100.0 * (1.0 - rng.random())
+        xs = [0.0, -0.0, *(rng.uniform(0.0, 10.0 ** rng.randint(0, 3)) for _ in range(8))]
+        assert [repr(m) for m in specfn.kummer_m_poly(n, b, xs)] == [
+            repr(kummer_m(-n, b, x)) for x in xs], (n, b, xs)
+    assert resums  # some of them cancel into a re-sum
+
+
+@pytest.mark.parametrize("n, b, x, overflows", [
+    (20, 1.5, 30.0, False),    # the float pass cancels; the re-sum runs
+    (300, 1.0, 1000.0, True),  # the float pass overflows; bits from the term bound
+])
+def test_poly_matches_kummer_m_where_the_float_pass_gives_way(n, b, x, overflows, resums):
+    assert math.isfinite(_taylor(float(-n), b, x)[0]) != overflows
+    assert repr(specfn.kummer_m_poly(n, b, [x])) == repr([kummer_m(-n, b, x)])
+    assert len(resums) == 2  # one re-sum each
+
+
+# (id, n, b, xs, patches of specfn); the list over xs raises first, with
+# kummer_m's message, and an empty list raises nothing
+REFUSED_POLYS = [
+    ("pole", 3, 0.0, [1.0, 2.0], ()),
+    ("pole-before-later-argument", 3, -2.0, [1.0, math.inf], ()),
+    ("argument-before-pole", 3, -2.0, [math.nan, 1.0], ()),
+    ("later-argument", 3, 1.5, [1.0, 2.0, -math.inf], ()),
+    ("parameter", 3, math.nan, [1.0], ()),
+    ("bits", 1000, 1.0, [1.0, 1e300], ()),
+    ("not-converged", 400, 1.0, [2.0, 30.0], SHORT_CAP),
+]
+
+
+@pytest.mark.parametrize("n, b, xs, patches",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSED_POLYS])
+def test_poly_refuses_as_kummer_m_first_does(n, b, xs, patches, monkeypatch):
+    for name, value in patches:
+        monkeypatch.setattr(specfn, name, value)
+    with pytest.raises(DomainError) as scalar:
+        [kummer_m(-n, b, x) for x in xs]
+    with pytest.raises(DomainError) as poly:
+        specfn.kummer_m_poly(n, b, xs)
+    assert str(poly.value) == str(scalar.value)
+    assert specfn.kummer_m_poly(n, b, []) == []
+
+
 # repr(ln_gamma(complex(x, y))) recorded from the compensated (Neumaier) sum
 # that math.fsum replaced: the right half (Re z in [0.5, 60]), the reflection
 # branch (Re z < 1/2 with |Im z| < 223), its log-sin form (|Im z| > 223), and

@@ -45,14 +45,15 @@ def test_slope_is_the_exact_least_squares_slope_rounded_once(fits):
 
 
 def test_each_oracle_input_is_computed_once_per_run(monkeypatch):
-    # one quad_norm per (nu, n_r, m) of the norm triangle and one shot per
-    # (mu, kappa, |m + nu|, n_r); a second run repeats them all, so nothing
+    # one quad_norm and one shot per (mu, kappa, |m + nu|, n_r), 12 of the
+    # norm triangle's 18 states; a second run repeats them all, so nothing
     # is kept between runs
     calls = {"quad_norm": [], "shoot_with_nodes": []}
     quad_norm, shoot = verify.oracle.quad_norm, verify.oracle.shoot_with_nodes
 
     def counting_norm(qn, problem):
-        calls["quad_norm"].append((problem.nu, qn.n_r, qn.m))
+        w = verify.bound.effective_exponent(qn.m, problem.nu)
+        calls["quad_norm"].append((problem.reduced_mass, problem.kappa, w, qn.n_r))
         return quad_norm(qn, problem)
 
     def counting_shot(problem, m, n_r):
@@ -68,7 +69,7 @@ def test_each_oracle_input_is_computed_once_per_run(monkeypatch):
         checks, rows = verify.run_all_checks(small=True)
         assert all(c.passed for c in checks) and len(rows) == 12
         assert {name: len(log) for name, log in calls.items()} == {
-            "quad_norm": 18, "shoot_with_nodes": 8}, run
+            "quad_norm": 12, "shoot_with_nodes": 8}, run
         assert all(len(set(log)) == len(log) for log in calls.values()), run
 
 

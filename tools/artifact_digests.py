@@ -1,4 +1,4 @@
-"""Run every CLI artifact in two source trees and compare them by value.
+"""Run every benchmark artifact in two source trees and compare them by value.
 
     python tools/artifact_digests.py SRC_A SRC_B [--seeds 1-20] [--workloads fields,tables,verify]
 
@@ -6,10 +6,14 @@ SRC_A and SRC_B are directories that hold an ``abc2d`` package (``src`` in a
 checkout).  The operations are every ``fields`` and ``tables`` CLI call that
 the benchmark's ``perfbench/workloads.make`` draws at each seed, its
 out-of-loop probe included, each run once with ``--format csv`` and once with
-``--format json``, plus ``verify --grid small|full`` in table and JSON.  All
-calls go through ``abc2d.cli.main``, in one fresh interpreter per tree, so the
-two trees never share ``sys.modules``; the two run side by side and stream
-one artifact at a time, so neither tree's output is held whole.
+``--format json``, plus ``verify --grid small|full`` in table and JSON.  With
+``verify``, each extra bound state that the ``verify`` workload draws at each
+seed is one more operation: its stdout is the line
+``closed,shot,nodes,norm`` of reprs that ``perfbench/worker.py`` writes, from
+``bound.energy``, ``oracle.shoot_with_nodes`` and ``oracle.quad_norm``.  All
+operations run in one fresh interpreter per tree, so the two trees never
+share ``sys.modules``; the two run side by side and stream one artifact at a
+time, so neither tree's output is held whole.
 
 An artifact is an operation's exit code, stdout and stderr.  For each one that
 is not byte-identical, the report gives one line: a change of exit code or of
@@ -36,17 +40,28 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fields", "tables", "verify")
 _NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
-# Runs in the fresh interpreter: reads the argv lists as JSON on stdin and
-# writes the cli module's path, then one [exit, stdout, stderr] per line.
+# Runs in the fresh interpreter: reads the operations as JSON on stdin, an
+# argv list or a state dict each, and writes the cli module's path, then one
+# [exit, stdout, stderr] per line.
 _CHILD = r"""
 import contextlib, io, json, sys
-from abc2d import cli
+from abc2d import bound, cli, oracle
+from abc2d.reduction import RelativeProblem
 print(json.dumps(cli.__file__), flush=True)
-for argv in json.load(sys.stdin):
+
+def state(op):
+    problem = RelativeProblem.from_parameters(op["mu"], op["kappa"], op["alpha"])
+    qn = bound.QuantumNumbers(op["n_r"], op["m"])
+    closed = bound.energy(qn, problem)
+    shot, nodes = oracle.shoot_with_nodes(problem, op["m"], op["n_r"])
+    print(f"{closed!r},{shot!r},{nodes},{oracle.quad_norm(qn, problem)!r}")
+    return 0
+
+for op in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = state(op) if isinstance(op, dict) else cli.main(op)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
@@ -61,31 +76,34 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def operations(seeds: list[int], workloads: list[str]) -> list[list[str]]:
-    """The argv of every operation, in order.  perfbench/workloads.py is read
-    and run here, not imported, so nothing is written under perfbench/."""
+def operations(seeds: list[int], workloads: list[str]) -> list[list[str] | dict]:
+    """Every operation, in order: a CLI call's argv, or a ``verify`` extra
+    state's dict.  perfbench/workloads.py is read and run here, not imported,
+    so nothing is written under perfbench/."""
     path = ROOT / "perfbench" / "workloads.py"
     bench = types.ModuleType("workloads")
     exec(compile(path.read_text(), path, "exec"), bench.__dict__)
-    argvs = []
+    ops = []
     for workload in workloads:
         if workload == "verify":
-            argvs += [["verify", "--grid", grid, "--format", fmt]
-                      for grid in ("small", "full") for fmt in ("table", "json")]
+            ops += [["verify", "--grid", grid, "--format", fmt]
+                    for grid in ("small", "full") for fmt in ("table", "json")]
+            ops += [op for seed in seeds for op in bench.make(workload, seed)[0]
+                    if op["op"] == "state"]
             continue
         for seed in seeds:
-            ops, probe = bench.make(workload, seed)
-            argvs += [op["argv"] + ["--format", fmt] for op in ops + [probe]
-                      if op and op["op"] == "cli" for fmt in ("csv", "json")]
-    return argvs
+            drawn, probe = bench.make(workload, seed)
+            ops += [op["argv"] + ["--format", fmt] for op in drawn + [probe]
+                    if op and op["op"] == "cli" for fmt in ("csv", "json")]
+    return ops
 
 
-def _start(src: Path, argvs: list[list[str]]) -> subprocess.Popen:
-    """The fresh interpreter that runs argvs in src, its first line read."""
+def _start(src: Path, ops: list[list[str] | dict]) -> subprocess.Popen:
+    """The fresh interpreter that runs ops in src, its first line read."""
     proc = subprocess.Popen([sys.executable, "-c", _CHILD], stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE, text=True, cwd=src,
                             env={**os.environ, "PYTHONPATH": str(src)})
-    proc.stdin.write(json.dumps(argvs))
+    proc.stdin.write(json.dumps(ops))
     proc.stdin.close()
     module = json.loads(proc.stdout.readline() or "null")
     if module != str(src / "abc2d" / "cli.py"):
@@ -136,22 +154,30 @@ def value_changes(a: str, b: str, csv: bool) -> tuple[float, float, str] | int:
     return cell, column, name
 
 
-def compare(src_a: Path, src_b: Path, argvs: list[list[str]]) -> list[str]:
+def _label(op: list[str] | dict) -> str:
+    """The report's name of an operation: the argv, or the state's draws."""
+    if isinstance(op, list):
+        return shlex.join(op)
+    return "state " + " ".join(f"{key}={op[key]!r}" for key in ("mu", "kappa", "alpha",
+                                                               "n_r", "m"))
+
+
+def compare(src_a: Path, src_b: Path, ops: list[list[str] | dict]) -> list[str]:
     """One report line per artifact that is not byte-identical, then the
     summary line."""
-    proc_a, proc_b = (_start(src, argvs) for src in (src_a, src_b))
-    records = zip(argvs, _records(src_a, proc_a, len(argvs)),
-                  _records(src_b, proc_b, len(argvs)))
+    proc_a, proc_b = (_start(src, ops) for src in (src_a, src_b))
+    records = zip(ops, _records(src_a, proc_a, len(ops)),
+                  _records(src_b, proc_b, len(ops)))
     lines, moved, cell, column = [], 0, 0.0, 0.0
     with proc_a, proc_b:
-        for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in records:
+        for op, (code_a, out_a, err_a), (code_b, out_b, err_b) in records:
             if (code_a, out_a, err_a) == (code_b, out_b, err_b):
                 continue
             change = ", ".join(text for text, differs in (
                 (f"exit {code_a} -> {code_b}", code_a != code_b),
                 (f"stderr {err_a!r} -> {err_b!r}", err_a != err_b)) if differs)
             if not change:
-                changes = value_changes(out_a, out_b, "csv" in argv)
+                changes = value_changes(out_a, out_b, isinstance(op, list) and "csv" in op)
                 if isinstance(changes, int):
                     change = f"text differs at line {changes}"
                 else:
@@ -160,8 +186,8 @@ def compare(src_a: Path, src_b: Path, argvs: list[list[str]]) -> list[str]:
                     change = f"cell {changes[0]:.2g}"
                     if changes[2]:
                         change += f", column {changes[1]:.2g} ({changes[2]})"
-            lines.append(f"{shlex.join(argv)}: {change}")
-    summary = (f"{len(argvs)} artifacts: {len(argvs) - len(lines)} byte-identical, "
+            lines.append(f"{_label(op)}: {change}")
+    summary = (f"{len(ops)} artifacts: {len(ops) - len(lines)} byte-identical, "
                f"{moved} differ in numbers only, {len(lines) - moved} otherwise")
     if moved:
         summary += f"; largest change {cell:.2g} of a cell, {column:.2g} of a column"
